@@ -96,44 +96,18 @@ def _report_results(results: list[DeclResult], as_json: bool, show_values: bool)
     return _exit_code(results)
 
 
-def cmd_check(args) -> int:
+def _cmd_file(args, show_values: bool) -> int:
     program = _load_program(args.file, args.json)
     if program is None:
         return EXIT_SYNTAX
     results = check_program(program, fuel=args.max_steps, trace=args.trace, explain=args.explain)
-    return _report_results(results, args.json, show_values=False)
-
-
-def cmd_eval(args) -> int:
-    program = _load_program(args.file, args.json)
-    if program is None:
-        return EXIT_SYNTAX
-    results = check_program(program, fuel=args.max_steps, trace=args.trace)
-    if args.json:
-        return _report_results(results, True, show_values=True)
-    code = EXIT_OK
-    for result in results:
-        if result.diagnostic is not None:
-            _print_diagnostic(result.diagnostic, as_json=False)
-        elif result.evaluated is not None:
-            print(pretty(result.evaluated.term))
-            if args.trace:
-                for step, info in result.evaluated.trace:
-                    print(
-                        f"  step {step}: branch {info.branch_index + 1}/{info.n_branches} "
-                        f"matched {pretty(info.argument)}",
-                        file=sys.stderr,
-                    )
-    return _exit_code(results)
+    return _report_results(results, args.json, show_values)
 
 
 def _parse_inline_type(text: str, as_json: bool):
     try:
         return parse_type(text)
-    except ParseFailure as failure:
-        _print_diagnostic(failure.to_diagnostic(), as_json)
-        return None
-    except CapError as err:
+    except (ParseFailure, CapError) as err:
         _print_diagnostic(err.to_diagnostic(), as_json)
         return None
 
@@ -235,6 +209,13 @@ def cmd_repl(args) -> int:
                 print(result.summary())
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cap", description="Typed pattern calculus toolchain")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -242,19 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, trace: bool = False) -> None:
         p.add_argument("--json", action="store_true", help="structured output")
         if trace:
-            p.add_argument("--max-steps", type=int, default=DEFAULT_FUEL, metavar="N")
+            p.add_argument("--max-steps", type=_positive_int, default=DEFAULT_FUEL, metavar="N")
             p.add_argument("--trace", action="store_true", help="report branch selections")
 
     p = sub.add_parser("check", help="type-check every declaration in a file")
     p.add_argument("file")
     p.add_argument("--explain", action="store_true", help="verbose compatibility reporting")
     common(p, trace=True)
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=lambda args: _cmd_file(args, show_values=False))
 
     p = sub.add_parser("eval", help="run the eval declarations of a file")
     p.add_argument("file")
     common(p, trace=True)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=lambda args: _cmd_file(args, show_values=True), explain=False)
 
     p = sub.add_parser("type", help="infer the type of an inline term")
     p.add_argument("term")
@@ -290,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_conform)
 
     p = sub.add_parser("repl", help="interactive declaration loop")
-    p.add_argument("--max-steps", type=int, default=DEFAULT_FUEL, metavar="N")
+    p.add_argument("--max-steps", type=_positive_int, default=DEFAULT_FUEL, metavar="N")
     p.add_argument("--trace", action="store_true")
     p.set_defaults(func=cmd_repl)
 

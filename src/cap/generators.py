@@ -137,10 +137,6 @@ def gen_type(cfg: GenConfig) -> MuType:
     return validate_type(raw)
 
 
-def gen_type_stream(cfg: GenConfig, count: int) -> list[MuType]:
-    return [gen_type(cfg.with_seed(cfg.seed + i)) for i in range(count)]
-
-
 # -- typed terms -----------------------------------------------------------------
 
 

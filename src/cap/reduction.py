@@ -1,4 +1,4 @@
-"""Pattern matching, the beta rule, and a fuel-bounded call-by-value evaluator."""
+"""Pattern matching, the beta rule, one-step reduction and a fuel-bounded evaluator."""
 
 from __future__ import annotations
 
@@ -118,7 +118,8 @@ def small_step(t: Term) -> tuple[Term, StepInfo | None] | None:
     """One weak call-by-value step; None when the term is a value.
 
     Function position first, then the argument, then beta. Raises StuckMatch
-    when a beta attempt is decided against every branch or undecidable.
+    when a beta attempt is decided against every branch or undecidable. The
+    reference semantics that `evaluate` is tested against.
     """
     if is_value(t):
         return None
@@ -151,19 +152,51 @@ DEFAULT_FUEL = 100_000
 
 
 def evaluate(t: Term, fuel: int = DEFAULT_FUEL, trace: bool = False) -> EvalResult:
-    """Iterate small steps up to `fuel` times."""
+    """Run at most `fuel` beta steps; the same result as iterating `small_step`.
+
+    A machine derived by refocusing (Danvy & Nielsen, 2004): the context of the
+    focus is a stack of frames, `(node, None)` for a hole in the function position
+    of `node` and `(node, fun)` for one in its argument position, the function
+    evaluated to `fun`. After a step the search for the next redex goes on from
+    the reduct in place, so a step costs time in the size of its reduct, not of
+    the whole term.
+    """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
     events: list[tuple[int, StepInfo]] = []
-    current = t
-    for step in range(fuel):
-        try:
-            stepped = small_step(current)
-        except StuckMatch as stuck:
-            return EvalResult("stuck", current, step, stuck=stuck, trace=events)
-        if stepped is None:
-            return EvalResult("normal", current, step, trace=events)
-        current, info = stepped
-        if trace and info is not None:
-            events.append((step + 1, info))
-    return EvalResult("out-of-fuel", current, fuel, trace=events)
+    stack: list[tuple[App, Term | None]] = []
+    steps = 0
+    focus = t
+    while True:
+        while isinstance(focus, App):
+            stack.append((focus, None))
+            focus = focus.fun
+        # The focus is a value: plug it in until an argument is left to evaluate or a redex forms.
+        while stack:
+            node, fun = stack.pop()
+            if fun is None:
+                stack.append((node, focus))
+                focus = node.arg
+                break
+            if isinstance(fun, Abs):
+                try:
+                    index, sub = select_branch(fun.branches, focus)
+                except StuckMatch as stuck:
+                    return EvalResult("stuck", _plug(stack, App(fun, focus)), steps, stuck=stuck, trace=events)
+                arg, focus = focus, apply_substitution(sub, fun.branches[index].body)
+                steps += 1
+                if trace:
+                    events.append((steps, StepInfo(index, len(fun.branches), arg)))
+                if steps == fuel:
+                    return EvalResult("out-of-fuel", _plug(stack, focus), steps, trace=events)
+                break
+            focus = node if fun is node.fun and focus is node.arg else App(fun, focus)
+        else:
+            return EvalResult("normal", focus, steps, trace=events)
+
+
+def _plug(stack: list[tuple[App, Term | None]], term: Term) -> Term:
+    """The whole term: `term` put back into the context the frames describe."""
+    for node, fun in reversed(stack):
+        term = App(term, node.arg) if fun is None else App(fun, term)
+    return term

@@ -273,22 +273,3 @@ def is_matchable_form(t: Term) -> bool:
 def classify(t: Term) -> Classification:
     return Classification(value=is_value(t), matchable_form=is_matchable_form(t))
 
-
-def term_size(t: Term) -> int:
-    match t:
-        case Var() | Const():
-            return 1
-        case App(f, a):
-            return 1 + term_size(f) + term_size(a)
-        case Abs(branches):
-            return 1 + sum(_pattern_size(b.pattern) + term_size(b.body) for b in branches)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _pattern_size(p: Pattern) -> int:
-    match p:
-        case Matchable() | PatternConst():
-            return 1
-        case PatternCompound(l, r):
-            return 1 + _pattern_size(l) + _pattern_size(r)
-    raise TypeError(f"not a pattern: {p!r}")

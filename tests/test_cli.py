@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from cap.cli import main
 
@@ -147,3 +152,37 @@ def test_repl_session(capsys, monkeypatch):
     assert code == 0
     assert "Vl@Nat" in captured.out
     assert "C0" in captured.out
+
+
+def test_eval_trace_output(capsys):
+    code, out, err = run(capsys, "eval", str(CORPUS / "bool_flip.cap"), "--trace")
+    assert code == 0
+    assert out == "C0\n"
+    assert err == "  step 1: branch 1/2 matched True\n  step 2: branch 2/2 matched False\n"
+
+
+@pytest.mark.parametrize("command", ["check", "eval", "repl"])
+@pytest.mark.parametrize("value", ["0", "-3", "many"])
+def test_max_steps_below_one_is_a_usage_error(capsys, command, value):
+    argv = [command] + ([] if command == "repl" else [str(CORPUS / "bool_flip.cap")])
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--max-steps", value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-steps" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["+5", "1_000"])
+def test_max_steps_takes_what_int_takes(capsys, value):
+    code, out, _ = run(capsys, "eval", str(CORPUS / "bool_flip.cap"), "--max-steps", value)
+    assert code == 0 and out == "C0\n"
+
+
+def test_python_dash_m_cap_runs_the_cli():
+    root = CORPUS.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "cap", "check", "corpus/upd.cap"], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("assume upd:")

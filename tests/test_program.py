@@ -102,3 +102,16 @@ def test_session_state_accumulates():
         result = process_decl(state, decl)
         assert result.ok
     assert is_equivalent(state.env["v"], parse_type("Vl@Nat"))
+
+
+def test_definition_shadowing_verdicts():
+    # Later terms get the body of `d`, the variable `x`, in place of `d`, so
+    # they type `x` at the type assumed last: `d : A` fails although `def d`
+    # reported A. Typing `d` at its recorded type would flip the first check.
+    # A second `def d` replaces the first.
+    source = "assume x : A; def d = x; assume x : B; check d : A; check d : B; def d = C; check d : C;"
+    results = check_program(parse_program(source))
+    assert [r.ok for r in results] == [True, True, True, False, True, True, True]
+    assert results[3].diagnostic.code == "type"
+    assert pretty(results[1].inferred) == "A"
+    assert pretty(results[5].inferred) == "C"
