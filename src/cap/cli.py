@@ -21,6 +21,7 @@ EXIT_TYPE = 1
 EXIT_SYNTAX = 2
 EXIT_RUNTIME = 3
 EXIT_CONFORMANCE = 4
+EXIT_RESOURCE = 5
 
 _SYNTAX_CODES = ("parse", "sort", "contractiveness")
 
@@ -100,25 +101,21 @@ def _cmd_file(args, show_values: bool) -> int:
     program = _load_program(args.file, args.json)
     if program is None:
         return EXIT_SYNTAX
-    results = check_program(program, fuel=args.max_steps, trace=args.trace, explain=args.explain)
+    results = check_program(program, fuel=args.max_steps, trace=args.trace)
     return _report_results(results, args.json, show_values)
 
 
 def _parse_inline_type(text: str, as_json: bool):
     try:
         return parse_type(text)
-    except (ParseFailure, CapError) as err:
-        _print_diagnostic(err.to_diagnostic(), as_json)
+    except ParseFailure as failure:
+        _print_diagnostic(failure.to_diagnostic(), as_json)
         return None
 
 
 def cmd_type(args) -> int:
     try:
         term = parse_term(args.term)
-    except ParseFailure as failure:
-        _print_diagnostic(failure.to_diagnostic(), args.json)
-        return EXIT_SYNTAX
-    try:
         ty = infer_type({}, term)
     except CapError as err:
         _print_diagnostic(err.to_diagnostic(), args.json)
@@ -228,14 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="type-check every declaration in a file")
     p.add_argument("file")
-    p.add_argument("--explain", action="store_true", help="verbose compatibility reporting")
     common(p, trace=True)
     p.set_defaults(func=lambda args: _cmd_file(args, show_values=False))
 
     p = sub.add_parser("eval", help="run the eval declarations of a file")
     p.add_argument("file")
     common(p, trace=True)
-    p.set_defaults(func=lambda args: _cmd_file(args, show_values=True), explain=False)
+    p.set_defaults(func=lambda args: _cmd_file(args, show_values=True))
 
     p = sub.add_parser("type", help="infer the type of an inline term")
     p.add_argument("term")
@@ -257,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="compare engine verdicts against truncations")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--kmax", type=int, default=8)
+    p.add_argument("--kmax", type=_positive_int, default=8)
     p.add_argument("--mode", choices=(MODE_SUB, MODE_EQ, "both"), default="both")
     common(p)
     p.set_defaults(func=cmd_oracle)
@@ -266,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=500)
     p.add_argument("--pairs", type=int, default=1000)
-    p.add_argument("--kmax", type=int, default=8)
+    p.add_argument("--kmax", type=_positive_int, default=8)
     common(p)
     p.set_defaults(func=cmd_conform)
 
@@ -280,7 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except RecursionError:
+        message = "input is nested too deeply to process"
+        _print_diagnostic(Diagnostic(code="resource", message=message), getattr(args, "json", False))
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ must be a subtype of the earlier one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .mu_types import MuType, admitted_symbols
 from .relations import is_subtype
@@ -79,51 +79,29 @@ class PairVerdict:
     mismatches: frozenset[Position]
     obligation: tuple[MuType, MuType] | None = None  # (later, earlier) subtype goal
     witness: Position | None = None  # disjointness witness
-    shared_symbols: dict[Position, frozenset[str]] | None = None
+    # symbols both types admit, at each mismatching position up to the witness
+    shared_symbols: dict[Position, frozenset[str]] = field(default_factory=dict)
 
     @property
     def requires_subtype(self) -> bool:
         return self.reason in ("subsumed", "overlap")
 
 
-def compatible_pair(first: PatternJudgement, second: PatternJudgement, explain: bool = False) -> PairVerdict:
-    """Check one ordered branch pair.
-
-    With `explain`, the shared-symbol sets of every mismatching position are
-    collected even after a disjointness witness settles the verdict.
-    """
+def compatible_pair(first: PatternJudgement, second: PatternJudgement) -> PairVerdict:
+    """Check one ordered branch pair."""
     p, a = first.pattern, first.type
     q, b = second.pattern, second.type
     if subsumes(p, q):
         holds = is_subtype(b, a)
         return PairVerdict(holds, "subsumed", frozenset(), obligation=(b, a))
     mismatches = mismatch_positions(p, q)
-    witness: Position | None = None
     shared: dict[Position, frozenset[str]] = {}
     for pos in sorted(mismatches):
-        common = admitted_symbols(a, pos) & admitted_symbols(b, pos)
-        if explain:
-            shared[pos] = common
-        if not common:
-            witness = pos
-            if not explain:
-                break
-    if witness is not None:
-        return PairVerdict(
-            True,
-            "disjoint",
-            mismatches,
-            witness=witness,
-            shared_symbols=shared if explain else None,
-        )
+        shared[pos] = admitted_symbols(a, pos) & admitted_symbols(b, pos)
+        if not shared[pos]:
+            return PairVerdict(True, "disjoint", mismatches, witness=pos, shared_symbols=shared)
     holds = is_subtype(b, a)
-    return PairVerdict(
-        holds,
-        "overlap",
-        mismatches,
-        obligation=(b, a),
-        shared_symbols=shared if explain else None,
-    )
+    return PairVerdict(holds, "overlap", mismatches, obligation=(b, a), shared_symbols=shared)
 
 
 @dataclass
@@ -147,16 +125,22 @@ class IncompatiblePair(Exception):
                 f"branch {i} subsumes branch {j}, so {obligation}; it does not hold"
             )
         positions = sorted(self.verdict.mismatches)
-        return (
+        text = (
             f"branches {i} and {j} may overlap (shared head symbols at positions {positions}), "
             f"so {obligation}; it does not hold"
         )
+        if self.verdict.shared_symbols:
+            shared = "; ".join(
+                f"at {list(pos)}: {sorted(symbols)}" for pos, symbols in sorted(self.verdict.shared_symbols.items())
+            )
+            text += f" [shared head symbols {shared}]"
+        return text
 
 
-def check_branch_compatibility(judgements: list[PatternJudgement], explain: bool = False) -> None:
+def check_branch_compatibility(judgements: list[PatternJudgement]) -> None:
     """Require every ordered pair of branch judgements to be compatible."""
     for i in range(len(judgements)):
         for j in range(i + 1, len(judgements)):
-            verdict = compatible_pair(judgements[i], judgements[j], explain=explain)
+            verdict = compatible_pair(judgements[i], judgements[j])
             if not verdict.compatible:
                 raise IncompatiblePair(i, j, verdict)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-CODES = ("parse", "sort", "contractiveness", "type", "compatibility", "runtime")
+CODES = ("parse", "sort", "contractiveness", "type", "compatibility", "runtime", "resource")
 
 
 @dataclass

@@ -224,26 +224,6 @@ def is_datatype(t: MuType) -> bool:
     raise TypeError(f"not a type: {t!r}")
 
 
-def is_contractive(t: MuType) -> bool:
-    """Every bound recursion variable occurs only under @ or -> within its binder."""
-
-    def go(t: MuType, unguarded: frozenset[str]) -> bool:
-        match t:
-            case TypeConst():
-                return True
-            case DataVar(n) | TypeVar(n):
-                return n not in unguarded
-            case AppT(l, r) | Arrow(l, r):
-                return go(l, frozenset()) and go(r, frozenset())
-            case Union(l, r):
-                return go(l, unguarded) and go(r, unguarded)
-            case Rec(var, _, body):
-                return go(body, unguarded | {var})
-        raise TypeError(f"not a type: {t!r}")
-
-    return go(t, frozenset())
-
-
 def admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:
     """Head symbols the type exhibits at a pattern position.
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from .diagnostics import CapError, Diagnostic
 from .mu_types import MuType
 from .reduction import DEFAULT_FUEL, EvalResult, evaluate
-from .surface import Assume, Check, Def, Eval, Program, pretty, validate_type
+from .surface import Assume, Check, Def, Eval, Program, pretty
 from .syntax import Term, apply_substitution, free_vars
 from .typecheck import TypeEnv, check_type, infer_type
 
@@ -44,29 +44,26 @@ class SessionState:
         return apply_substitution(live, term) if live else term
 
 
-def process_decl(
-    state: SessionState, decl, fuel: int = DEFAULT_FUEL, trace: bool = False, explain: bool = False
-) -> DeclResult:
+def process_decl(state: SessionState, decl, fuel: int = DEFAULT_FUEL, trace: bool = False) -> DeclResult:
     label = decl.label()
     try:
         match decl:
-            case Assume(name=name, type=raw):
-                ty = validate_type(raw)
+            case Assume(name=name, type=ty):
                 state.env[name] = ty
+                state.definitions.pop(name, None)
                 return DeclResult(label, True, inferred=ty)
             case Def(name=name, term=term):
                 resolved = state.resolve(term)
-                ty = infer_type(state.env, resolved, explain)
+                ty = infer_type(state.env, resolved)
                 state.env[name] = ty
                 state.definitions[name] = resolved
                 return DeclResult(label, True, inferred=ty)
-            case Check(term=term, type=raw):
-                ty = validate_type(raw)
-                check_type(state.env, state.resolve(term), ty, explain)
+            case Check(term=term, type=ty):
+                check_type(state.env, state.resolve(term), ty)
                 return DeclResult(label, True, inferred=ty)
             case Eval(term=term):
                 resolved = state.resolve(term)
-                ty = infer_type(state.env, resolved, explain)
+                ty = infer_type(state.env, resolved)
                 result = evaluate(resolved, fuel=fuel, trace=trace)
                 if result.status != "normal":
                     detail = str(result.stuck) if result.stuck else "step budget exhausted"
@@ -84,13 +81,11 @@ def process_decl(
     raise TypeError(f"not a declaration: {decl!r}")
 
 
-def check_program(
-    program: Program, fuel: int = DEFAULT_FUEL, trace: bool = False, explain: bool = False
-) -> list[DeclResult]:
+def check_program(program: Program, fuel: int = DEFAULT_FUEL, trace: bool = False) -> list[DeclResult]:
     """Process declarations in order, collecting one result per declaration.
 
     A failing declaration is reported and skipped; processing continues so
     every declaration gets a verdict.
     """
     state = SessionState()
-    return [process_decl(state, decl, fuel=fuel, trace=trace, explain=explain) for decl in program.decls]
+    return [process_decl(state, decl, fuel=fuel, trace=trace) for decl in program.decls]

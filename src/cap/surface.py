@@ -66,14 +66,16 @@ class Token:
         return Span(self.line, self.col)
 
 
-class ParseFailure(Exception):
-    def __init__(self, message: str, span: Span):
-        super().__init__(message)
-        self.message = message
+class ParseFailure(CapError):
+    """A rejected input: a syntax error (code `parse`) or an ill-formed type
+    (code `sort` or `contractiveness`), located at its first token."""
+
+    def __init__(self, message: str, span: Span, code: str = "parse", actual: str | None = None):
+        super().__init__(code, message, actual=actual)
         self.span = span
 
-    def to_diagnostic(self, decl: str | None = None) -> Diagnostic:
-        return Diagnostic(code="parse", message=self.message, span=self.span, decl=decl)
+    def to_diagnostic(self, span: Span | None = None, decl: str | None = None) -> Diagnostic:
+        return super().to_diagnostic(span or self.span, decl)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -159,6 +161,15 @@ class _Parser:
         return False
 
     # -- types ---------------------------------------------------------------
+
+    def parse_valid_type(self) -> MuType:
+        """A whole type, validated once; nested types stay raw until then."""
+        start = self.peek().span
+        raw = self.parse_type()
+        try:
+            return validate_type(raw)
+        except CapError as err:
+            raise ParseFailure(err.message, start, err.code, err.actual) from err
 
     def parse_type(self) -> MuType:
         left = self.parse_union_type()
@@ -249,7 +260,7 @@ class _Parser:
     def parse_binding(self) -> tuple[str, MuType]:
         name = self.expect("lower")
         self.expect("punct", ":")
-        return name.text, self.parse_type()
+        return name.text, self.parse_valid_type()
 
     def parse_pattern(self) -> Pattern:
         out = self.parse_pattern_atom()
@@ -288,7 +299,7 @@ class _Parser:
         if tok.text == "assume":
             name = self.expect("lower")
             self.expect("punct", ":")
-            ty = self.parse_type()
+            ty = self.parse_valid_type()
             self.expect("punct", ";")
             return Assume(name.text, ty, span)
         if tok.text == "def":
@@ -300,7 +311,7 @@ class _Parser:
         if tok.text == "check":
             term = self.parse_term()
             self.expect("punct", ":")
-            ty = self.parse_type()
+            ty = self.parse_valid_type()
             self.expect("punct", ";")
             return Check(term, ty, span)
         term = self.parse_term()
@@ -361,7 +372,7 @@ def _parse_all(text: str, production: str):
         case "term":
             out = parser.parse_term()
         case "type":
-            out = parser.parse_type()
+            out = parser.parse_valid_type()
         case "pattern":
             out = parser.parse_pattern()
         case "program":
@@ -381,13 +392,8 @@ def parse_term(text: str) -> Term:
     return _parse_all(text, "term")
 
 
-def parse_raw_type(text: str) -> MuType:
-    """Parse without sort resolution; most callers want parse_type."""
-    return _parse_all(text, "type")
-
-
 def parse_type(text: str) -> MuType:
-    return validate_type(parse_raw_type(text))
+    return _parse_all(text, "type")
 
 
 # -- validation ---------------------------------------------------------------
@@ -443,31 +449,6 @@ def _resolve_sorts(t: MuType, env: dict[str, str]) -> tuple[MuType, str]:
             new_body, _ = _resolve_sorts(body, {**env, var: SORT_TYPE})
             return Rec(var, SORT_TYPE, new_body), SORT_TYPE
     raise TypeError(f"not a type: {t!r}")
-
-
-def validate_term(t: Term) -> Term:
-    """Validate every branch annotation of a term, rebuilding it.
-
-    Parsing leaves annotation types raw (binder sorts unresolved); this is
-    the normalization that makes parsed terms structurally comparable with
-    programmatically built ones.
-    """
-    match t:
-        case Var() | Const():
-            return t
-        case App(fun, arg):
-            return App(validate_term(fun), validate_term(arg))
-        case Abs(branches):
-            rebuilt = tuple(
-                Branch(
-                    b.pattern,
-                    tuple((name, validate_type(ty)) for name, ty in b.bindings),
-                    validate_term(b.body),
-                )
-                for b in branches
-            )
-            return Abs(rebuilt)
-    raise TypeError(f"not a term: {t!r}")
 
 
 def _check_contractive(t: MuType, unguarded: frozenset[str]) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Union as TyUnion
 
-from .mu_types import MuType
+from .mu_types import MuType, _fresh_name
 
 
 class Pattern:
@@ -182,15 +182,6 @@ def subterm_at(x: TyUnion[Term, Pattern], pos: Position) -> TyUnion[Term, Patter
             case _:
                 raise InvalidPositionError(f"no subterm at {pos}")
     return x
-
-
-def _fresh_name(base: str, avoid: set[str]) -> str:
-    if base not in avoid:
-        return base
-    n = 1
-    while f"{base}_{n}" in avoid:
-        n += 1
-    return f"{base}_{n}"
 
 
 def rename_matchable(p: Pattern, old: str, new: str) -> Pattern:

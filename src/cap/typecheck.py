@@ -14,7 +14,7 @@ from .mu_types import (
     union_of,
 )
 from .relations import is_equivalent, is_subtype
-from .surface import pretty, validate_type
+from .surface import pretty
 from .syntax import (
     Abs,
     App,
@@ -54,9 +54,13 @@ def type_pattern(bindings: TypeEnv, p: Pattern) -> MuType:
     raise TypeError(f"not a pattern: {p!r}")
 
 
-def infer_type(env: TypeEnv, t: Term, explain: bool = False) -> MuType:
+def infer_type(env: TypeEnv, t: Term) -> MuType:
     """Synthesize a minimal-intent type; subsumption is applied only at
-    application arguments and explicit checking boundaries."""
+    application arguments and explicit checking boundaries.
+
+    Branch annotations must already be validated types, as `parse_*` and the
+    generators produce them; they are not checked again here.
+    """
     match t:
         case Var(name):
             ty = env.get(name)
@@ -66,20 +70,20 @@ def infer_type(env: TypeEnv, t: Term, explain: bool = False) -> MuType:
         case Const(name):
             return TypeConst(name)
         case App(fun, arg):
-            return _infer_app(env, fun, arg, explain)
+            return _infer_app(env, fun, arg)
         case Abs(branches):
-            return _infer_abs(env, branches, explain)
+            return _infer_abs(env, branches)
     raise TypeError(f"not a term: {t!r}")
 
 
-def _infer_app(env: TypeEnv, fun: Term, arg: Term, explain: bool = False) -> MuType:
-    fun_ty = infer_type(env, fun, explain)
+def _infer_app(env: TypeEnv, fun: Term, arg: Term) -> MuType:
+    fun_ty = infer_type(env, fun)
     if is_datatype(fun_ty):
-        return AppT(fun_ty, infer_type(env, arg, explain))
+        return AppT(fun_ty, infer_type(env, arg))
     components = union_components(fun_ty)
     if len(components) == 1 and isinstance(components[0], Arrow):
         arrow = components[0]
-        arg_ty = infer_type(env, arg, explain)
+        arg_ty = infer_type(env, arg)
         # Fast path: the argument fits a single domain component. The grouping
         # of domain unions is free, so fitting the whole domain also counts.
         for dom_part in union_components(arrow.dom):
@@ -100,13 +104,13 @@ def _infer_app(env: TypeEnv, fun: Term, arg: Term, explain: bool = False) -> MuT
     )
 
 
-def _infer_abs(env: TypeEnv, branches, explain: bool = False) -> MuType:
+def _infer_abs(env: TypeEnv, branches) -> MuType:
     judgements: list[PatternJudgement] = []
     body_types: list[MuType] = []
     for i, branch in enumerate(branches):
         if not is_linear(branch.pattern):
             raise CapError("type", f"branch {i + 1}: pattern is not linear")
-        bindings = {name: validate_type(ty) for name, ty in branch.binding_map().items()}
+        bindings = branch.binding_map()
         declared = set(bindings)
         used = set(free_matchables(branch.pattern))
         if declared != used:
@@ -123,17 +127,11 @@ def _infer_abs(env: TypeEnv, branches, explain: bool = False) -> MuType:
             )
         pattern_ty = type_pattern(bindings, branch.pattern)
         judgements.append(PatternJudgement(tuple(bindings.items()), branch.pattern, pattern_ty))
-        body_types.append(infer_type({**env, **bindings}, branch.body, explain))
+        body_types.append(infer_type({**env, **bindings}, branch.body))
     try:
-        check_branch_compatibility(judgements, explain=explain)
+        check_branch_compatibility(judgements)
     except IncompatiblePair as bad:
-        message = str(bad)
-        if explain and bad.verdict.shared_symbols is not None:
-            shared = "; ".join(
-                f"at {list(pos)}: {sorted(symbols)}" for pos, symbols in sorted(bad.verdict.shared_symbols.items())
-            )
-            message += f" [shared head symbols {shared}]"
-        raise CapError("compatibility", message) from bad
+        raise CapError("compatibility", str(bad)) from bad
     domain = union_of([j.type for j in judgements])
     if all(is_equivalent(body_types[0], ty) for ty in body_types[1:]):
         codomain = body_types[0]
@@ -142,8 +140,10 @@ def _infer_abs(env: TypeEnv, branches, explain: bool = False) -> MuType:
     return Arrow(domain, codomain)
 
 
-def check_type(env: TypeEnv, t: Term, expected: MuType, explain: bool = False) -> None:
-    actual = infer_type(env, t, explain)
+def check_type(env: TypeEnv, t: Term, expected: MuType) -> None:
+    """Require `t` to infer a subtype of `expected`; both carry validated
+    types, as for `infer_type`."""
+    actual = infer_type(env, t)
     if not is_subtype(actual, expected):
         raise CapError(
             "type",

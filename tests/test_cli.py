@@ -68,8 +68,34 @@ def test_missing_file_is_parse_diagnostic(capsys):
 def test_sort_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cap"
     bad.write_text("assume x : (A -> B) @ C;\n", encoding="utf-8")
-    code, _, _ = run(capsys, "check", str(bad))
+    code, _, err = run(capsys, "check", str(bad))
     assert code == 2
+    assert err.startswith("1:12: error[sort]")
+
+
+def test_ill_formed_type_rejects_the_whole_file(tmp_path, capsys):
+    bad = tmp_path / "bad.cap"
+    bad.write_text("assume n : Nat;\nassume x : (A -> B) @ C;\n", encoding="utf-8")
+    code, out, _ = run(capsys, "check", str(bad), "--json")
+    assert code == 2
+    diag = json.loads(out)
+    assert diag["code"] == "sort"
+    assert diag["span"] == {"line": 2, "col": 12}
+    assert diag["actual"] == "A -> B"
+
+
+def test_non_contractive_type_is_a_contractiveness_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cap"
+    bad.write_text("assume x : rec y. y;\n", encoding="utf-8")
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert "error[contractiveness]" in err
+
+
+def test_type_command_rejects_ill_sorted_annotation(capsys):
+    code, out, err = run(capsys, "type", "[x:(A -> B)@C] x => x")
+    assert code == 2
+    assert out == "" and "error[sort]" in err
 
 
 def test_runtime_exit_code(tmp_path, capsys):
@@ -154,6 +180,16 @@ def test_repl_session(capsys, monkeypatch):
     assert "C0" in captured.out
 
 
+def test_repl_goes_on_after_a_sort_error(capsys, monkeypatch):
+    lines = iter(["assume x : (A -> B) @ C;", "assume n : Nat;", ":q"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    code = main(["repl"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "error[sort]" in captured.err
+    assert "assume n: Nat" in captured.out
+
+
 def test_eval_trace_output(capsys):
     code, out, err = run(capsys, "eval", str(CORPUS / "bool_flip.cap"), "--trace")
     assert code == 0
@@ -186,3 +222,21 @@ def test_python_dash_m_cap_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("assume upd:")
+
+
+@pytest.mark.parametrize("argv", [["oracle", "A", "A"], ["conform"]])
+def test_kmax_below_one_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--kmax", "0"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--kmax" in err and "Traceback" not in err
+
+
+def test_deep_input_is_a_resource_diagnostic(tmp_path, capsys):
+    deep = tmp_path / "deep.cap"
+    deep.write_text("eval " + "Cons A (" * 1200 + "Nil" + ")" * 1200 + ";\n", encoding="utf-8")
+    code, out, err = run(capsys, "eval", str(deep))
+    assert code == 5
+    assert out == ""
+    assert "error[resource]" in err and "Traceback" not in err

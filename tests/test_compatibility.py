@@ -113,8 +113,8 @@ def test_list_reports_first_failing_pair():
 def test_explain_collects_all_shared_symbols():
     first = judgement([("z", "Nat")], VL_Z, "Vl@Nat")
     other = judgement([("x", "Vl"), ("y", "Nat")], XY, "Vl@Nat")
-    verdict = compatible_pair(first, other, explain=True)
-    assert verdict.shared_symbols is not None
+    verdict = compatible_pair(first, other)
+    assert verdict.reason == "overlap"
     assert set(verdict.shared_symbols) == set(verdict.mismatches)
 
 

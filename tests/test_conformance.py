@@ -14,7 +14,6 @@ from cap.conformance import (
     weak_moves,
 )
 from cap.generators import GenConfig, gen_type, gen_typed_term
-from cap.mu_types import is_contractive
 from cap.reduction import evaluate
 from cap.surface import parse_term, parse_type, validate_type
 from cap.typecheck import check_type, infer_type
@@ -33,7 +32,6 @@ def test_gen_type_contract():
         t = gen_type(cfg)
         assert gen_type(cfg) == t
         assert validate_type(t) == t
-        assert is_contractive(t)
 
 
 def test_gen_typed_term_contract():

@@ -1,8 +1,12 @@
 from pathlib import Path
 
+from cap import compatibility, conformance, program, reduction, relations, surface, typecheck
+from cap.conformance import subject_reduction_suite
+from cap.generators import GenConfig
 from cap.program import SessionState, check_program, process_decl
 from cap.relations import is_equivalent
 from cap.surface import parse_program, parse_type, pretty
+from cap.syntax import Var
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -115,3 +119,27 @@ def test_definition_shadowing_verdicts():
     assert results[3].diagnostic.code == "type"
     assert pretty(results[1].inferred) == "A"
     assert pretty(results[5].inferred) == "C"
+
+
+def test_assume_shadows_an_earlier_def():
+    results = check_program(parse_program("def x = B; assume x : C; check x : C; eval x;"))
+    assert [r.ok for r in results] == [True, True, True, True]
+    assert results[3].evaluated.term == Var("x")
+    assert results[3].evaluated.steps == 0
+
+
+def test_types_are_validated_only_by_the_parser(monkeypatch):
+    # Once parsing is done, declarations and subject reduction must give the
+    # same results with every module's validate_type made to fail.
+    programs = [parse_program(path.read_text(encoding="utf-8")) for path in sorted(CORPUS.glob("*.cap"))]
+    assert len(programs) == 7
+    cfg = GenConfig(seed=11)
+    before = [check_program(p) for p in programs], subject_reduction_suite(cfg, 80).to_dict()
+
+    def validate_after_parsing(raw):
+        raise AssertionError(f"validate_type called after parsing on {raw!r}")
+
+    for module in (surface, program, typecheck, compatibility, relations, reduction, conformance):
+        monkeypatch.setattr(module, "validate_type", validate_after_parsing, raising=False)
+    after = [check_program(p) for p in programs], subject_reduction_suite(cfg, 80).to_dict()
+    assert after == before
