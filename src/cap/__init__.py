@@ -5,7 +5,6 @@ evaluator."""
 from .mu_types import (
     AppT,
     Arrow,
-    DataVar,
     FiniteTree,
     MuType,
     Rec,
@@ -48,7 +47,6 @@ __all__ = [
     "Arrow",
     "Branch",
     "Const",
-    "DataVar",
     "Fail",
     "FiniteTree",
     "MatchOutcome",

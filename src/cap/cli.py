@@ -195,15 +195,17 @@ def cmd_repl(args) -> int:
         source, buffer = buffer, ""
         try:
             program = parse_program(source)
+            for decl in program.decls:
+                result = process_decl(state, decl, fuel=args.max_steps, trace=args.trace)
+                _report_results([result], as_json=False, show_values=False)
         except ParseFailure as failure:
             _print_diagnostic(failure.to_diagnostic(), as_json=False)
-            continue
-        for decl in program.decls:
-            result = process_decl(state, decl, fuel=args.max_steps, trace=args.trace)
-            if result.diagnostic is not None:
-                _print_diagnostic(result.diagnostic, as_json=False)
-            else:
-                print(result.summary())
+        except RecursionError:
+            _print_diagnostic(_too_deep(), as_json=False)
+
+
+def _too_deep() -> Diagnostic:
+    return Diagnostic(code="resource", message="input is nested too deeply to process")
 
 
 def _positive_int(text: str) -> int:
@@ -279,8 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except RecursionError:
-        message = "input is nested too deeply to process"
-        _print_diagnostic(Diagnostic(code="resource", message=message), getattr(args, "json", False))
+        _print_diagnostic(_too_deep(), getattr(args, "json", False))
         return EXIT_RESOURCE
 
 

@@ -124,11 +124,7 @@ class IncompatiblePair(Exception):
             return (
                 f"branch {i} subsumes branch {j}, so {obligation}; it does not hold"
             )
-        positions = sorted(self.verdict.mismatches)
-        text = (
-            f"branches {i} and {j} may overlap (shared head symbols at positions {positions}), "
-            f"so {obligation}; it does not hold"
-        )
+        text = f"branches {i} and {j} may overlap, so {obligation}; it does not hold"
         if self.verdict.shared_symbols:
             shared = "; ".join(
                 f"at {list(pos)}: {sorted(symbols)}" for pos, symbols in sorted(self.verdict.shared_symbols.items())

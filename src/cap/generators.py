@@ -14,11 +14,8 @@ from dataclasses import dataclass
 from .compatibility import IncompatiblePair, PatternJudgement, check_branch_compatibility
 from .diagnostics import CapError
 from .mu_types import (
-    SORT_DATA,
-    SORT_TYPE,
     AppT,
     Arrow,
-    DataVar,
     MuType,
     Rec,
     TypeConst,
@@ -63,6 +60,10 @@ class GenConfig:
         return dataclasses.replace(self, seed=seed)
 
 
+# Sorts the type generator aims for; validation computes them from structure.
+SORT_DATA = "data"
+SORT_TYPE = "type"
+
 TYPE_CONSTS = ("A", "B", "C", "Nil", "Cons", "Vl")
 TERM_CONSTS = ("A", "B", "C", "Nil", "Cons", "Vl")
 
@@ -85,11 +86,10 @@ class _TypeGen:
         # Scope entries are (name, sort, guarded); a recursion variable is
         # usable only once an @ or -> has been crossed since its binder.
         rng = self.rng
-        usable = [(n, s) for n, s, guarded in scope if guarded and (s == SORT_DATA or sort == SORT_TYPE)]
+        usable = [n for n, s, guarded in scope if guarded and (s == SORT_DATA or sort == SORT_TYPE)]
         if budget <= 1:
             if usable and rng.random() < 0.4:
-                name, var_sort = rng.choice(usable)
-                return DataVar(name) if var_sort == SORT_DATA else TypeVar(name)
+                return TypeVar(rng.choice(usable))
             return TypeConst(rng.choice(TYPE_CONSTS))
         choices = ["const", "app"]
         if usable:
@@ -105,8 +105,7 @@ class _TypeGen:
         if pick == "const":
             return TypeConst(rng.choice(TYPE_CONSTS))
         if pick == "var":
-            name, var_sort = rng.choice(usable)
-            return DataVar(name) if var_sort == SORT_DATA else TypeVar(name)
+            return TypeVar(rng.choice(usable))
         if pick == "app":
             split = max(1, (budget - 1) // 2)
             return AppT(
@@ -125,7 +124,7 @@ class _TypeGen:
             return union_of([self.gen(per, sort, scope) for _ in range(width)])
         var = self.fresh()
         body = self.gen(budget - 1, sort, scope + ((var, sort, False),))
-        return Rec(var, sort, body)
+        return Rec(var, body)
 
 
 def gen_type(cfg: GenConfig) -> MuType:
@@ -335,7 +334,7 @@ def _mutate_head(rng: random.Random, t: MuType) -> MuType:
     if kind == "rename":
         return _rename_one_const(rng, t)
     if kind == "wrap":
-        return Rec("unused_w", SORT_TYPE if not is_datatype(t) else SORT_DATA, t)
+        return Rec("unused_w", t)
     return gen_type(GenConfig(seed=rng.randrange(1 << 30)))
 
 
@@ -348,8 +347,8 @@ def _mutate_subtree(rng: random.Random, t: MuType) -> MuType:
             return Arrow(_mutate_subtree(rng, l), r) if rng.random() < 0.5 else Arrow(l, _mutate_subtree(rng, r))
         case Union(l, r) if rng.random() < 0.6:
             return Union(_mutate_subtree(rng, l), r) if rng.random() < 0.5 else Union(l, _mutate_subtree(rng, r))
-        case Rec(var, sort, body) if rng.random() < 0.75:
-            return Rec(var, sort, _mutate_subtree(rng, body))
+        case Rec(var, body) if rng.random() < 0.75:
+            return Rec(var, _mutate_subtree(rng, body))
     return _mutate_head(rng, t)
 
 
@@ -361,7 +360,7 @@ def _rename_one_const(rng: random.Random, t: MuType) -> MuType:
         match t:
             case TypeConst(name):
                 return TypeConst(replacement) if name == target else t
-            case DataVar() | TypeVar():
+            case TypeVar():
                 return t
             case AppT(l, r):
                 return AppT(go(l), go(r))
@@ -369,8 +368,8 @@ def _rename_one_const(rng: random.Random, t: MuType) -> MuType:
                 return Arrow(go(l), go(r))
             case Union(l, r):
                 return Union(go(l), go(r))
-            case Rec(var, sort, body):
-                return Rec(var, sort, go(body))
+            case Rec(var, body):
+                return Rec(var, go(body))
         raise TypeError(f"not a type: {t!r}")
 
     return go(t)

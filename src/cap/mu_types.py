@@ -4,10 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Sorts for recursion binders.
-SORT_DATA = "data"
-SORT_TYPE = "type"
-
 # Constructor symbols as they appear in admitted-symbol sets and tree labels.
 SYM_APP = "@"
 SYM_ARROW = "->"
@@ -34,18 +30,8 @@ class TypeConst(MuType):
 
 
 @dataclass(frozen=True, slots=True)
-class DataVar(MuType):
-    """Datatype-sorted recursion variable."""
-
-    name: str
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True, slots=True)
 class TypeVar(MuType):
-    """Type-sorted recursion variable, or a free rigid variable."""
+    """Recursion variable, or a free rigid variable; its sort is computed."""
 
     name: str
 
@@ -88,10 +74,9 @@ class Union(MuType):
 
 @dataclass(frozen=True, slots=True)
 class Rec(MuType):
-    """Recursive type binding `var` (with the given sort) in `body`."""
+    """Recursive type binding `var` in `body`; see `is_datatype` for its sort."""
 
     var: str
-    sort: str
     body: MuType
 
     def __repr__(self) -> str:
@@ -112,11 +97,11 @@ def free_type_vars(t: MuType) -> frozenset[str]:
     match t:
         case TypeConst():
             return frozenset()
-        case DataVar(name) | TypeVar(name):
+        case TypeVar(name):
             return frozenset((name,))
         case AppT(l, r) | Arrow(l, r) | Union(l, r):
             return free_type_vars(l) | free_type_vars(r)
-        case Rec(var, _, body):
+        case Rec(var, body):
             return free_type_vars(body) - {var}
     raise TypeError(f"not a type: {t!r}")
 
@@ -135,7 +120,7 @@ def subst_type(t: MuType, name: str, replacement: MuType) -> MuType:
     match t:
         case TypeConst():
             return t
-        case DataVar(n) | TypeVar(n):
+        case TypeVar(n):
             return replacement if n == name else t
         case AppT(l, r):
             return AppT(subst_type(l, name, replacement), subst_type(r, name, replacement))
@@ -143,15 +128,14 @@ def subst_type(t: MuType, name: str, replacement: MuType) -> MuType:
             return Arrow(subst_type(l, name, replacement), subst_type(r, name, replacement))
         case Union(l, r):
             return Union(subst_type(l, name, replacement), subst_type(r, name, replacement))
-        case Rec(var, sort, body):
+        case Rec(var, body):
             if var == name:
                 return t
             if var in free_type_vars(replacement) and name in free_type_vars(body):
                 fresh = _fresh_name(var, free_type_vars(replacement) | free_type_vars(body) | {name})
-                fresh_var = DataVar(fresh) if sort == SORT_DATA else TypeVar(fresh)
-                body = subst_type(body, var, fresh_var)
+                body = subst_type(body, var, TypeVar(fresh))
                 var = fresh
-            return Rec(var, sort, subst_type(body, name, replacement))
+            return Rec(var, subst_type(body, name, replacement))
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -192,8 +176,6 @@ def canonical(t: MuType) -> MuType:
         match t:
             case TypeConst():
                 return t
-            case DataVar(n):
-                return DataVar(env.get(n, n))
             case TypeVar(n):
                 return TypeVar(env.get(n, n))
             case AppT(l, r):
@@ -202,25 +184,33 @@ def canonical(t: MuType) -> MuType:
                 return Arrow(go(l, depth, env), go(r, depth, env))
             case Union(l, r):
                 return Union(go(l, depth, env), go(r, depth, env))
-            case Rec(var, sort, body):
+            case Rec(var, body):
                 new = f"#{depth}"
-                return Rec(new, sort, go(body, depth + 1, {**env, var: new}))
+                return Rec(new, go(body, depth + 1, {**env, var: new}))
         raise TypeError(f"not a type: {t!r}")
 
     return go(t, 0, {})
 
 
-def is_datatype(t: MuType) -> bool:
-    """Datatype sort test for validated types."""
+def is_datatype(t: MuType, data_vars: frozenset[str] = frozenset()) -> bool:
+    """The sort rule: whether `t` is a datatype, given the datatype variables.
+
+    Constants and applications are datatypes, arrows are not, a union is one
+    when both sides are, and a variable when it is in `data_vars`. A `rec`
+    binder is datatype-sorted when its body is a datatype under that
+    assumption, so sorts are computed from structure and never stored.
+    """
     match t:
-        case TypeConst() | DataVar() | AppT():
+        case TypeConst() | AppT():
             return True
-        case TypeVar() | Arrow():
+        case Arrow():
             return False
+        case TypeVar(name):
+            return name in data_vars
         case Union(l, r):
-            return is_datatype(l) and is_datatype(r)
-        case Rec(_, sort, _):
-            return sort == SORT_DATA
+            return is_datatype(l, data_vars) and is_datatype(r, data_vars)
+        case Rec(var, body):
+            return is_datatype(body, data_vars | {var})
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -244,7 +234,7 @@ def _admitted_symbols(t: MuType, pos: tuple[int, ...]) -> tuple[frozenset[str], 
     def go(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:
         nonlocal guard_hits
         match t:
-            case TypeConst(name) | DataVar(name) | TypeVar(name):
+            case TypeConst(name) | TypeVar(name):
                 return frozenset((name,)) if pos == () else frozenset()
             case AppT(l, r):
                 if pos == ():
@@ -324,7 +314,7 @@ def truncate(t: MuType, depth: int) -> FiniteTree:
         if cached is not None:
             return cached
         match t:
-            case TypeConst(name) | DataVar(name) | TypeVar(name):
+            case TypeConst(name) | TypeVar(name):
                 out: FiniteTree = Atom(name)
             case AppT(l, r):
                 out = Node(SYM_APP, go(l, k - 1), go(r, k - 1))

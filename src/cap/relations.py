@@ -17,7 +17,6 @@ from .mu_types import (
     Arrow,
     Atom,
     Bullet,
-    DataVar,
     FiniteTree,
     MuType,
     Node,
@@ -68,7 +67,7 @@ class _Engine:
         match a, b:
             case (TypeConst(x), TypeConst(y)):
                 return x == y
-            case (DataVar(x), DataVar(y)) | (TypeVar(x), TypeVar(y)):
+            case (TypeVar(x), TypeVar(y)):
                 # Free variables are rigid: related only to themselves.
                 return x == y
             case (AppT(l1, r1), AppT(l2, r2)):

@@ -24,16 +24,14 @@ from dataclasses import dataclass
 from .diagnostics import CapError, Diagnostic, Span
 from .mu_types import (
     BULLET_NAME,
-    SORT_DATA,
-    SORT_TYPE,
     AppT,
     Arrow,
-    DataVar,
     MuType,
     Rec,
     TypeConst,
     TypeVar,
     Union,
+    is_datatype,
 )
 from .syntax import (
     Abs,
@@ -163,11 +161,11 @@ class _Parser:
     # -- types ---------------------------------------------------------------
 
     def parse_valid_type(self) -> MuType:
-        """A whole type, validated once; nested types stay raw until then."""
+        """A whole type, validated once; nested types are checked with it."""
         start = self.peek().span
-        raw = self.parse_type()
+        t = self.parse_type()
         try:
-            return validate_type(raw)
+            return validate_type(t)
         except CapError as err:
             raise ParseFailure(err.message, start, err.code, err.actual) from err
 
@@ -196,13 +194,12 @@ class _Parser:
             return TypeConst(tok.text)
         if tok.kind == "lower":
             self.next()
-            # Sort resolution happens in validate_type.
             return TypeVar(tok.text)
         if tok.kind == "keyword" and tok.text == "rec":
             self.next()
             var = self.expect("lower")
             self.expect("punct", ".")
-            return Rec(var.text, SORT_TYPE, self.parse_type())
+            return Rec(var.text, self.parse_type())
         if self.eat_punct("("):
             inner = self.parse_type()
             self.expect("punct", ")")
@@ -399,63 +396,47 @@ def parse_type(text: str) -> MuType:
 # -- validation ---------------------------------------------------------------
 
 
-def validate_type(raw: MuType) -> MuType:
-    """Resolve recursion-binder sorts and enforce the well-formedness rules.
+def validate_type(t: MuType) -> MuType:
+    """Check the well-formedness rules and return `t` unchanged.
 
-    Binder sorts are inferred: a binder is datatype-sorted when its body
-    checks as a datatype under that assumption, type-sorted otherwise. The
-    left argument of @ must be a datatype, and every binder must occur only
-    under a type constructor. Free lower-case names become rigid type
-    variables.
+    A binder's sort is computed from its body by `is_datatype`. The left
+    argument of @ must be a datatype, and every binder must occur only under
+    a type constructor. Free lower-case names are rigid type variables. Sorts
+    are checked before contractiveness, so a type with both errors reports
+    `sort`.
     """
-    rebuilt, _ = _resolve_sorts(raw, {})
-    _check_contractive(rebuilt, frozenset())
-    return rebuilt
+    _check_sorts(t, frozenset())
+    _check_contractive(t, frozenset())
+    return t
 
 
-def _resolve_sorts(t: MuType, env: dict[str, str]) -> tuple[MuType, str]:
+def _check_sorts(t: MuType, data_vars: frozenset[str]) -> None:
     match t:
         case TypeConst(name):
             if name == BULLET_NAME:
                 raise CapError("sort", "the truncation marker is reserved and cannot appear in types")
-            return t, SORT_DATA
-        case DataVar(name) | TypeVar(name):
-            sort = env.get(name)
-            if sort is None:
-                return TypeVar(name), SORT_TYPE
-            return (DataVar(name) if sort == SORT_DATA else TypeVar(name)), sort
+        case TypeVar():
+            return
         case AppT(left, right):
-            new_left, left_sort = _resolve_sorts(left, env)
-            if left_sort != SORT_DATA:
+            _check_sorts(left, data_vars)
+            if not is_datatype(left, data_vars):
                 raise CapError("sort", "left argument of @ must be a datatype", actual=pretty(left))
-            new_right, _ = _resolve_sorts(right, env)
-            return AppT(new_left, new_right), SORT_DATA
-        case Arrow(dom, cod):
-            new_dom, _ = _resolve_sorts(dom, env)
-            new_cod, _ = _resolve_sorts(cod, env)
-            return Arrow(new_dom, new_cod), SORT_TYPE
-        case Union(left, right):
-            new_left, sort_left = _resolve_sorts(left, env)
-            new_right, sort_right = _resolve_sorts(right, env)
-            sort = SORT_DATA if sort_left == sort_right == SORT_DATA else SORT_TYPE
-            return Union(new_left, new_right), sort
-        case Rec(var, _, body):
-            try:
-                new_body, body_sort = _resolve_sorts(body, {**env, var: SORT_DATA})
-                if body_sort == SORT_DATA:
-                    return Rec(var, SORT_DATA, new_body), SORT_DATA
-            except CapError:
-                pass
-            new_body, _ = _resolve_sorts(body, {**env, var: SORT_TYPE})
-            return Rec(var, SORT_TYPE, new_body), SORT_TYPE
-    raise TypeError(f"not a type: {t!r}")
+            _check_sorts(right, data_vars)
+        case Arrow(l, r) | Union(l, r):
+            _check_sorts(l, data_vars)
+            _check_sorts(r, data_vars)
+        case Rec(var, body):
+            inner = data_vars | {var} if is_datatype(t, data_vars) else data_vars - {var}
+            _check_sorts(body, inner)
+        case _:
+            raise TypeError(f"not a type: {t!r}")
 
 
 def _check_contractive(t: MuType, unguarded: frozenset[str]) -> None:
     match t:
         case TypeConst():
             return
-        case DataVar(name) | TypeVar(name):
+        case TypeVar(name):
             if name in unguarded:
                 raise CapError(
                     "contractiveness",
@@ -467,7 +448,7 @@ def _check_contractive(t: MuType, unguarded: frozenset[str]) -> None:
         case Union(l, r):
             _check_contractive(l, unguarded)
             _check_contractive(r, unguarded)
-        case Rec(var, _, body):
+        case Rec(var, body):
             _check_contractive(body, unguarded | {var})
 
 
@@ -478,9 +459,9 @@ def _check_contractive(t: MuType, unguarded: frozenset[str]) -> None:
 
 def pretty_type(t: MuType, level: int = 0) -> str:
     match t:
-        case TypeConst(name) | DataVar(name) | TypeVar(name):
+        case TypeConst(name) | TypeVar(name):
             return name
-        case Rec(var, _, body):
+        case Rec(var, body):
             text = f"rec {var}. {pretty_type(body, 0)}"
             return f"({text})" if level > 0 else text
         case Arrow(dom, cod):

@@ -190,6 +190,32 @@ def test_repl_goes_on_after_a_sort_error(capsys, monkeypatch):
     assert "assume n: Nat" in captured.out
 
 
+def test_repl_goes_on_after_a_too_deep_line():
+    deep = "eval " + "Cons A (" * 1200 + "Nil" + ")" * 1200 + ";\n"
+    root = CORPUS.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "cap", "repl"],
+        input=deep + "assume n : Nat;\n",
+        cwd=root,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "error[resource]" in done.stderr and "Traceback" not in done.stderr
+    assert "assume n: Nat" in done.stdout
+
+
+def test_overlap_failure_states_its_positions_once(capsys):
+    code, out, err = run(capsys, "check", str(CORPUS / "branch_overlap_bad.cap"))
+    assert code == 1
+    assert err.endswith(
+        "branches 1 and 2 may overlap, so 'Vl@(True + False)' must be a subtype of 'Vl@Nat'; "
+        "it does not hold [shared head symbols at [1]: ['Vl']]\n"
+    )
+
+
 def test_eval_trace_output(capsys):
     code, out, err = run(capsys, "eval", str(CORPUS / "bool_flip.cap"), "--trace")
     assert code == 0
