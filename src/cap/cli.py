@@ -12,7 +12,7 @@ from .conformance import GenConfig, run_conformance
 from .diagnostics import CapError, Diagnostic
 from .program import DeclResult, SessionState, check_program, process_decl
 from .reduction import DEFAULT_FUEL
-from .relations import MODE_EQ, MODE_SUB, is_equivalent, is_subtype, oracle_compare
+from .relations import MODE_EQ, MODE_SUB, PairOracle, is_equivalent, is_subtype
 from .surface import ParseFailure, parse_program, parse_term, parse_type, pretty
 from .typecheck import infer_type
 
@@ -146,7 +146,8 @@ def cmd_oracle(args) -> int:
     if left is None or right is None:
         return EXIT_SYNTAX
     modes = [MODE_SUB, MODE_EQ] if args.mode == "both" else [args.mode]
-    reports = [oracle_compare(left, right, args.kmax, mode) for mode in modes]
+    oracle = PairOracle(left, right)
+    reports = [oracle.compare(args.kmax, mode) for mode in modes]
     if args.json:
         print(json.dumps({"left": pretty(left), "right": pretty(right), "reports": [r.to_dict() for r in reports]}))
     else:
@@ -262,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conform", help="run the metatheory and differential suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=500)
-    p.add_argument("--pairs", type=int, default=1000)
+    p.add_argument("--cases", type=_positive_int, default=500)
+    p.add_argument("--pairs", type=_positive_int, default=1000)
     p.add_argument("--kmax", type=_positive_int, default=8)
     common(p)
     p.set_defaults(func=cmd_conform)

@@ -12,7 +12,7 @@ from .diagnostics import CapError
 from .generators import GenConfig, gen_type, gen_typed_term, mutate_type
 from .mu_types import AppT, MuType, TypeConst
 from .reduction import StuckMatch, Success, evaluate, match_pattern, select_branch, small_step
-from .relations import MODE_EQ, MODE_SUB, is_subtype, oracle_compare
+from .relations import MODE_EQ, MODE_SUB, PairOracle, is_subtype
 from .surface import pretty
 from .syntax import (
     Abs,
@@ -159,7 +159,13 @@ def random_order_normalize(rng: random.Random, term: Term, fuel: int) -> tuple[s
 # -- suites --------------------------------------------------------------------------
 
 
-def _term_corpus(cfg: GenConfig, cases: int) -> list[tuple[int, Term, MuType]]:
+# Subject reduction, progress and successful matching read the same corpus:
+# `run_conformance` builds it once and passes it as `corpus`, which must be
+# `_term_corpus(cfg, cases)`; a suite called alone builds its own.
+Corpus = list[tuple[int, Term, MuType]]
+
+
+def _term_corpus(cfg: GenConfig, cases: int) -> Corpus:
     corpus = []
     for i in range(cases):
         seed = cfg.seed + i
@@ -168,29 +174,29 @@ def _term_corpus(cfg: GenConfig, cases: int) -> list[tuple[int, Term, MuType]]:
     return corpus
 
 
-def subject_reduction_suite(cfg: GenConfig, cases: int, fuel: int = 1000) -> SuiteReport:
+def subject_reduction_suite(cfg: GenConfig, cases: int, fuel: int = 1000, *, corpus: Corpus | None = None) -> SuiteReport:
     report = SuiteReport("subject-reduction", cases)
-    for seed, term, ty in _term_corpus(cfg, cases):
+    for seed, term, ty in corpus if corpus is not None else _term_corpus(cfg, cases):
         detail = check_subject_reduction(term, ty, fuel)
         if detail is not None:
             report.failures.append(Counterexample("subject-reduction", seed, pretty(term), pretty(ty), detail))
     return report
 
 
-def progress_suite(cfg: GenConfig, cases: int, fuel: int = 1000) -> SuiteReport:
+def progress_suite(cfg: GenConfig, cases: int, fuel: int = 1000, *, corpus: Corpus | None = None) -> SuiteReport:
     report = SuiteReport("progress", cases)
-    for seed, term, ty in _term_corpus(cfg, cases):
+    for seed, term, ty in corpus if corpus is not None else _term_corpus(cfg, cases):
         detail = check_progress(term, fuel)
         if detail is not None:
             report.failures.append(Counterexample("progress", seed, pretty(term), pretty(ty), detail))
     return report
 
 
-def successful_match_suite(cfg: GenConfig, cases: int, fuel: int = 1000) -> SuiteReport:
+def successful_match_suite(cfg: GenConfig, cases: int, fuel: int = 1000, *, corpus: Corpus | None = None) -> SuiteReport:
     """Closed well-typed values must match any pattern of their own type."""
     report = SuiteReport("successful-match", cases)
     checked = 0
-    for seed, term, _ in _term_corpus(cfg, cases):
+    for seed, term, _ in corpus if corpus is not None else _term_corpus(cfg, cases):
         result = evaluate(term, fuel=fuel)
         if result.status != "normal":
             continue
@@ -296,9 +302,10 @@ def run_differential(cfg: GenConfig, pairs: int, kmax: int) -> DifferentialRepor
             second = mutate_type(rng, first)
         else:
             second = gen_type(cfg.with_seed(cfg.seed + 2 * i + 1))
+        oracle = PairOracle(first, second)
         sub_both = []
         for mode in (MODE_SUB, MODE_EQ):
-            result = oracle_compare(first, second, kmax, mode)
+            result = oracle.compare(kmax, mode)
             pair_text = f"{pretty(first)}  vs  {pretty(second)}"
             if not result.agree:
                 report.disagreements.append(
@@ -309,7 +316,7 @@ def run_differential(cfg: GenConfig, pairs: int, kmax: int) -> DifferentialRepor
                 if result.refuting_depth is not None:
                     report.refuted_within_2k += 1
                 else:
-                    deeper = oracle_compare(first, second, kmax, mode, deep_limit=4 * kmax)
+                    deeper = oracle.compare(kmax, mode, deep_limit=4 * kmax)
                     report.reverified += 1
                     if deeper.refuting_depth is None:
                         report.inconclusive.append(
@@ -358,10 +365,11 @@ def run_conformance(
     dump_failures: bool = True,
 ) -> ConformanceSummary:
     """Run every suite; persist counterexamples so failures can be replayed."""
+    corpus = _term_corpus(cfg, cases)
     reports = [
-        subject_reduction_suite(cfg, cases, fuel),
-        progress_suite(cfg, cases, fuel),
-        successful_match_suite(cfg, cases, fuel),
+        subject_reduction_suite(cfg, cases, fuel, corpus=corpus),
+        progress_suite(cfg, cases, fuel, corpus=corpus),
+        successful_match_suite(cfg, cases, fuel, corpus=corpus),
         confluence_suite(cfg, min(cases, 200), fuel),
     ]
     differential = run_differential(cfg, pairs, kmax)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 # Constructor symbols as they appear in admitted-symbol sets and tree labels.
 SYM_APP = "@"
@@ -298,18 +299,21 @@ class Node(FiniteTree):
 BULLET = Bullet()
 
 
-def truncate(t: MuType, depth: int) -> FiniteTree:
-    """Cut the infinite-tree reading of a type at constructor depth `depth`.
+def truncations(t: MuType) -> Callable[[int], FiniteTree]:
+    """The truncations of one type, as a function of the depth.
 
-    Unions do not consume depth. Identical (subtype, depth) pairs share the
-    resulting subtree, so the returned structure is a DAG.
+    The returned function cuts the infinite-tree reading of `t` at
+    constructor depth `depth`; unions do not consume depth. Its memo is keyed
+    on (subterm, depth) and shared by every depth asked for, so a subtree is
+    built once and the same object recurs within and across the results,
+    which are DAGs.
     """
     memo: dict[tuple[MuType, int], FiniteTree] = {}
 
     def go(t: MuType, k: int) -> FiniteTree:
         if k == 0:
             return BULLET
-        key = (canonical(t), k)
+        key = (t, k)
         cached = memo.get(key)
         if cached is not None:
             return cached
@@ -329,7 +333,12 @@ def truncate(t: MuType, depth: int) -> FiniteTree:
         memo[key] = out
         return out
 
-    return go(t, depth)
+    return lambda depth: go(t, depth)
+
+
+def truncate(t: MuType, depth: int) -> FiniteTree:
+    """Cut the infinite-tree reading of a type at constructor depth `depth`."""
+    return truncations(t)(depth)
 
 
 def tree_components(t: FiniteTree) -> list[FiniteTree]:
@@ -337,17 +346,3 @@ def tree_components(t: FiniteTree) -> list[FiniteTree]:
     if isinstance(t, Node) and t.label == SYM_UNION:
         return tree_components(t.left) + tree_components(t.right)
     return [t]
-
-
-def cut_tree(t: FiniteTree, depth: int) -> FiniteTree:
-    """Truncate an already-finite tree at the given constructor depth."""
-    if depth == 0:
-        return BULLET
-    match t:
-        case Atom() | Bullet():
-            return t
-        case Node(label, l, r) if label == SYM_UNION:
-            return Node(SYM_UNION, cut_tree(l, depth), cut_tree(r, depth))
-        case Node(label, l, r):
-            return Node(label, cut_tree(l, depth - 1), cut_tree(r, depth - 1))
-    raise TypeError(f"not a finite tree: {t!r}")

@@ -24,7 +24,7 @@ from .mu_types import (
     TypeVar,
     canonical,
     tree_components,
-    truncate,
+    truncations,
     union_components,
 )
 
@@ -160,35 +160,54 @@ class OracleReport:
         }
 
 
-def oracle_compare(a: MuType, b: MuType, kmax: int, mode: str, deep_limit: int | None = None) -> OracleReport:
-    """Cross-check the engine against truncation verdicts for depths 0..kmax.
+class PairOracle:
+    """The truncation oracle for one pair of types.
 
-    A positive engine verdict must be matched by every truncation depth. A
-    negative one must be witnessed by some refuting depth; the search extends
-    to `deep_limit` (default twice kmax) before the pair is flagged
-    inconclusive-but-consistent.
+    Each side's truncations are built once and shared by every depth, both
+    modes and any deeper re-check.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-    engine = is_subtype(a, b) if mode == MODE_SUB else is_equivalent(a, b)
-    per_depth = [finite_tree_rel(truncate(a, k), truncate(b, k), mode) for k in range(kmax + 1)]
-    if engine:
-        return OracleReport(mode, True, per_depth, agree=all(per_depth), searched_to=kmax)
-    refuting = next((k for k, ok in enumerate(per_depth) if not ok), None)
-    searched = kmax
-    if refuting is None:
-        limit = deep_limit if deep_limit is not None else 2 * kmax
-        for k in range(kmax + 1, limit + 1):
-            searched = k
-            if not finite_tree_rel(truncate(a, k), truncate(b, k), mode):
-                refuting = k
-                break
-    return OracleReport(
-        mode,
-        False,
-        per_depth,
-        agree=True,
-        refuting_depth=refuting,
-        inconclusive=refuting is None,
-        searched_to=searched,
-    )
+
+    def __init__(self, a: MuType, b: MuType):
+        self.a, self.b = a, b
+        self._left, self._right = truncations(a), truncations(b)
+
+    def _holds_at(self, k: int, mode: str) -> bool:
+        return finite_tree_rel(self._left(k), self._right(k), mode)
+
+    def compare(self, kmax: int, mode: str, deep_limit: int | None = None) -> OracleReport:
+        """Cross-check the engine against truncation verdicts for depths 0..kmax.
+
+        A positive engine verdict must be matched by every truncation depth.
+        A negative one must be witnessed by some refuting depth; the search
+        extends to `deep_limit` (default twice kmax) before the pair is
+        flagged inconclusive-but-consistent.
+        """
+        if kmax < 1:
+            raise ValueError("kmax must be at least 1")
+        engine = is_subtype(self.a, self.b) if mode == MODE_SUB else is_equivalent(self.a, self.b)
+        per_depth = [self._holds_at(k, mode) for k in range(kmax + 1)]
+        if engine:
+            return OracleReport(mode, True, per_depth, agree=all(per_depth), searched_to=kmax)
+        refuting = next((k for k, ok in enumerate(per_depth) if not ok), None)
+        searched = kmax
+        if refuting is None:
+            limit = deep_limit if deep_limit is not None else 2 * kmax
+            for k in range(kmax + 1, limit + 1):
+                searched = k
+                if not self._holds_at(k, mode):
+                    refuting = k
+                    break
+        return OracleReport(
+            mode,
+            False,
+            per_depth,
+            agree=True,
+            refuting_depth=refuting,
+            inconclusive=refuting is None,
+            searched_to=searched,
+        )
+
+
+def oracle_compare(a: MuType, b: MuType, kmax: int, mode: str, deep_limit: int | None = None) -> OracleReport:
+    """`PairOracle(a, b).compare(kmax, mode, deep_limit)`, for a single query."""
+    return PairOracle(a, b).compare(kmax, mode, deep_limit)

@@ -1,5 +1,23 @@
 import pytest
 
+from cap.mu_types import (
+    BULLET,
+    SYM_APP,
+    SYM_ARROW,
+    SYM_UNION,
+    AppT,
+    Arrow,
+    Atom,
+    FiniteTree,
+    MuType,
+    Node,
+    Rec,
+    TypeConst,
+    TypeVar,
+    Union,
+    canonical,
+    unfold_once,
+)
 from cap.surface import parse_term, parse_type
 
 
@@ -16,3 +34,31 @@ def tm():
 F_NAT = "rec a. Vl@Nat + a@a + Cons + Node + Nil"
 LIST_A = "rec a. Nil + Cons@A@a"
 TREE_A = "rec a. Nil + Node@A@a@a"
+
+
+def reference_truncate(t: MuType, depth: int) -> FiniteTree:
+    """Reference: one truncation, memoized on alpha-normal subterms within that depth only."""
+    memo: dict[tuple[MuType, int], FiniteTree] = {}
+
+    def go(t: MuType, k: int) -> FiniteTree:
+        if k == 0:
+            return BULLET
+        key = (canonical(t), k)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        match t:
+            case TypeConst(name) | TypeVar(name):
+                out: FiniteTree = Atom(name)
+            case AppT(l, r):
+                out = Node(SYM_APP, go(l, k - 1), go(r, k - 1))
+            case Arrow(l, r):
+                out = Node(SYM_ARROW, go(l, k - 1), go(r, k - 1))
+            case Union(l, r):
+                out = Node(SYM_UNION, go(l, k), go(r, k))
+            case Rec():
+                out = go(unfold_once(t), k)
+        memo[key] = out
+        return out
+
+    return go(t, depth)

@@ -259,6 +259,17 @@ def test_kmax_below_one_is_a_usage_error(capsys, argv):
     assert "--kmax" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--cases", "--pairs"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_conform_counts_below_one_are_a_usage_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["conform", "--cases", "2", "--pairs", "2", flag, value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err and "Traceback" not in captured.err
+
+
 def test_deep_input_is_a_resource_diagnostic(tmp_path, capsys):
     deep = tmp_path / "deep.cap"
     deep.write_text("eval " + "Cons A (" * 1200 + "Nil" + ")" * 1200 + ";\n", encoding="utf-8")

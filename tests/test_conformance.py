@@ -103,3 +103,46 @@ def test_run_conformance_summary(tmp_path, monkeypatch):
     }
     # no failure dump when everything passes
     assert not list(tmp_path.iterdir())
+
+
+def _count_generated_terms(monkeypatch) -> list[int]:
+    import cap.conformance as conformance
+
+    calls = [0]
+    original = conformance.gen_typed_term
+
+    def counted(cfg):
+        calls[0] += 1
+        return original(cfg)
+
+    monkeypatch.setattr(conformance, "gen_typed_term", counted)
+    return calls
+
+
+def test_run_conformance_generates_the_term_corpus_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    calls = _count_generated_terms(monkeypatch)
+    run_conformance(GenConfig(seed=11), cases=20, kmax=6, pairs=10)
+    # subject reduction, progress and successful matching share one corpus;
+    # confluence draws its own, of smaller terms
+    assert calls[0] == 20 + min(20, 200)
+
+
+def test_suites_called_alone_build_their_own_corpus(monkeypatch):
+    calls = _count_generated_terms(monkeypatch)
+    cfg = GenConfig(seed=11)
+    assert subject_reduction_suite(cfg, 30).to_dict() == {
+        "name": "subject-reduction",
+        "cases": 30,
+        "failures": [],
+        "ok": True,
+    }
+    assert progress_suite(cfg, 30).to_dict() == {"name": "progress", "cases": 30, "failures": [], "ok": True}
+    assert successful_match_suite(cfg, 30).to_dict() == {
+        "name": "successful-match",
+        "cases": 30,
+        "failures": [],
+        "ok": True,
+        "values_checked": 30,
+    }
+    assert calls[0] == 3 * 30

@@ -5,24 +5,30 @@ from cap.mu_types import (
     BULLET,
     SYM_APP,
     SYM_ARROW,
+    SYM_UNION,
     AppT,
+    Arrow,
     Atom,
+    Bullet,
+    FiniteTree,
+    MuType,
     Node,
     Rec,
     Union,
     _admitted_symbols,
     admitted_symbols,
     canonical,
-    cut_tree,
     head_unfold,
     truncate,
+    truncations,
+    unfold_once,
     union_components,
     union_of,
 )
 from cap.relations import is_equivalent
 from cap.surface import parse_type
 
-from conftest import F_NAT
+from conftest import F_NAT, reference_truncate
 
 
 def test_head_unfold_one_step():
@@ -92,11 +98,76 @@ def test_truncate_union_does_not_consume_depth():
     assert truncate(t, 1) == Node("+", Atom("True"), Atom("False"))
 
 
+def cut_tree(t: FiniteTree, depth: int) -> FiniteTree:
+    """Reference: truncate an already-finite tree at the given constructor depth."""
+    if depth == 0:
+        return BULLET
+    match t:
+        case Atom() | Bullet():
+            return t
+        case Node(label, l, r) if label == SYM_UNION:
+            return Node(SYM_UNION, cut_tree(l, depth), cut_tree(r, depth))
+        case Node(label, l, r):
+            return Node(label, cut_tree(l, depth - 1), cut_tree(r, depth - 1))
+    raise TypeError(f"not a finite tree: {t!r}")
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=50_000), st.integers(min_value=0, max_value=5))
 def test_truncate_prefix_property(seed, k):
     t = gen_type(GenConfig(seed=seed))
     assert cut_tree(truncate(t, k + 1), k) == truncate(t, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=50_000))
+def test_truncations_match_the_reference_at_every_depth(seed):
+    t = gen_type(GenConfig(seed=seed))
+    at = truncations(t)
+    for k in range(13):
+        assert at(k) == reference_truncate(t, k) == truncate(t, k)
+
+
+def test_truncations_share_subtrees_across_depths():
+    # `rec a. Vl@Nat + a@a` truncated at k holds the truncation at k - 1 of
+    # the same type twice; one truncator must hand out that very object.
+    t = parse_type("rec a. Vl@Nat + a@a")
+    at = truncations(t)
+    for k in range(2, 13):
+        app = at(k).right
+        assert app.label == SYM_APP
+        assert app.left is app.right is at(k - 1)
+    # fresh truncators build equal trees, but not the same objects
+    assert truncations(t)(5) == at(5) and truncations(t)(5) is not at(5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=50_000))
+def test_truncations_give_one_object_per_subterm_and_depth(seed):
+    t = gen_type(GenConfig(seed=seed))
+    at = truncations(t)
+    seen: dict[tuple[MuType, int], FiniteTree] = {}
+
+    def walk(t: MuType, k: int, tree: FiniteTree) -> None:
+        # follow the truncation's own descent, tree and type side by side
+        if k == 0:
+            return
+        if (t, k) in seen:
+            assert seen[t, k] is tree
+            return
+        seen[t, k] = tree
+        match t:
+            case AppT(l, r) | Arrow(l, r):
+                walk(l, k - 1, tree.left)
+                walk(r, k - 1, tree.right)
+            case Union(l, r):
+                walk(l, k, tree.left)
+                walk(r, k, tree.right)
+            case Rec():
+                walk(unfold_once(t), k, tree)
+
+    for k in (8, 3, 12, 0, 5, 11):
+        walk(t, k, at(k))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,0 +1,250 @@
+"""The pair oracle against the one-query-at-a-time oracle it replaced.
+
+`reference_oracle_compare` truncates both sides afresh at every depth and in
+every mode; `PairOracle` shares one set of truncations per pair. Their
+reports must be identical, including the 2·kmax search and the deeper
+re-check that `run_differential` makes on the same oracle.
+"""
+
+import json
+import random
+
+import pytest
+
+from cap.cli import main
+from cap.generators import GenConfig, gen_type, mutate_type
+from cap.relations import (
+    MODE_EQ,
+    MODE_SUB,
+    OracleReport,
+    PairOracle,
+    finite_tree_rel,
+    is_equivalent,
+    is_subtype,
+    oracle_compare,
+)
+from cap.surface import parse_type
+
+from conftest import reference_truncate
+
+
+def reference_oracle_compare(a, b, kmax: int, mode: str, deep_limit: int | None = None) -> OracleReport:
+    engine = is_subtype(a, b) if mode == MODE_SUB else is_equivalent(a, b)
+    per_depth = [finite_tree_rel(reference_truncate(a, k), reference_truncate(b, k), mode) for k in range(kmax + 1)]
+    if engine:
+        return OracleReport(mode, True, per_depth, agree=all(per_depth), searched_to=kmax)
+    refuting = next((k for k, ok in enumerate(per_depth) if not ok), None)
+    searched = kmax
+    if refuting is None:
+        limit = deep_limit if deep_limit is not None else 2 * kmax
+        for k in range(kmax + 1, limit + 1):
+            searched = k
+            if not finite_tree_rel(reference_truncate(a, k), reference_truncate(b, k), mode):
+                refuting = k
+                break
+    return OracleReport(
+        mode, False, per_depth, agree=True, refuting_depth=refuting, inconclusive=refuting is None, searched_to=searched
+    )
+
+
+def assert_same_reports(a, b, kmax: int) -> None:
+    """Both modes and the 4·kmax re-check on one pair oracle, as `run_differential` asks them."""
+    oracle = PairOracle(a, b)
+    for mode in (MODE_SUB, MODE_EQ):
+        got = oracle.compare(kmax, mode)
+        assert got.to_dict() == reference_oracle_compare(a, b, kmax, mode).to_dict()
+        deeper = oracle.compare(kmax, mode, deep_limit=4 * kmax)
+        assert deeper.to_dict() == reference_oracle_compare(a, b, kmax, mode, deep_limit=4 * kmax).to_dict()
+        assert oracle_compare(a, b, kmax, mode).to_dict() == got.to_dict()
+
+
+@pytest.mark.parametrize("seed", [0, 1000, 7777])
+def test_pair_oracle_matches_the_reference_on_generated_pairs(seed):
+    cfg = GenConfig(seed=seed)
+    rng = random.Random(seed ^ 0xD1FF)
+    for i in range(300):
+        first = gen_type(cfg.with_seed(seed + 2 * i))
+        second = mutate_type(rng, first) if rng.random() < 0.7 else gen_type(cfg.with_seed(seed + 2 * i + 1))
+        oracle = PairOracle(first, second)
+        for mode in (MODE_SUB, MODE_EQ):
+            assert oracle.compare(8, mode).to_dict() == reference_oracle_compare(first, second, 8, mode).to_dict()
+
+
+def _conses(n: int) -> str:
+    text = "Nil"
+    for _ in range(n):
+        text = f"Cons@({text})"
+    return text
+
+
+STREAM = "rec a. Cons@a"
+
+
+@pytest.mark.parametrize(
+    "left, right, kmax, refuted_at, deep_refuted_at",
+    [
+        # refuted within kmax
+        ("Vl@Nat", "Vl@Bool", 2, 2, 2),
+        # engine true: every depth holds, no search
+        ("rec x. Nat -> Nat -> x", "rec x. Nat -> x", 3, None, None),
+        # refuted in the 2·kmax search
+        (STREAM, _conses(3), 2, 4, 4),
+        # inconclusive at 2·kmax, refuted by the 4·kmax re-check
+        (STREAM, _conses(5), 2, None, 6),
+        (_conses(6), STREAM, 2, None, 7),
+        # inconclusive even at 4·kmax
+        (STREAM, _conses(9), 2, None, None),
+    ],
+    ids=["within-kmax", "engine-true", "2kmax-search", "4kmax-recheck", "4kmax-recheck-reversed", "inconclusive"],
+)
+def test_pair_oracle_matches_the_reference_on_deep_searches(left, right, kmax, refuted_at, deep_refuted_at):
+    a, b = parse_type(left), parse_type(right)
+    assert_same_reports(a, b, kmax)
+    oracle = PairOracle(a, b)
+    assert oracle.compare(kmax, MODE_SUB).refuting_depth == refuted_at
+    assert oracle.compare(kmax, MODE_SUB, deep_limit=4 * kmax).refuting_depth == deep_refuted_at
+
+
+def test_pair_oracle_answers_the_deep_re_check_after_the_first_query():
+    # the re-check reuses the trees of the first query, whatever the order
+    a, b = parse_type(STREAM), parse_type(_conses(5))
+    oracle = PairOracle(a, b)
+    deep = oracle.compare(2, MODE_EQ, deep_limit=8)
+    shallow = oracle.compare(2, MODE_EQ)
+    assert deep.refuting_depth == 6 and deep.searched_to == 6
+    assert shallow.inconclusive and shallow.searched_to == 4
+    assert shallow.to_dict() == reference_oracle_compare(a, b, 2, MODE_EQ).to_dict()
+
+
+def test_pair_oracle_rejects_what_oracle_compare_rejects():
+    oracle = PairOracle(parse_type("A"), parse_type("A"))
+    with pytest.raises(ValueError):
+        oracle.compare(0, MODE_SUB)
+    with pytest.raises(ValueError):
+        oracle.compare(2, "both")
+
+
+README_TEXT = """\
+mode sub: engine=false agree=True
+  depth  0: true
+  depth  1: true
+  depth  2: false
+  depth  3: false
+  depth  4: false
+  depth  5: false
+  depth  6: false
+  depth  7: false
+  depth  8: false
+  refuted at depth 2
+mode eq: engine=false agree=True
+  depth  0: true
+  depth  1: true
+  depth  2: false
+  depth  3: false
+  depth  4: false
+  depth  5: false
+  depth  6: false
+  depth  7: false
+  depth  8: false
+  refuted at depth 2
+"""
+
+STREAM_TEXT = """\
+mode sub: engine=true agree=True
+  depth  0: true
+  depth  1: true
+  depth  2: true
+  depth  3: true
+  depth  4: true
+  depth  5: true
+  depth  6: true
+  depth  7: true
+  depth  8: true
+mode eq: engine=false agree=True
+  depth  0: true
+  depth  1: false
+  depth  2: false
+  depth  3: false
+  depth  4: false
+  depth  5: false
+  depth  6: false
+  depth  7: false
+  depth  8: false
+  refuted at depth 1
+"""
+
+INCONCLUSIVE_TEXT = """\
+mode sub: engine=false agree=True
+  depth  0: true
+  depth  1: true
+  depth  2: true
+  inconclusive up to depth 4
+mode eq: engine=false agree=True
+  depth  0: true
+  depth  1: true
+  depth  2: true
+  inconclusive up to depth 4
+"""
+
+
+def _report(mode, engine, per_depth, refuting_depth=None, inconclusive=False, searched_to=8):
+    return {
+        "mode": mode,
+        "engine": engine,
+        "per_depth": per_depth,
+        "agree": True,
+        "refuting_depth": refuting_depth,
+        "inconclusive": inconclusive,
+        "searched_to": searched_to,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, text, payload",
+    [
+        (
+            ["Vl@Nat", "Vl@Bool", "--kmax", "8"],
+            README_TEXT,
+            {
+                "left": "Vl@Nat",
+                "right": "Vl@Bool",
+                "reports": [
+                    _report("sub", False, [True, True] + [False] * 7, refuting_depth=2),
+                    _report("eq", False, [True, True] + [False] * 7, refuting_depth=2),
+                ],
+            },
+        ),
+        (
+            ["rec a. Cons@a", "rec b. Cons@b + Nil"],
+            STREAM_TEXT,
+            {
+                "left": "rec a. Cons@a",
+                "right": "rec b. Cons@b + Nil",
+                "reports": [
+                    _report("sub", True, [True] * 9),
+                    _report("eq", False, [True] + [False] * 8, refuting_depth=1),
+                ],
+            },
+        ),
+        (
+            [STREAM, "Cons@(Cons@(Cons@(Cons@(Cons@Nil))))", "--kmax", "2"],
+            INCONCLUSIVE_TEXT,
+            {
+                "left": STREAM,
+                "right": "Cons@(Cons@(Cons@(Cons@(Cons@Nil))))",
+                "reports": [
+                    _report("sub", False, [True] * 3, inconclusive=True, searched_to=4),
+                    _report("eq", False, [True] * 3, inconclusive=True, searched_to=4),
+                ],
+            },
+        ),
+    ],
+    ids=["readme-example", "stream-vs-list", "inconclusive"],
+)
+def test_oracle_command_output_is_unchanged(capsys, argv, text, payload):
+    assert main(["oracle", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == text and captured.err == ""
+    assert main(["oracle", *argv, "--json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(payload) + "\n" and captured.err == ""
