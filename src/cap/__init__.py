@@ -32,8 +32,6 @@ from .syntax import (
     Term,
     Var,
     apply_substitution,
-    classify,
-    free_names,
     positions,
     subterm_at,
 )
@@ -68,9 +66,7 @@ __all__ = [
     "admitted_symbols",
     "apply_substitution",
     "check_type",
-    "classify",
     "evaluate",
-    "free_names",
     "head_unfold",
     "infer_type",
     "is_equivalent",

@@ -171,8 +171,8 @@ def cmd_conform(args) -> int:
         for suite in summary.to_dict()["suites"]:
             status = "ok" if suite["ok"] else "FAILED"
             label = suite["name"]
-            size = suite.get("cases", suite.get("pairs"))
-            print(f"{label:>20} [{size} cases]: {status}")
+            unit = "cases" if "cases" in suite else "pairs"
+            print(f"{label:>20} [{suite[unit]} {unit}]: {status}")
         print("conformance:", "ok" if summary.ok else "FAILED")
     return EXIT_OK if summary.ok else EXIT_CONFORMANCE
 

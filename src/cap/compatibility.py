@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .diagnostics import CapError
 from .mu_types import MuType, admitted_symbols
 from .relations import is_subtype
+from .surface import pretty
 from .syntax import (
     Matchable,
     Pattern,
@@ -104,33 +106,26 @@ def compatible_pair(first: PatternJudgement, second: PatternJudgement) -> PairVe
     return PairVerdict(holds, "overlap", mismatches, obligation=(b, a), shared_symbols=shared)
 
 
-@dataclass
-class IncompatiblePair(Exception):
-    first_index: int
-    second_index: int
-    verdict: PairVerdict
+class IncompatiblePair(CapError):
+    """A `compatibility` error: an ordered branch pair fails its subtype obligation."""
 
-    def __str__(self) -> str:
-        from .surface import pretty
-
-        i, j = self.first_index + 1, self.second_index + 1
-        later, earlier = self.verdict.obligation or (None, None)
-        obligation = (
-            f"'{pretty(later)}' must be a subtype of '{pretty(earlier)}'"
-            if later is not None
-            else "a subtype obligation fails"
-        )
-        if self.verdict.reason == "subsumed":
-            return (
-                f"branch {i} subsumes branch {j}, so {obligation}; it does not hold"
-            )
-        text = f"branches {i} and {j} may overlap, so {obligation}; it does not hold"
-        if self.verdict.shared_symbols:
-            shared = "; ".join(
-                f"at {list(pos)}: {sorted(symbols)}" for pos, symbols in sorted(self.verdict.shared_symbols.items())
-            )
-            text += f" [shared head symbols {shared}]"
-        return text
+    def __init__(self, first_index: int, second_index: int, verdict: PairVerdict):
+        self.first_index = first_index
+        self.second_index = second_index
+        self.verdict = verdict
+        i, j = first_index + 1, second_index + 1
+        later, earlier = verdict.obligation
+        obligation = f"'{pretty(later)}' must be a subtype of '{pretty(earlier)}'"
+        if verdict.reason == "subsumed":
+            message = f"branch {i} subsumes branch {j}, so {obligation}; it does not hold"
+        else:
+            message = f"branches {i} and {j} may overlap, so {obligation}; it does not hold"
+            if verdict.shared_symbols:
+                shared = "; ".join(
+                    f"at {list(pos)}: {sorted(symbols)}" for pos, symbols in sorted(verdict.shared_symbols.items())
+                )
+                message += f" [shared head symbols {shared}]"
+        super().__init__("compatibility", message)
 
 
 def check_branch_compatibility(judgements: list[PatternJudgement]) -> None:

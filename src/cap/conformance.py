@@ -65,10 +65,14 @@ class SuiteReport:
 
 
 def check_subject_reduction(term: Term, ty: MuType, fuel: int = 1000) -> str | None:
-    """Re-check the type after every reduction step; None means no violation."""
+    """Re-check the type after every reduction step; None means no violation.
+    A stuck term also gives None: `check_progress` reports that failure."""
     current = term
     for step in range(fuel):
-        stepped = small_step(current)
+        try:
+            stepped = small_step(current)
+        except StuckMatch:
+            return None
         if stepped is None:
             return None
         current = stepped[0]

@@ -11,7 +11,6 @@ import dataclasses
 import random
 from dataclasses import dataclass
 
-from .compatibility import IncompatiblePair, PatternJudgement, check_branch_compatibility
 from .diagnostics import CapError
 from .mu_types import (
     AppT,
@@ -260,15 +259,10 @@ class _TermGen:
                 name = self.fresh()
                 catch_body, _ = self.gen({**env, name: first_ty}, 1, depth + 1)
                 branches.append(Branch(Matchable(name), ((name, first_ty),), catch_body))
+            abs_term = Abs(tuple(branches))
             try:
-                judgements = [
-                    PatternJudgement(b.bindings, b.pattern, type_pattern(b.binding_map(), b.pattern))
-                    for b in branches
-                ]
-                check_branch_compatibility(judgements)
-                abs_term = Abs(tuple(branches))
                 ty = infer_type(env, abs_term)
-            except (IncompatiblePair, CapError):
+            except CapError:
                 continue
             return abs_term, ty, match_index
         raise GenerationExhausted("no compatible branch list found")

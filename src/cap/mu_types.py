@@ -144,13 +144,16 @@ def unfold_once(t: Rec) -> MuType:
     return subst_type(t.body, t.var, t)
 
 
-def head_unfold(t: MuType, limit: int = 10_000) -> MuType:
+HEAD_UNFOLD_LIMIT = 10_000  # stops the loop on a non-contractive type built by hand
+
+
+def head_unfold(t: MuType) -> MuType:
     """Unfold recursion binders at the head until a structural constructor shows."""
     steps = 0
     while isinstance(t, Rec):
         t = unfold_once(t)
         steps += 1
-        if steps > limit:
+        if steps > HEAD_UNFOLD_LIMIT:
             raise RuntimeError("non-contractive type: head unfolding does not terminate")
     return t
 
@@ -220,47 +223,27 @@ def admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:
 
     Unions contribute both sides, recursive types are unfolded, and a branch
     that bottoms out in an atom before the position is consumed contributes
-    nothing.
+    nothing. The type must be validated, as `parse_*` and the generators
+    produce it: contractiveness puts an `@` or `->` between every binder and
+    its recurrences, and each of those ends the walk or consumes a step of
+    the position, so the recursion terminates.
     """
-    symbols, _ = _admitted_symbols(t, pos)
-    return symbols
-
-
-def _admitted_symbols(t: MuType, pos: tuple[int, ...]) -> tuple[frozenset[str], int]:
-    # The active-path set guards the unfolding loop; on contractive types it
-    # never fires (the returned counter lets tests assert exactly that).
-    guard_hits = 0
-    active: set[tuple[MuType, tuple[int, ...]]] = set()
-
-    def go(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:
-        nonlocal guard_hits
-        match t:
-            case TypeConst(name) | TypeVar(name):
-                return frozenset((name,)) if pos == () else frozenset()
-            case AppT(l, r):
-                if pos == ():
-                    return frozenset((SYM_APP,))
-                return go((l, r)[pos[0] - 1], pos[1:])
-            case Arrow(l, r):
-                if pos == ():
-                    return frozenset((SYM_ARROW,))
-                return go((l, r)[pos[0] - 1], pos[1:])
-            case Union(l, r):
-                return go(l, pos) | go(r, pos)
-            case Rec():
-                key = (canonical(t), pos)
-                if key in active:
-                    guard_hits += 1
-                    return frozenset()
-                active.add(key)
-                try:
-                    return go(unfold_once(t), pos)
-                finally:
-                    active.discard(key)
-        raise TypeError(f"not a type: {t!r}")
-
-    result = go(t, pos)
-    return result, guard_hits
+    match t:
+        case TypeConst(name) | TypeVar(name):
+            return frozenset((name,)) if pos == () else frozenset()
+        case AppT(l, r):
+            if pos == ():
+                return frozenset((SYM_APP,))
+            return admitted_symbols((l, r)[pos[0] - 1], pos[1:])
+        case Arrow(l, r):
+            if pos == ():
+                return frozenset((SYM_ARROW,))
+            return admitted_symbols((l, r)[pos[0] - 1], pos[1:])
+        case Union(l, r):
+            return admitted_symbols(l, pos) | admitted_symbols(r, pos)
+        case Rec():
+            return admitted_symbols(unfold_once(t), pos)
+    raise TypeError(f"not a type: {t!r}")
 
 
 # --- Finite trees -----------------------------------------------------------

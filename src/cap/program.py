@@ -40,7 +40,8 @@ class SessionState:
     definitions: dict[str, Term] = field(default_factory=dict)
 
     def resolve(self, term: Term) -> Term:
-        live = {name: body for name, body in self.definitions.items() if name in free_vars(term)}
+        free = free_vars(term)
+        live = {name: body for name, body in self.definitions.items() if name in free}
         return apply_substitution(live, term) if live else term
 
 

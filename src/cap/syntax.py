@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Union as TyUnion
+from typing import Union as TyUnion
 
 from .mu_types import MuType, _fresh_name
 
@@ -147,13 +147,6 @@ def free_vars(t: Term) -> frozenset[str]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def free_names(x: TyUnion[Term, Pattern]) -> frozenset[str]:
-    """Free variables of a term, or free matchables of a pattern."""
-    if isinstance(x, Pattern):
-        return free_matchables(x)
-    return free_vars(x)
-
-
 def positions(x: TyUnion[Term, Pattern]) -> frozenset[Position]:
     """Positions descend only through applications and pattern compounds."""
     out: set[Position] = set()
@@ -235,11 +228,6 @@ def _subst_branch(sub: Substitution, b: Branch) -> Branch:
 # --- Classification ---------------------------------------------------------
 
 
-class Classification(NamedTuple):
-    value: bool
-    matchable_form: bool
-
-
 def is_data_structure(t: Term) -> bool:
     """A constant applied to zero or more arbitrary arguments."""
     while isinstance(t, App):
@@ -259,8 +247,3 @@ def is_value(t: Term) -> bool:
 
 def is_matchable_form(t: Term) -> bool:
     return isinstance(t, Abs) or is_data_structure(t)
-
-
-def classify(t: Term) -> Classification:
-    return Classification(value=is_value(t), matchable_form=is_matchable_form(t))
-

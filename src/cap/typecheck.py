@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .compatibility import IncompatiblePair, PatternJudgement, check_branch_compatibility
+from .compatibility import PatternJudgement, check_branch_compatibility
 from .diagnostics import CapError
 from .mu_types import (
     AppT,
@@ -84,11 +84,6 @@ def _infer_app(env: TypeEnv, fun: Term, arg: Term) -> MuType:
     if len(components) == 1 and isinstance(components[0], Arrow):
         arrow = components[0]
         arg_ty = infer_type(env, arg)
-        # Fast path: the argument fits a single domain component. The grouping
-        # of domain unions is free, so fitting the whole domain also counts.
-        for dom_part in union_components(arrow.dom):
-            if is_subtype(arg_ty, dom_part):
-                return arrow.cod
         if is_subtype(arg_ty, arrow.dom):
             return arrow.cod
         raise CapError(
@@ -128,10 +123,7 @@ def _infer_abs(env: TypeEnv, branches) -> MuType:
         pattern_ty = type_pattern(bindings, branch.pattern)
         judgements.append(PatternJudgement(tuple(bindings.items()), branch.pattern, pattern_ty))
         body_types.append(infer_type({**env, **bindings}, branch.body))
-    try:
-        check_branch_compatibility(judgements)
-    except IncompatiblePair as bad:
-        raise CapError("compatibility", str(bad)) from bad
+    check_branch_compatibility(judgements)
     domain = union_of([j.type for j in judgements])
     if all(is_equivalent(body_types[0], ty) for ty in body_types[1:]):
         codomain = body_types[0]

@@ -62,3 +62,34 @@ def reference_truncate(t: MuType, depth: int) -> FiniteTree:
         return out
 
     return go(t, depth)
+
+
+def reference_admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:
+    """Reference: admitted symbols with a loop guard on (alpha-normal subterm, position)."""
+    active: set[tuple[MuType, tuple[int, ...]]] = set()
+
+    def go(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:
+        match t:
+            case TypeConst(name) | TypeVar(name):
+                return frozenset((name,)) if pos == () else frozenset()
+            case AppT(l, r):
+                if pos == ():
+                    return frozenset((SYM_APP,))
+                return go((l, r)[pos[0] - 1], pos[1:])
+            case Arrow(l, r):
+                if pos == ():
+                    return frozenset((SYM_ARROW,))
+                return go((l, r)[pos[0] - 1], pos[1:])
+            case Union(l, r):
+                return go(l, pos) | go(r, pos)
+            case Rec():
+                key = (canonical(t), pos)
+                if key in active:
+                    return frozenset()
+                active.add(key)
+                try:
+                    return go(unfold_once(t), pos)
+                finally:
+                    active.discard(key)
+
+    return go(t, pos)

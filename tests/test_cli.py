@@ -158,6 +158,19 @@ def test_conform_command_small(capsys):
     assert names == {"subject-reduction", "progress", "successful-match", "confluence", "differential"}
 
 
+def test_conform_text_labels_the_differential_in_pairs(capsys):
+    code, out, _ = run(capsys, "conform", "--seed", "0", "--cases", "5", "--pairs", "7")
+    assert code == 0
+    assert out == (
+        "   subject-reduction [5 cases]: ok\n"
+        "            progress [5 cases]: ok\n"
+        "    successful-match [5 cases]: ok\n"
+        "          confluence [5 cases]: ok\n"
+        "        differential [7 pairs]: ok\n"
+        "conformance: ok\n"
+    )
+
+
 def test_color_disabled_by_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CAP_COLOR", "0")
     code, _, err = run(capsys, "check", str(CORPUS / "compat_bool_nat.cap"))

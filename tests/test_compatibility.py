@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,8 @@ from cap.compatibility import (
     mismatch_positions,
     subsumes,
 )
+from cap import typecheck
+from cap.diagnostics import CapError
 from cap.generators import GenConfig, gen_typed_term
 from cap.mu_types import AppT
 from cap.reduction import FAIL, Success, evaluate, match_pattern
@@ -108,6 +111,48 @@ def test_list_reports_first_failing_pair():
     with pytest.raises(IncompatiblePair) as err:
         check_branch_compatibility([ok, clash, ok])
     assert (err.value.first_index, err.value.second_index) == (0, 1)
+
+
+def test_an_incompatible_list_raises_a_compatibility_error():
+    ok = judgement([("z", "Nat")], VL_Z, "Vl@Nat")
+    clash = judgement([("y", "True + False")], PatternCompound(PatternConst("Vl"), Matchable("y")), "Vl@(True + False)")
+    bad = judgement([("x", "Vl"), ("y", "True + False")], XY, "Vl@(True + False)")
+    expected = {
+        (0, 1): "branch 1 subsumes branch 2, so 'Vl@(True + False)' must be a subtype of 'Vl@Nat'; it does not hold",
+        (0, 2): "branches 1 and 3 may overlap, so 'Vl@(True + False)' must be a subtype of 'Vl@Nat'; "
+        "it does not hold [shared head symbols at [1]: ['Vl']]",
+    }
+    for judgements, indices in (([ok, clash, ok], (0, 1)), ([ok, ok, bad], (0, 2))):
+        with pytest.raises(CapError) as err:
+            check_branch_compatibility(judgements)
+        assert isinstance(err.value, IncompatiblePair)
+        assert err.value.code == "compatibility"
+        assert (err.value.first_index, err.value.second_index) == indices
+        assert err.value.message == str(err.value) == expected[indices]
+        assert err.value.verdict.obligation is not None
+
+
+def test_typing_checks_each_branch_list_once(monkeypatch):
+    # Count every call, through whichever module imported the function.
+    counts = {"abs": 0, "compat": 0}
+    infer_abs, check = typecheck._infer_abs, check_branch_compatibility
+
+    def counting_abs(*args):
+        counts["abs"] += 1
+        return infer_abs(*args)
+
+    def counting_check(*args):
+        counts["compat"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(typecheck, "_infer_abs", counting_abs)
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("cap.") and hasattr(module, "check_branch_compatibility"):
+            monkeypatch.setattr(module, "check_branch_compatibility", counting_check)
+    for seed in range(200):
+        gen_typed_term(GenConfig(seed=seed))
+    assert counts["abs"] > 200
+    assert counts["compat"] == counts["abs"]
 
 
 def test_explain_collects_all_shared_symbols():

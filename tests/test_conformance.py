@@ -51,6 +51,12 @@ def test_subject_reduction_on_example_six():
     assert check_subject_reduction(EX6, infer_type({}, EX6)) is None
 
 
+def test_a_stuck_term_is_left_to_progress():
+    stuck = parse_term("([ ] A => B) C")
+    assert check_subject_reduction(stuck, parse_type("B")) is None
+    assert check_progress(stuck).startswith("stuck non-value")
+
+
 def test_progress_on_example_six_and_values():
     assert check_progress(EX6) is None
     assert check_progress(parse_term("Nil")) is None

@@ -15,7 +15,6 @@ from cap.mu_types import (
     Node,
     Rec,
     Union,
-    _admitted_symbols,
     admitted_symbols,
     canonical,
     head_unfold,
@@ -28,7 +27,7 @@ from cap.mu_types import (
 from cap.relations import is_equivalent
 from cap.surface import parse_type
 
-from conftest import F_NAT, reference_truncate
+from conftest import F_NAT, reference_admitted_symbols, reference_truncate
 
 
 def test_head_unfold_one_step():
@@ -77,13 +76,15 @@ def test_admitted_symbols_invariant_under_unfold():
         assert admitted_symbols(fa, pos) == admitted_symbols(head_unfold(fa), pos)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=50_000))
-def test_admitted_symbols_guard_never_fires(seed):
-    t = gen_type(GenConfig(seed=seed))
-    for pos in [(), (1,), (2,), (1, 1), (2, 1)]:
-        _, guard_hits = _admitted_symbols(t, pos)
-        assert guard_hits == 0
+def test_admitted_symbols_matches_the_guarded_reference():
+    types = [gen_type(GenConfig(seed=seed)) for seed in range(2000)]
+    types += [
+        parse_type("rec a. rec b. Cons@a@b + Node@(rec a. Vl@a + b) + Nil"),
+        parse_type("rec a. (rec b. Vl@a@b + Nil) -> rec c. c@a + Cons"),
+    ]
+    for t in types:
+        for pos in [(), (1,), (2,), (1, 1), (2, 1), (1, 2), (2, 2)]:
+            assert admitted_symbols(t, pos) == reference_admitted_symbols(t, pos)
 
 
 def test_truncate_examples():

@@ -13,11 +13,11 @@ from cap.syntax import (
     PatternConst,
     Var,
     apply_substitution,
-    classify,
     free_matchables,
-    free_names,
     free_vars,
     is_linear,
+    is_matchable_form,
+    is_value,
     positions,
     subterm_at,
 )
@@ -34,7 +34,6 @@ IDENTITY = abs1(Matchable("x"), (("x", TypeConst("A")),), Var("x"))
 def test_free_matchables():
     p = PatternCompound(Matchable("x"), Matchable("y"))
     assert free_matchables(p) == {"x", "y"}
-    assert free_names(p) == {"x", "y"}
 
 
 def test_free_vars_binder_removes():
@@ -90,6 +89,9 @@ def test_substitution_avoids_capture():
 
 
 def test_classify_examples():
+    def classify(t):
+        return is_value(t), is_matchable_form(t)
+
     assert classify(Const("Nil")) == (True, True)
     redex = App(IDENTITY, Const("C"))
     assert classify(redex) == (False, False)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cap import typecheck
 from cap.diagnostics import CapError
 from cap.generators import GenConfig, gen_typed_term
 from cap.mu_types import AppT, Arrow, TypeConst, is_datatype, union_components
@@ -82,6 +83,19 @@ def test_infer_accepts_union_typed_argument():
     # the argument's union type need not fit a single maximal component
     term = parse_term("([ ] True => C1 | [ ] False => C0) (([ ] True => False | [ ] False => True) True)")
     assert is_equivalent(infer_type({}, term), parse_type("C1 + C0"))
+
+
+def test_an_application_asks_one_subtype_query(monkeypatch):
+    calls = []
+
+    def counting(sub, sup):
+        calls.append((sub, sup))
+        return is_subtype(sub, sup)
+
+    monkeypatch.setattr(typecheck, "is_subtype", counting)
+    env = {"f": parse_type("A + B -> C"), "x": parse_type("B")}
+    assert infer_type(env, parse_term("f x")) == parse_type("C")
+    assert calls == [(parse_type("B"), parse_type("A + B"))]
 
 
 def test_infer_rejects_union_of_arrows():
