@@ -9,27 +9,15 @@ import sys
 from pathlib import Path
 
 from .conformance import GenConfig, run_conformance
-from .diagnostics import CapError, Diagnostic
+from .diagnostics import EXIT_CODES, CapError, Diagnostic
 from .program import DeclResult, SessionState, check_program, process_decl
 from .reduction import DEFAULT_FUEL
 from .relations import MODE_EQ, MODE_SUB, PairOracle, is_equivalent, is_subtype
-from .surface import ParseFailure, parse_program, parse_term, parse_type, pretty
+from .surface import parse_program, parse_term, parse_type, pretty
 from .typecheck import infer_type
 
 EXIT_OK = 0
-EXIT_TYPE = 1
-EXIT_SYNTAX = 2
-EXIT_RUNTIME = 3
 EXIT_CONFORMANCE = 4
-EXIT_RESOURCE = 5
-
-_SYNTAX_CODES = ("parse", "sort", "contractiveness")
-
-
-def _color_enabled() -> bool:
-    if os.environ.get("CAP_COLOR", "") == "0":
-        return False
-    return sys.stderr.isatty()
 
 
 def _print_diagnostic(diag: Diagnostic, as_json: bool) -> None:
@@ -37,37 +25,27 @@ def _print_diagnostic(diag: Diagnostic, as_json: bool) -> None:
         print(json.dumps(diag.to_dict()))
         return
     text = diag.render()
-    if _color_enabled():
+    if os.environ.get("CAP_COLOR") != "0" and sys.stderr.isatty():
         text = f"\x1b[31m{text}\x1b[0m"
     print(text, file=sys.stderr)
 
 
+def _to_diagnostic(err: CapError | RecursionError) -> Diagnostic:
+    if isinstance(err, RecursionError):
+        return Diagnostic(code="resource", message="input is nested too deeply to process")
+    return err.to_diagnostic()
+
+
 def _exit_code(results: list[DeclResult]) -> int:
+    """The exit code of the earliest code in `EXIT_CODES` that some result reports."""
     codes = {r.diagnostic.code for r in results if r.diagnostic is not None}
-    if codes & set(_SYNTAX_CODES):
-        return EXIT_SYNTAX
-    if codes & {"type", "compatibility"}:
-        return EXIT_TYPE
-    if "runtime" in codes:
-        return EXIT_RUNTIME
-    return EXIT_OK
+    return next((exit_code for code, exit_code in EXIT_CODES.items() if code in codes), EXIT_OK)
 
 
-def _load_program(path: str, as_json: bool):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
-        _print_diagnostic(Diagnostic(code="parse", message=f"cannot read {path}: {err}"), as_json)
-        return None
-    try:
-        return parse_program(text)
-    except ParseFailure as failure:
-        _print_diagnostic(failure.to_diagnostic(), as_json)
-        return None
-
-
-def _report_results(results: list[DeclResult], as_json: bool, show_values: bool) -> int:
-    if as_json:
+def _report_results(results: list[DeclResult], args, show_values: bool) -> int:
+    """Render declaration results as one JSON document, or as text with the
+    diagnostics and the `--trace` step lines on stderr."""
+    if args.json:
         payload = []
         for r in results:
             entry: dict = {"decl": r.label, "ok": r.ok}
@@ -76,50 +54,45 @@ def _report_results(results: list[DeclResult], as_json: bool, show_values: bool)
             if r.evaluated is not None:
                 entry["value"] = pretty(r.evaluated.term)
                 entry["steps"] = r.evaluated.steps
+                if args.trace:
+                    entry["trace"] = [
+                        {"step": n, "branch": i.branch_index + 1, "branches": i.n_branches, "argument": pretty(i.argument)}
+                        for n, i in r.evaluated.trace
+                    ]
             if r.diagnostic is not None:
                 entry["diagnostic"] = r.diagnostic.to_dict()
             payload.append(entry)
         print(json.dumps({"results": payload}, indent=2))
-    else:
-        for r in results:
-            if r.diagnostic is not None:
-                _print_diagnostic(r.diagnostic, as_json=False)
-            elif show_values and r.evaluated is not None:
-                print(pretty(r.evaluated.term))
-                for step, info in r.evaluated.trace:
-                    print(
-                        f"  step {step}: branch {info.branch_index + 1}/{info.n_branches} "
-                        f"matched {pretty(info.argument)}",
-                        file=sys.stderr,
-                    )
-            elif not show_values:
-                print(r.summary())
+        return _exit_code(results)
+    for r in results:
+        evaluated = r.evaluated
+        if r.diagnostic is not None:
+            _print_diagnostic(r.diagnostic, as_json=False)
+        elif not show_values:
+            if evaluated is not None:
+                print(f"{r.label}: {pretty(evaluated.term)}  [{evaluated.steps} steps]")
+            else:  # every declaration that succeeds has a type
+                print(f"{r.label}: {pretty(r.inferred)}")
+        elif evaluated is not None:
+            print(pretty(evaluated.term))
+        if evaluated is not None:
+            for n, i in evaluated.trace:
+                print(f"  step {n}: branch {i.branch_index + 1}/{i.n_branches} matched {pretty(i.argument)}", file=sys.stderr)
     return _exit_code(results)
 
 
 def _cmd_file(args, show_values: bool) -> int:
-    program = _load_program(args.file, args.json)
-    if program is None:
-        return EXIT_SYNTAX
-    results = check_program(program, fuel=args.max_steps, trace=args.trace)
-    return _report_results(results, args.json, show_values)
-
-
-def _parse_inline_type(text: str, as_json: bool):
     try:
-        return parse_type(text)
-    except ParseFailure as failure:
-        _print_diagnostic(failure.to_diagnostic(), as_json)
-        return None
+        text = Path(args.file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise CapError("parse", f"cannot read {args.file}: {err}") from None
+    results = check_program(parse_program(text), fuel=args.max_steps, trace=args.trace)
+    return _report_results(results, args, show_values)
 
 
 def cmd_type(args) -> int:
-    try:
-        term = parse_term(args.term)
-        ty = infer_type({}, term)
-    except CapError as err:
-        _print_diagnostic(err.to_diagnostic(), args.json)
-        return EXIT_SYNTAX if err.code in _SYNTAX_CODES else EXIT_TYPE
+    term = parse_term(args.term)
+    ty = infer_type({}, term)
     if args.json:
         print(json.dumps({"term": pretty(term), "type": pretty(ty)}))
     else:
@@ -128,10 +101,7 @@ def cmd_type(args) -> int:
 
 
 def _cmd_relation(args, mode: str) -> int:
-    left = _parse_inline_type(args.left, args.json)
-    right = _parse_inline_type(args.right, args.json)
-    if left is None or right is None:
-        return EXIT_SYNTAX
+    left, right = parse_type(args.left), parse_type(args.right)
     verdict = is_subtype(left, right) if mode == MODE_SUB else is_equivalent(left, right)
     if args.json:
         print(json.dumps({"left": pretty(left), "right": pretty(right), "mode": mode, "verdict": verdict}))
@@ -141,10 +111,7 @@ def _cmd_relation(args, mode: str) -> int:
 
 
 def cmd_oracle(args) -> int:
-    left = _parse_inline_type(args.left, args.json)
-    right = _parse_inline_type(args.right, args.json)
-    if left is None or right is None:
-        return EXIT_SYNTAX
+    left, right = parse_type(args.left), parse_type(args.right)
     modes = [MODE_SUB, MODE_EQ] if args.mode == "both" else [args.mode]
     oracle = PairOracle(left, right)
     reports = [oracle.compare(args.kmax, mode) for mode in modes]
@@ -195,18 +162,11 @@ def cmd_repl(args) -> int:
             continue
         source, buffer = buffer, ""
         try:
-            program = parse_program(source)
-            for decl in program.decls:
+            for decl in parse_program(source).decls:
                 result = process_decl(state, decl, fuel=args.max_steps, trace=args.trace)
-                _report_results([result], as_json=False, show_values=False)
-        except ParseFailure as failure:
-            _print_diagnostic(failure.to_diagnostic(), as_json=False)
-        except RecursionError:
-            _print_diagnostic(_too_deep(), as_json=False)
-
-
-def _too_deep() -> Diagnostic:
-    return Diagnostic(code="resource", message="input is nested too deeply to process")
+                _report_results([result], args, show_values=False)
+        except (CapError, RecursionError) as err:
+            _print_diagnostic(_to_diagnostic(err), as_json=False)
 
 
 def _positive_int(text: str) -> int:
@@ -272,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repl", help="interactive declaration loop")
     p.add_argument("--max-steps", type=_positive_int, default=DEFAULT_FUEL, metavar="N")
     p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_repl)
+    p.set_defaults(func=cmd_repl, json=False)
 
     return parser
 
@@ -281,9 +241,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except RecursionError:
-        _print_diagnostic(_too_deep(), getattr(args, "json", False))
-        return EXIT_RESOURCE
+    except (CapError, RecursionError) as err:
+        diag = _to_diagnostic(err)
+        _print_diagnostic(diag, args.json)
+        return EXIT_CODES[diag.code]
 
 
 if __name__ == "__main__":

@@ -14,15 +14,7 @@ from .diagnostics import CapError
 from .mu_types import MuType, admitted_symbols
 from .relations import is_subtype
 from .surface import pretty
-from .syntax import (
-    Matchable,
-    Pattern,
-    PatternCompound,
-    PatternConst,
-    Position,
-    positions,
-    subterm_at,
-)
+from .syntax import Matchable, Pattern, PatternCompound, PatternConst, Position
 
 
 @dataclass(frozen=True)
@@ -46,23 +38,20 @@ def subsumes(p: Pattern, q: Pattern) -> bool:
     return False
 
 
-def maximal_positions(pos_set: frozenset[Position]) -> frozenset[Position]:
-    """Positions in the set with no proper extension in the set."""
-    return frozenset(
-        p
-        for p in pos_set
-        if not any(q != p and q[: len(p)] == p for q in pos_set)
-    )
-
-
 def mismatch_positions(p: Pattern, q: Pattern) -> frozenset[Position]:
-    """Maximal common positions where subsumption of q by p breaks down."""
-    common = positions(p) & positions(q)
-    return frozenset(
-        pos
-        for pos in maximal_positions(common)
-        if not subsumes(subterm_at(p, pos), subterm_at(q, pos))
-    )
+    """Maximal common positions where subsumption of q by p breaks down.
+
+    One walk over both patterns: it descends while both sides are compounds,
+    so the first node where one side is not is a maximal common position.
+    """
+    match p, q:
+        case (PatternCompound(p1, p2), PatternCompound(q1, q2)):
+            return frozenset(
+                (step,) + pos
+                for step, (left, right) in enumerate(((p1, q1), (p2, q2)), start=1)
+                for pos in mismatch_positions(left, right)
+            )
+    return frozenset() if subsumes(p, q) else frozenset({()})
 
 
 @dataclass(frozen=True)

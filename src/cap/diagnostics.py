@@ -5,7 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-CODES = ("parse", "sort", "contractiveness", "type", "compatibility", "runtime", "resource")
+# Every diagnostic code and the CLI exit code it ends in. The order is the
+# precedence: a file whose declarations report several codes exits with the
+# earliest one's exit code.
+EXIT_CODES = {"parse": 2, "sort": 2, "contractiveness": 2, "type": 1, "compatibility": 1, "runtime": 3, "resource": 5}
 
 
 @dataclass
@@ -28,7 +31,7 @@ class Diagnostic:
     actual: str | None = None
 
     def __post_init__(self) -> None:
-        if self.code not in CODES:
+        if self.code not in EXIT_CODES:
             raise ValueError(f"unknown diagnostic code {self.code!r}")
 
     def to_dict(self) -> dict:

@@ -63,8 +63,9 @@ class GenConfig:
 SORT_DATA = "data"
 SORT_TYPE = "type"
 
-TYPE_CONSTS = ("A", "B", "C", "Nil", "Cons", "Vl")
-TERM_CONSTS = ("A", "B", "C", "Nil", "Cons", "Vl")
+# Type and term constants share one namespace (the constant `A` has type `A`).
+CONSTS = ("A", "B", "C", "Nil", "Cons", "Vl")
+TYPE_CONSTS = CONSTS  # the name bench/workloads.py reads
 
 
 class GenerationExhausted(Exception):
@@ -89,7 +90,7 @@ class _TypeGen:
         if budget <= 1:
             if usable and rng.random() < 0.4:
                 return TypeVar(rng.choice(usable))
-            return TypeConst(rng.choice(TYPE_CONSTS))
+            return TypeConst(rng.choice(CONSTS))
         choices = ["const", "app"]
         if usable:
             choices.append("var")
@@ -102,7 +103,7 @@ class _TypeGen:
         pick = rng.choice(choices)
         guarded_scope = tuple((n, s, True) for n, s, _ in scope)
         if pick == "const":
-            return TypeConst(rng.choice(TYPE_CONSTS))
+            return TypeConst(rng.choice(CONSTS))
         if pick == "var":
             return TypeVar(rng.choice(usable))
         if pick == "app":
@@ -172,7 +173,7 @@ class _TermGen:
         if names and rng.random() < 0.5:
             name = rng.choice(names)
             return Var(name), env[name]
-        c = rng.choice(TERM_CONSTS)
+        c = rng.choice(CONSTS)
         return Const(c), TypeConst(c)
 
     def gen_data(self, env: TypeEnv, budget: int, depth: int) -> tuple[Term, MuType]:
@@ -180,14 +181,14 @@ class _TermGen:
         rng = self.rng
         data_vars = [n for n in sorted(env) if is_datatype(env[n])]
         if budget <= 2:
-            c = rng.choice(TERM_CONSTS)
+            c = rng.choice(CONSTS)
             return Const(c), TypeConst(c)
         if data_vars and rng.random() < 0.3:
             name = rng.choice(data_vars)
             head: Term = Var(name)
             head_ty: MuType = env[name]
         else:
-            c = rng.choice(TERM_CONSTS)
+            c = rng.choice(CONSTS)
             head, head_ty = Const(c), TypeConst(c)
         term, ty = head, head_ty
         remaining = budget - 1
@@ -251,7 +252,7 @@ class _TermGen:
             # fail-then-select side of beta.
             head = self._spine_head_const(argument) if argument is not None else None
             if argument is not None and not isinstance(argument, Var) and rng.random() < 0.35:
-                other = rng.choice([c for c in TERM_CONSTS if c != head])
+                other = rng.choice([c for c in CONSTS if c != head])
                 decoy_body, _ = self.gen(env, 1, depth + 1)
                 branches.insert(0, Branch(PatternConst(other), (), decoy_body))
                 match_index = 1
@@ -321,7 +322,7 @@ def _mutate_head(rng: random.Random, t: MuType) -> MuType:
     if kind == "unfold":
         return head_unfold(t) if isinstance(t, Rec) else union_of(components)
     if kind == "widen":
-        return union_of(components + [TypeConst(rng.choice(TYPE_CONSTS))])
+        return union_of(components + [TypeConst(rng.choice(CONSTS))])
     if kind == "narrow" and len(components) > 1:
         keep = rng.randint(1, len(components) - 1)
         return union_of(components[:keep])
@@ -347,8 +348,8 @@ def _mutate_subtree(rng: random.Random, t: MuType) -> MuType:
 
 
 def _rename_one_const(rng: random.Random, t: MuType) -> MuType:
-    target = rng.choice(TYPE_CONSTS)
-    replacement = rng.choice([c for c in TYPE_CONSTS if c != target])
+    target = rng.choice(CONSTS)
+    replacement = rng.choice([c for c in CONSTS if c != target])
 
     def go(t: MuType) -> MuType:
         match t:

@@ -20,16 +20,6 @@ class DeclResult:
     inferred: MuType | None = None
     evaluated: EvalResult | None = None
 
-    def summary(self) -> str:
-        if not self.ok:
-            assert self.diagnostic is not None
-            return self.diagnostic.render()
-        if self.evaluated is not None:
-            return f"{self.label}: {pretty(self.evaluated.term)}  [{self.evaluated.steps} steps]"
-        if self.inferred is not None:
-            return f"{self.label}: {pretty(self.inferred)}"
-        return f"{self.label}: ok"
-
 
 @dataclass
 class SessionState:

@@ -1,5 +1,6 @@
 import pytest
 
+from cap.compatibility import subsumes
 from cap.mu_types import (
     BULLET,
     SYM_APP,
@@ -19,6 +20,7 @@ from cap.mu_types import (
     unfold_once,
 )
 from cap.surface import parse_term, parse_type
+from cap.syntax import Pattern, positions, subterm_at
 
 
 @pytest.fixture
@@ -93,3 +95,14 @@ def reference_admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str
                     active.discard(key)
 
     return go(t, pos)
+
+
+def maximal_positions(pos_set: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
+    """Positions in the set with no proper extension in the set."""
+    return frozenset(p for p in pos_set if not any(q != p and q[: len(p)] == p for q in pos_set))
+
+
+def reference_mismatch_positions(p: Pattern, q: Pattern) -> frozenset[tuple[int, ...]]:
+    """Reference: the maximal common positions of p and q where p's subpattern does not subsume q's."""
+    common = positions(p) & positions(q)
+    return frozenset(pos for pos in maximal_positions(common) if not subsumes(subterm_at(p, pos), subterm_at(q, pos)))

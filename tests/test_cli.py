@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from cap.cli import main
+from cap.diagnostics import EXIT_CODES
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -290,3 +291,73 @@ def test_deep_input_is_a_resource_diagnostic(tmp_path, capsys):
     assert code == 5
     assert out == ""
     assert "error[resource]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+def test_an_unreadable_file_is_a_parse_diagnostic(tmp_path, capsys, kind, as_json):
+    path = tmp_path / "input.cap"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"assume n : Nat;\n\xff\n")
+    code, out, err = run(capsys, "check", str(path), *(["--json"] if as_json else []))
+    assert code == 2
+    assert "Traceback" not in err
+    if as_json:
+        diag = json.loads(out)
+        assert diag["code"] == "parse" and diag["message"].startswith(f"cannot read {path}: ")
+    else:
+        assert out == "" and err.startswith(f"1:1: error[parse]: cannot read {path}: ")
+
+
+BOOL_FLIP_STEPS = "  step 1: branch 1/2 matched True\n  step 2: branch 2/2 matched False\n"
+
+
+def test_check_trace_shows_the_steps_of_its_evals(capsys):
+    code, out, err = run(capsys, "check", str(CORPUS / "bool_flip.cap"), "--trace")
+    assert code == 0
+    assert out == "eval: C0  [2 steps]\n"
+    assert err == BOOL_FLIP_STEPS
+    assert run(capsys, "check", str(CORPUS / "bool_flip.cap"))[1:] == (out, "")
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+def test_json_trace_lists_the_steps_of_each_eval(capsys, command):
+    code, out, _ = run(capsys, command, str(CORPUS / "bool_flip.cap"), "--json", "--trace")
+    assert code == 0
+    (entry,) = json.loads(out)["results"]
+    assert entry["trace"] == [
+        {"step": 1, "branch": 1, "branches": 2, "argument": "True"},
+        {"step": 2, "branch": 2, "branches": 2, "argument": "False"},
+    ]
+    untraced = json.loads(run(capsys, command, str(CORPUS / "bool_flip.cap"), "--json")[1])
+    assert untraced == {"results": [{k: v for k, v in entry.items() if k != "trace"}]}
+
+
+LOOP = "eval ([x:rec o. o -> B] x => x x) ([x:rec o. o -> B] x => x x);\n"
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+def test_a_type_error_outranks_a_runtime_failure(tmp_path, capsys, command):
+    path = tmp_path / "both.cap"
+    path.write_text(LOOP + "eval missing;\n", encoding="utf-8")
+    code, _, err = run(capsys, command, str(path), "--max-steps", "30")
+    assert code == 1
+    assert "error[runtime]" in err and "error[type]" in err
+
+
+@pytest.mark.parametrize("command", ["check", "eval"])
+def test_a_pattern_sort_error_outranks_type_and_runtime(tmp_path, capsys, command):
+    path = tmp_path / "all.cap"
+    path.write_text(LOOP + "eval missing;\ndef g = [f:A -> B, y:C] f y => y;\n", encoding="utf-8")
+    code, out, _ = run(capsys, command, str(path), "--max-steps", "30", "--json")
+    assert code == 2
+    codes = [entry["diagnostic"]["code"] for entry in json.loads(out)["results"]]
+    assert codes == ["runtime", "type", "sort"]
+
+
+def test_readme_exit_code_table_lists_every_diagnostic_code():
+    readme = (CORPUS.parent / "README.md").read_text(encoding="utf-8")
+    for code, exit_code in EXIT_CODES.items():
+        assert f"| `{code}` | `{exit_code}` |" in readme, code

@@ -9,7 +9,6 @@ from cap.compatibility import (
     PatternJudgement,
     check_branch_compatibility,
     compatible_pair,
-    maximal_positions,
     mismatch_positions,
     subsumes,
 )
@@ -23,7 +22,7 @@ from cap.surface import parse_type
 from cap.syntax import Matchable, PatternCompound, PatternConst, positions
 from cap.typecheck import infer_type
 
-from conftest import F_NAT
+from conftest import F_NAT, maximal_positions, reference_mismatch_positions
 
 VL_Z = PatternCompound(PatternConst("Vl"), Matchable("z"))
 XY = PatternCompound(Matchable("x"), Matchable("y"))
@@ -64,6 +63,27 @@ def test_mismatch_positions_examples():
     assert mismatch_positions(VL_Z, W) == {()}
     for p in (VL_Z, XY, W):
         assert mismatch_positions(p, p) == frozenset()
+    for p in (VL_Z, XY, W):
+        for q in (VL_Z, XY, W):
+            assert mismatch_positions(p, q) == reference_mismatch_positions(p, q)
+
+
+def random_pattern(rng: random.Random, depth: int):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return Matchable(rng.choice("xyz")) if roll < 0.15 else PatternConst(rng.choice(("A", "B", "Vl")))
+    return PatternCompound(random_pattern(rng, depth - 1), random_pattern(rng, depth - 1))
+
+
+def test_mismatch_walk_matches_the_position_scan():
+    rng = random.Random(20160)
+    sizes = set()
+    for _ in range(20_000):
+        p, q = random_pattern(rng, rng.randint(0, 6)), random_pattern(rng, rng.randint(0, 6))
+        found = mismatch_positions(p, q)
+        assert found == reference_mismatch_positions(p, q), (p, q)
+        sizes.add(len(found))
+    assert {0, 1, 2, 3} <= sizes
 
 
 def test_pair_requires_subtype_on_subsumption():
