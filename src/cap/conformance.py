@@ -296,6 +296,11 @@ class DifferentialReport:
         }
 
 
+def _pair_failure(seed: int, first: MuType, second: MuType, detail: str) -> Counterexample:
+    """A differential counterexample; the pair is rendered only when one is reported."""
+    return Counterexample("differential", seed, f"{pretty(first)}  vs  {pretty(second)}", None, detail)
+
+
 def run_differential(cfg: GenConfig, pairs: int, kmax: int) -> DifferentialReport:
     """Generate type pairs and compare engine verdicts against truncations."""
     report = DifferentialReport(pairs, kmax)
@@ -310,11 +315,8 @@ def run_differential(cfg: GenConfig, pairs: int, kmax: int) -> DifferentialRepor
         sub_both = []
         for mode in (MODE_SUB, MODE_EQ):
             result = oracle.compare(kmax, mode)
-            pair_text = f"{pretty(first)}  vs  {pretty(second)}"
             if not result.agree:
-                report.disagreements.append(
-                    Counterexample("differential", cfg.seed + 2 * i, pair_text, None, f"{mode}: {result.to_dict()}")
-                )
+                report.disagreements.append(_pair_failure(cfg.seed + 2 * i, first, second, f"{mode}: {result.to_dict()}"))
             if not result.engine:
                 report.engine_false += 1
                 if result.refuting_depth is not None:
@@ -324,7 +326,7 @@ def run_differential(cfg: GenConfig, pairs: int, kmax: int) -> DifferentialRepor
                     report.reverified += 1
                     if deeper.refuting_depth is None:
                         report.inconclusive.append(
-                            Counterexample("differential", cfg.seed + 2 * i, pair_text, None, f"{mode}: no refutation to {4 * kmax}")
+                            _pair_failure(cfg.seed + 2 * i, first, second, f"{mode}: no refutation to {4 * kmax}")
                         )
             if mode == MODE_SUB:
                 sub_both = [result.engine, is_subtype(second, first)]

@@ -282,35 +282,43 @@ class Node(FiniteTree):
 BULLET = Bullet()
 
 
-def truncations(t: MuType) -> Callable[[int], FiniteTree]:
+def truncations(t: MuType, table: dict | None = None) -> Callable[[int], FiniteTree]:
     """The truncations of one type, as a function of the depth.
 
     The returned function cuts the infinite-tree reading of `t` at
     constructor depth `depth`; unions do not consume depth. Its memo is keyed
-    on (subterm, depth) and shared by every depth asked for, so a subtree is
-    built once and the same object recurs within and across the results,
-    which are DAGs.
+    on (id of subterm, depth) and shared by every depth; each `rec` is
+    unfolded once and its body kept, so those ids stay valid. Trees are
+    hash-consed through `table` (fresh by default): equal trees built through
+    one table, by one truncator or several, are one object.
     """
-    memo: dict[tuple[MuType, int], FiniteTree] = {}
+    table = {} if table is None else table
+    memo: dict[tuple[int, int], FiniteTree] = {}
+    unfolded: dict[int, MuType] = {}
+
+    def node(label: str, left: FiniteTree, right: FiniteTree) -> FiniteTree:
+        key = (label, id(left), id(right))
+        return table.get(key) or table.setdefault(key, Node(label, left, right))
 
     def go(t: MuType, k: int) -> FiniteTree:
         if k == 0:
             return BULLET
-        key = (t, k)
+        key = (id(t), k)
         cached = memo.get(key)
         if cached is not None:
             return cached
         match t:
             case TypeConst(name) | TypeVar(name):
-                out: FiniteTree = Atom(name)
+                out = table.get(name) or table.setdefault(name, Atom(name))
             case AppT(l, r):
-                out = Node(SYM_APP, go(l, k - 1), go(r, k - 1))
+                out = node(SYM_APP, go(l, k - 1), go(r, k - 1))
             case Arrow(l, r):
-                out = Node(SYM_ARROW, go(l, k - 1), go(r, k - 1))
+                out = node(SYM_ARROW, go(l, k - 1), go(r, k - 1))
             case Union(l, r):
-                out = Node(SYM_UNION, go(l, k), go(r, k))
+                out = node(SYM_UNION, go(l, k), go(r, k))
             case Rec():
-                out = go(unfold_once(t), k)
+                body = unfolded.get(id(t)) or unfolded.setdefault(id(t), unfold_once(t))
+                out = go(body, k)
             case _:
                 raise TypeError(f"not a type: {t!r}")
         memo[key] = out

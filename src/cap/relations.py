@@ -9,6 +9,7 @@ canonical component pairs is finite, which bounds every descent path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .mu_types import (
     SYM_ARROW,
@@ -86,12 +87,12 @@ def is_equivalent(a: MuType, b: MuType) -> bool:
     return _Engine(MODE_EQ).rel(a, b)
 
 
-def finite_tree_rel(t1: FiniteTree, t2: FiniteTree, mode: str) -> bool:
-    """Structural subtyping/equivalence of depth-bounded trees.
+def tree_relation(mode: str) -> Callable[[FiniteTree, FiniteTree], bool]:
+    """Structural subtyping/equivalence of depth-bounded trees, for one mode.
 
     The independent route for checking the coinductive engines: plain
-    recursion on finite structures, memoized on shared subtrees only for
-    speed.
+    recursion on finite structures. Its memo, on the ids of the trees, is for
+    speed only and lasts across calls, so every tree given must outlive it.
     """
     if mode not in (MODE_SUB, MODE_EQ):
         raise ValueError(f"bad mode {mode!r}")
@@ -133,7 +134,12 @@ def finite_tree_rel(t1: FiniteTree, t2: FiniteTree, mode: str) -> bool:
                 return rel(a1, a2) and rel(b1, b2)
         return False
 
-    return rel(t1, t2)
+    return rel
+
+
+def finite_tree_rel(t1: FiniteTree, t2: FiniteTree, mode: str) -> bool:
+    """`tree_relation(mode)(t1, t2)`, for a single comparison."""
+    return tree_relation(mode)(t1, t2)
 
 
 @dataclass
@@ -163,16 +169,17 @@ class OracleReport:
 class PairOracle:
     """The truncation oracle for one pair of types.
 
-    Each side's truncations are built once and shared by every depth, both
-    modes and any deeper re-check.
+    Both sides' truncations share one hash-cons table and are built once for
+    every depth, both modes and any deeper re-check. Each mode computes its
+    engine verdict once and keeps one tree relation, so a depth compares only
+    the tree pairs that no earlier depth compared.
     """
 
     def __init__(self, a: MuType, b: MuType):
         self.a, self.b = a, b
-        self._left, self._right = truncations(a), truncations(b)
-
-    def _holds_at(self, k: int, mode: str) -> bool:
-        return finite_tree_rel(self._left(k), self._right(k), mode)
+        table: dict = {}
+        self._left, self._right = truncations(a, table), truncations(b, table)
+        self._modes: dict[str, tuple[Callable[[FiniteTree, FiniteTree], bool], bool]] = {}
 
     def compare(self, kmax: int, mode: str, deep_limit: int | None = None) -> OracleReport:
         """Cross-check the engine against truncation verdicts for depths 0..kmax.
@@ -184,8 +191,11 @@ class PairOracle:
         """
         if kmax < 1:
             raise ValueError("kmax must be at least 1")
-        engine = is_subtype(self.a, self.b) if mode == MODE_SUB else is_equivalent(self.a, self.b)
-        per_depth = [self._holds_at(k, mode) for k in range(kmax + 1)]
+        if mode not in self._modes:
+            rel = tree_relation(mode)  # a bad mode raises before any work
+            self._modes[mode] = (rel, is_subtype(self.a, self.b) if mode == MODE_SUB else is_equivalent(self.a, self.b))
+        rel, engine = self._modes[mode]
+        per_depth = [rel(self._left(k), self._right(k)) for k in range(kmax + 1)]
         if engine:
             return OracleReport(mode, True, per_depth, agree=all(per_depth), searched_to=kmax)
         refuting = next((k for k, ok in enumerate(per_depth) if not ok), None)
@@ -194,7 +204,7 @@ class PairOracle:
             limit = deep_limit if deep_limit is not None else 2 * kmax
             for k in range(kmax + 1, limit + 1):
                 searched = k
-                if not self._holds_at(k, mode):
+                if not rel(self._left(k), self._right(k)):
                     refuting = k
                     break
         return OracleReport(

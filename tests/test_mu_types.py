@@ -1,5 +1,9 @@
+import random
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import cap.mu_types as mu_types
 from cap.generators import GenConfig, gen_type
 from cap.mu_types import (
     BULLET,
@@ -14,6 +18,7 @@ from cap.mu_types import (
     MuType,
     Node,
     Rec,
+    TypeConst,
     Union,
     admitted_symbols,
     canonical,
@@ -27,7 +32,7 @@ from cap.mu_types import (
 from cap.relations import is_equivalent
 from cap.surface import parse_type
 
-from conftest import F_NAT, reference_admitted_symbols, reference_truncate
+from conftest import F_NAT, LIST_A, reference_admitted_symbols, reference_truncate
 
 
 def test_head_unfold_one_step():
@@ -169,6 +174,66 @@ def test_truncations_give_one_object_per_subterm_and_depth(seed):
 
     for k in (8, 3, 12, 0, 5, 11):
         walk(t, k, at(k))
+
+
+def _rec_under_two_parents() -> MuType:
+    # one `rec` object below three parent objects, two of them equal
+    stream = parse_type("rec a. Cons@a")
+    return union_of([AppT(TypeConst("K"), stream), AppT(TypeConst("L"), stream), AppT(TypeConst("K"), stream)])
+
+
+def _equal_but_distinct_components() -> MuType:
+    # the `duplicate` mutation, with the repeated component a separate object
+    return union_of(union_components(parse_type(F_NAT)) + union_components(parse_type(F_NAT))[1:2])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse_type("rec a. rec b. a@b + C"),
+        lambda: parse_type("rec a. (rec b. Cons@b@a + Nil) + Leaf"),
+        _rec_under_two_parents,
+        _equal_but_distinct_components,
+        lambda: parse_type(LIST_A),
+    ],
+    ids=["nested-binders", "inner-binder-under-union", "rec-under-two-parents", "equal-distinct-components", "list"],
+)
+def test_truncations_match_the_reference_in_any_depth_order(make):
+    # the memo is keyed on object ids: shapes where equal subterms are
+    # distinct objects, or one object has several parents, must not confuse it
+    t = make()
+    depths = list(range(13))
+    random.Random(7).shuffle(depths)
+    at = truncations(t)
+    for k in depths:
+        assert at(k) == reference_truncate(t, k), k
+
+
+def test_truncation_nodes_grow_linearly_with_the_depth(monkeypatch):
+    calls = {"Node": 0, "unfold_once": 0}
+
+    def counted(name):
+        original = getattr(mu_types, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    # `truncations` looks both names up in the module when it calls them
+    for name in calls:
+        monkeypatch.setattr(mu_types, name, counted(name))
+    counts = {}
+    for depth in (32, 64):
+        calls.update({"Node": 0, "unfold_once": 0})
+        at = truncations(parse_type(F_NAT))
+        for k in range(depth + 1):
+            at(k)
+        counts[depth] = calls["Node"]
+        assert calls["unfold_once"] == 1  # the one binder, unfolded once for every depth
+    assert counts[32] >= 32
+    assert counts[64] <= 2 * counts[32], counts
 
 
 @settings(max_examples=60, deadline=None)

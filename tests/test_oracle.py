@@ -11,8 +11,10 @@ import random
 
 import pytest
 
+from cap import relations
 from cap.cli import main
 from cap.generators import GenConfig, gen_type, mutate_type
+from cap.mu_types import Atom, Node
 from cap.relations import (
     MODE_EQ,
     MODE_SUB,
@@ -25,7 +27,7 @@ from cap.relations import (
 )
 from cap.surface import parse_type
 
-from conftest import reference_truncate
+from conftest import F_NAT, LIST_A, reference_truncate
 
 
 def reference_oracle_compare(a, b, kmax: int, mode: str, deep_limit: int | None = None) -> OracleReport:
@@ -58,16 +60,69 @@ def assert_same_reports(a, b, kmax: int) -> None:
         assert oracle_compare(a, b, kmax, mode).to_dict() == got.to_dict()
 
 
-@pytest.mark.parametrize("seed", [0, 1000, 7777])
-def test_pair_oracle_matches_the_reference_on_generated_pairs(seed):
+def generated_pairs(seed: int, count: int):
+    """The type pairs `run_differential` draws at this seed."""
     cfg = GenConfig(seed=seed)
     rng = random.Random(seed ^ 0xD1FF)
-    for i in range(300):
+    for i in range(count):
         first = gen_type(cfg.with_seed(seed + 2 * i))
         second = mutate_type(rng, first) if rng.random() < 0.7 else gen_type(cfg.with_seed(seed + 2 * i + 1))
+        yield first, second
+
+
+@pytest.mark.parametrize("seed", [0, 1000, 7777])
+def test_pair_oracle_matches_the_reference_on_generated_pairs(seed):
+    for first, second in generated_pairs(seed, 300):
         oracle = PairOracle(first, second)
         for mode in (MODE_SUB, MODE_EQ):
             assert oracle.compare(8, mode).to_dict() == reference_oracle_compare(first, second, 8, mode).to_dict()
+
+
+@pytest.mark.parametrize("seed", [0, 1000, 7777])
+def test_pair_oracle_answers_the_same_in_any_query_order(seed):
+    # the memos of one mode must not depend on which depths another query
+    # asked for first: eq, then both deep re-checks, then sub
+    for first, second in generated_pairs(seed, 300):
+        oracle = PairOracle(first, second)
+        for mode, deep_limit in ((MODE_EQ, None), (MODE_EQ, 32), (MODE_SUB, 32), (MODE_SUB, None)):
+            got = oracle.compare(8, mode, deep_limit)
+            assert got.to_dict() == reference_oracle_compare(first, second, 8, mode, deep_limit).to_dict()
+
+
+def structural_classes(roots) -> tuple[int, int]:
+    """(reachable tree objects, classes of structurally equal ones) below `roots`."""
+    number: dict[int, int] = {}
+    shapes: dict[tuple, int] = {}
+
+    def go(t) -> int:
+        got = number.get(id(t))
+        if got is None:
+            match t:
+                case Node(label, left, right):
+                    shape = (label, go(left), go(right))
+                case Atom(name):
+                    shape = ("atom", name)
+                case _:
+                    shape = ("bullet",)
+            got = number[id(t)] = shapes.setdefault(shape, len(shapes))
+        return got
+
+    for root in roots:
+        go(root)
+    return len(number), len(shapes)
+
+
+@pytest.mark.parametrize("seed", [0, 1000, 7777])
+def test_pair_oracle_builds_one_object_per_tree(seed):
+    # hash-consing: any two trees of one oracle that are equal are the same object
+    pairs = list(generated_pairs(seed, 60))
+    pairs += [(parse_type(F_NAT), parse_type(F_NAT)), (parse_type(STREAM), parse_type(LIST_A))]
+    for first, second in pairs:
+        oracle = PairOracle(first, second)
+        oracle.compare(4, MODE_EQ, deep_limit=8)
+        roots = [side(k) for k in range(13) for side in (oracle._left, oracle._right)]
+        objects, classes = structural_classes(roots)
+        assert objects == classes
 
 
 def _conses(n: int) -> str:
@@ -114,6 +169,18 @@ def test_pair_oracle_answers_the_deep_re_check_after_the_first_query():
     assert deep.refuting_depth == 6 and deep.searched_to == 6
     assert shallow.inconclusive and shallow.searched_to == 4
     assert shallow.to_dict() == reference_oracle_compare(a, b, 2, MODE_EQ).to_dict()
+
+
+def test_pair_oracle_asks_the_engine_once_per_mode(monkeypatch):
+    calls = []
+    monkeypatch.setattr(relations, "is_subtype", lambda a, b: calls.append(MODE_SUB) or is_subtype(a, b))
+    monkeypatch.setattr(relations, "is_equivalent", lambda a, b: calls.append(MODE_EQ) or is_equivalent(a, b))
+    oracle = PairOracle(parse_type(STREAM), parse_type(_conses(5)))
+    for mode in (MODE_SUB, MODE_EQ):
+        oracle.compare(2, mode)
+        oracle.compare(2, mode, deep_limit=8)
+        oracle.compare(3, mode)
+    assert calls == [MODE_SUB, MODE_EQ]
 
 
 def test_pair_oracle_rejects_what_oracle_compare_rejects():
