@@ -5,7 +5,6 @@ evaluator."""
 from .mu_types import (
     AppT,
     Arrow,
-    FiniteTree,
     MuType,
     Rec,
     TypeConst,
@@ -47,7 +46,6 @@ __all__ = [
     "Branch",
     "Const",
     "Fail",
-    "FiniteTree",
     "MatchOutcome",
     "Matchable",
     "MuType",

@@ -82,10 +82,10 @@ def compatible_pair(first: PatternJudgement, second: PatternJudgement) -> PairVe
     """Check one ordered branch pair."""
     p, a = first.pattern, first.type
     q, b = second.pattern, second.type
-    if subsumes(p, q):
-        holds = is_subtype(b, a)
-        return PairVerdict(holds, "subsumed", frozenset(), obligation=(b, a))
     mismatches = mismatch_positions(p, q)
+    if not mismatches:  # exactly when p subsumes q
+        holds = is_subtype(b, a)
+        return PairVerdict(holds, "subsumed", mismatches, obligation=(b, a))
     shared: dict[Position, frozenset[str]] = {}
     for pos in sorted(mismatches):
         shared[pos] = admitted_symbols(a, pos) & admitted_symbols(b, pos)

@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-# Constructor symbols as they appear in admitted-symbol sets and tree labels.
+# Constructor symbols as they appear in admitted-symbol sets.
 SYM_APP = "@"
 SYM_ARROW = "->"
-SYM_UNION = "+"
 
 # Reserved atom marking truncation frontiers; never a legal user type constant.
 BULLET_NAME = "•"
@@ -246,61 +245,31 @@ def admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:
     raise TypeError(f"not a type: {t!r}")
 
 
-# --- Finite trees -----------------------------------------------------------
+# --- Truncations ------------------------------------------------------------
+
+BULLET = TypeConst(BULLET_NAME)
 
 
-class FiniteTree:
-    """Base class for depth-bounded tree views of types."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class Atom(FiniteTree):
-    name: str
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-@dataclass(frozen=True, slots=True)
-class Bullet(FiniteTree):
-    def __repr__(self) -> str:
-        return BULLET_NAME
-
-
-@dataclass(frozen=True, slots=True)
-class Node(FiniteTree):
-    label: str  # SYM_APP, SYM_ARROW or SYM_UNION
-    left: FiniteTree
-    right: FiniteTree
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} {self.label} {self.right!r})"
-
-
-BULLET = Bullet()
-
-
-def truncations(t: MuType, table: dict | None = None) -> Callable[[int], FiniteTree]:
+def truncations(t: MuType, table: dict | None = None) -> Callable[[int], MuType]:
     """The truncations of one type, as a function of the depth.
 
     The returned function cuts the infinite-tree reading of `t` at
-    constructor depth `depth`; unions do not consume depth. Its memo is keyed
-    on (id of subterm, depth) and shared by every depth; each `rec` is
-    unfolded once and its body kept, so those ids stay valid. Trees are
-    hash-consed through `table` (fresh by default): equal trees built through
-    one table, by one truncator or several, are one object.
+    constructor depth `depth`, giving a finite type whose frontier is
+    `BULLET`; unions do not consume depth. Its memo is keyed on (id of
+    subterm, depth) and shared by every depth; each `rec` is unfolded once
+    and its body kept, so those ids stay valid. Truncations are hash-consed
+    through `table` (fresh by default): equal truncations built through one
+    table, by one truncator or several, are one object.
     """
     table = {} if table is None else table
-    memo: dict[tuple[int, int], FiniteTree] = {}
+    memo: dict[tuple[int, int], MuType] = {}
     unfolded: dict[int, MuType] = {}
 
-    def node(label: str, left: FiniteTree, right: FiniteTree) -> FiniteTree:
-        key = (label, id(left), id(right))
-        return table.get(key) or table.setdefault(key, Node(label, left, right))
+    def node(cls: type, left: MuType, right: MuType) -> MuType:
+        key = (cls, id(left), id(right))
+        return table.get(key) or table.setdefault(key, cls(left, right))
 
-    def go(t: MuType, k: int) -> FiniteTree:
+    def go(t: MuType, k: int) -> MuType:
         if k == 0:
             return BULLET
         key = (id(t), k)
@@ -309,13 +278,12 @@ def truncations(t: MuType, table: dict | None = None) -> Callable[[int], FiniteT
             return cached
         match t:
             case TypeConst(name) | TypeVar(name):
-                out = table.get(name) or table.setdefault(name, Atom(name))
-            case AppT(l, r):
-                out = node(SYM_APP, go(l, k - 1), go(r, k - 1))
-            case Arrow(l, r):
-                out = node(SYM_ARROW, go(l, k - 1), go(r, k - 1))
+                leaf = (type(t), name)
+                out = table.get(leaf) or table.setdefault(leaf, t)
+            case AppT(l, r) | Arrow(l, r):
+                out = node(type(t), go(l, k - 1), go(r, k - 1))
             case Union(l, r):
-                out = node(SYM_UNION, go(l, k), go(r, k))
+                out = node(Union, go(l, k), go(r, k))
             case Rec():
                 body = unfolded.get(id(t)) or unfolded.setdefault(id(t), unfold_once(t))
                 out = go(body, k)
@@ -327,13 +295,6 @@ def truncations(t: MuType, table: dict | None = None) -> Callable[[int], FiniteT
     return lambda depth: go(t, depth)
 
 
-def truncate(t: MuType, depth: int) -> FiniteTree:
+def truncate(t: MuType, depth: int) -> MuType:
     """Cut the infinite-tree reading of a type at constructor depth `depth`."""
     return truncations(t)(depth)
-
-
-def tree_components(t: FiniteTree) -> list[FiniteTree]:
-    """Maximal union components of a finite tree, in order."""
-    if isinstance(t, Node) and t.label == SYM_UNION:
-        return tree_components(t.left) + tree_components(t.right)
-    return [t]

@@ -12,19 +12,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .mu_types import (
-    SYM_ARROW,
-    SYM_UNION,
     AppT,
     Arrow,
-    Atom,
-    Bullet,
-    FiniteTree,
     MuType,
-    Node,
     TypeConst,
     TypeVar,
+    Union,
     canonical,
-    tree_components,
     truncations,
     union_components,
 )
@@ -65,12 +59,9 @@ class _Engine:
             self.assumed.discard(key)
 
     def _structural(self, a: MuType, b: MuType) -> bool:
+        # Equal atoms, rigid variables included, are caught by `component`'s
+        # reflexive shortcut; distinct atoms are never related.
         match a, b:
-            case (TypeConst(x), TypeConst(y)):
-                return x == y
-            case (TypeVar(x), TypeVar(y)):
-                # Free variables are rigid: related only to themselves.
-                return x == y
             case (AppT(l1, r1), AppT(l2, r2)):
                 return self.rel(l1, l2) and self.rel(r1, r2)
             case (Arrow(d1, c1), Arrow(d2, c2)):
@@ -87,32 +78,33 @@ def is_equivalent(a: MuType, b: MuType) -> bool:
     return _Engine(MODE_EQ).rel(a, b)
 
 
-def tree_relation(mode: str) -> Callable[[FiniteTree, FiniteTree], bool]:
-    """Structural subtyping/equivalence of depth-bounded trees, for one mode.
+def tree_relation(mode: str) -> Callable[[MuType, MuType], bool]:
+    """Structural subtyping/equivalence of truncations, for one mode.
 
     The independent route for checking the coinductive engines: plain
-    recursion on finite structures. Its memo, on the ids of the trees, is for
-    speed only and lasts across calls, so every tree given must outlive it.
+    recursion on finite types, which must hold no `rec`. It shares no code
+    with the engine. Its memo, on the ids of the types, is for speed only and
+    lasts across calls, so every type given must outlive it.
     """
     if mode not in (MODE_SUB, MODE_EQ):
         raise ValueError(f"bad mode {mode!r}")
     memo: dict[tuple[int, int], bool] = {}
-    comps: dict[int, list[FiniteTree]] = {}
+    comps: dict[int, list[MuType]] = {}
 
-    def components(t: FiniteTree) -> list[FiniteTree]:
+    def components(t: MuType) -> list[MuType]:
         got = comps.get(id(t))
         if got is None:
-            got = comps[id(t)] = tree_components(t)
+            got = comps[id(t)] = components(t.left) + components(t.right) if isinstance(t, Union) else [t]
         return got
 
-    def rel(x: FiniteTree, y: FiniteTree) -> bool:
+    def rel(x: MuType, y: MuType) -> bool:
         key = (id(x), id(y))
         got = memo.get(key)
         if got is None:
             got = memo[key] = compute(x, y)
         return got
 
-    def compute(x: FiniteTree, y: FiniteTree) -> bool:
+    def compute(x: MuType, y: MuType) -> bool:
         xs = components(x)
         ys = components(y)
         if len(xs) == 1 and len(ys) == 1:
@@ -122,14 +114,14 @@ def tree_relation(mode: str) -> Callable[[FiniteTree, FiniteTree], bool]:
             return forward
         return all(any(rel(xi, yj) for xi in xs) for yj in ys)
 
-    def structural(x: FiniteTree, y: FiniteTree) -> bool:
+    def structural(x: MuType, y: MuType) -> bool:
         match x, y:
-            case (Bullet(), Bullet()):
-                return True
-            case (Atom(n1), Atom(n2)):
+            case (TypeConst(n1), TypeConst(n2)) | (TypeVar(n1), TypeVar(n2)):
                 return n1 == n2
-            case (Node(l1, a1, b1), Node(l2, a2, b2)) if l1 == l2 and l1 != SYM_UNION:
-                if l1 == SYM_ARROW and mode == MODE_SUB:
+            case (AppT(a1, b1), AppT(a2, b2)):
+                return rel(a1, a2) and rel(b1, b2)
+            case (Arrow(a1, b1), Arrow(a2, b2)):
+                if mode == MODE_SUB:
                     return rel(a2, a1) and rel(b1, b2)
                 return rel(a1, a2) and rel(b1, b2)
         return False
@@ -137,8 +129,8 @@ def tree_relation(mode: str) -> Callable[[FiniteTree, FiniteTree], bool]:
     return rel
 
 
-def finite_tree_rel(t1: FiniteTree, t2: FiniteTree, mode: str) -> bool:
-    """`tree_relation(mode)(t1, t2)`, for a single comparison."""
+def finite_tree_rel(t1: MuType, t2: MuType, mode: str) -> bool:
+    """`tree_relation(mode)(t1, t2)`, for a single comparison of truncations."""
     return tree_relation(mode)(t1, t2)
 
 
@@ -172,14 +164,14 @@ class PairOracle:
     Both sides' truncations share one hash-cons table and are built once for
     every depth, both modes and any deeper re-check. Each mode computes its
     engine verdict once and keeps one tree relation, so a depth compares only
-    the tree pairs that no earlier depth compared.
+    the pairs of truncated subterms that no earlier depth compared.
     """
 
     def __init__(self, a: MuType, b: MuType):
         self.a, self.b = a, b
         table: dict = {}
         self._left, self._right = truncations(a, table), truncations(b, table)
-        self._modes: dict[str, tuple[Callable[[FiniteTree, FiniteTree], bool], bool]] = {}
+        self._modes: dict[str, tuple[Callable[[MuType, MuType], bool], bool]] = {}
 
     def compare(self, kmax: int, mode: str, deep_limit: int | None = None) -> OracleReport:
         """Cross-check the engine against truncation verdicts for depths 0..kmax.

@@ -49,9 +49,6 @@ from .syntax import (
 
 KEYWORDS = ("assume", "def", "check", "eval", "rec")
 
-_PUNCT = ("->", "=>", "--", "(", ")", "[", "]", ",", ";", ":", "=", "|", "+", "@", ".")
-
-
 @dataclass(frozen=True)
 class Token:
     kind: str  # "lower", "upper", "punct", "keyword", "eof"

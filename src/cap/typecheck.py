@@ -47,7 +47,7 @@ def type_pattern(bindings: TypeEnv, p: Pattern) -> MuType:
             if not is_datatype(fun_ty):
                 raise CapError(
                     "sort",
-                    f"pattern '{left!r}' heads a compound but its type is not a datatype",
+                    f"pattern '{pretty(left)}' heads a compound but its type is not a datatype",
                     actual=pretty(fun_ty),
                 )
             return AppT(fun_ty, type_pattern(bindings, right))

@@ -5,13 +5,9 @@ from cap.mu_types import (
     BULLET,
     SYM_APP,
     SYM_ARROW,
-    SYM_UNION,
     AppT,
     Arrow,
-    Atom,
-    FiniteTree,
     MuType,
-    Node,
     Rec,
     TypeConst,
     TypeVar,
@@ -38,11 +34,11 @@ LIST_A = "rec a. Nil + Cons@A@a"
 TREE_A = "rec a. Nil + Node@A@a@a"
 
 
-def reference_truncate(t: MuType, depth: int) -> FiniteTree:
+def reference_truncate(t: MuType, depth: int) -> MuType:
     """Reference: one truncation, memoized on alpha-normal subterms within that depth only."""
-    memo: dict[tuple[MuType, int], FiniteTree] = {}
+    memo: dict[tuple[MuType, int], MuType] = {}
 
-    def go(t: MuType, k: int) -> FiniteTree:
+    def go(t: MuType, k: int) -> MuType:
         if k == 0:
             return BULLET
         key = (canonical(t), k)
@@ -50,14 +46,14 @@ def reference_truncate(t: MuType, depth: int) -> FiniteTree:
         if cached is not None:
             return cached
         match t:
-            case TypeConst(name) | TypeVar(name):
-                out: FiniteTree = Atom(name)
+            case TypeConst() | TypeVar():
+                out = t
             case AppT(l, r):
-                out = Node(SYM_APP, go(l, k - 1), go(r, k - 1))
+                out = AppT(go(l, k - 1), go(r, k - 1))
             case Arrow(l, r):
-                out = Node(SYM_ARROW, go(l, k - 1), go(r, k - 1))
+                out = Arrow(go(l, k - 1), go(r, k - 1))
             case Union(l, r):
-                out = Node(SYM_UNION, go(l, k), go(r, k))
+                out = Union(go(l, k), go(r, k))
             case Rec():
                 out = go(unfold_once(t), k)
         memo[key] = out

@@ -361,3 +361,51 @@ def test_readme_exit_code_table_lists_every_diagnostic_code():
     readme = (CORPUS.parent / "README.md").read_text(encoding="utf-8")
     for code, exit_code in EXIT_CODES.items():
         assert f"| `{code}` | `{exit_code}` |" in readme, code
+
+
+def test_a_pattern_sort_error_shows_the_pattern_in_concrete_syntax(tmp_path, capsys):
+    path = tmp_path / "head.cap"
+    path.write_text("eval ([x: A -> A, y: A] (x y) => y) C;\n", encoding="utf-8")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 2
+    assert err.splitlines() == [
+        "1:1: error[sort] in eval: pattern 'x' heads a compound but its type is not a datatype",
+        "  actual:   A -> A",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, text, where, message",
+    [
+        ("check", "assume x A;\n", "1:10", "expected ':', found 'A'"),
+        ("check", "assume x", "1:9", "expected ':', found end of input"),
+        ("check", "assume x : ;\n", "1:12", "expected a type, found ';'"),
+        ("check", "def f = [x: A] x x => x;\n", "1:9", "pattern binds a matchable twice"),
+        ("check", "def f = [x: A] (x => x;\n", "1:19", "expected ')', found '=>'"),
+        ("check", "def f = [x: A] => x;\n", "1:16", "expected a pattern, found '=>'"),
+        ("check", "check A : A;\n  rec a. A;\n", "2:3", "expected a declaration (assume, def, check or eval)"),
+        # a program is parsed to the end of its input, so only an inline term can trail
+        ("type", "A )", "1:3", "trailing input starting at ')'"),
+    ],
+    ids=["expect", "expect-end-of-input", "type", "nonlinear", "parenthesised-pattern", "pattern", "decl", "trailing"],
+)
+def test_parse_failures_report_their_message_and_position(tmp_path, capsys, command, text, where, message):
+    if command == "check":
+        path = tmp_path / "broken.cap"
+        path.write_text(text, encoding="utf-8")
+        text = str(path)
+    code, out, err = run(capsys, command, text)
+    assert code == 2 and out == ""
+    assert err == f"{where}: error[parse]: {message}\n"
+    code, out, _ = run(capsys, command, text, "--json")
+    assert code == 2
+    diag = json.loads(out)
+    assert diag["code"] == "parse" and diag["message"] == message
+    assert f"{diag['span']['line']}:{diag['span']['col']}" == where
+
+
+@pytest.mark.parametrize("command, mode, verdict", [("sub", "sub", True), ("equiv", "eq", False)])
+def test_relation_commands_json_shape(capsys, command, mode, verdict):
+    code, out, err = run(capsys, command, "A", "A + B", "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"left": "A", "right": "A + B", "mode": mode, "verdict": verdict}

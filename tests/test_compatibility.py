@@ -82,6 +82,7 @@ def test_mismatch_walk_matches_the_position_scan():
         p, q = random_pattern(rng, rng.randint(0, 6)), random_pattern(rng, rng.randint(0, 6))
         found = mismatch_positions(p, q)
         assert found == reference_mismatch_positions(p, q), (p, q)
+        assert (not found) == subsumes(p, q), (p, q)  # what `compatible_pair` decides "subsumed" by
         sizes.add(len(found))
     assert {0, 1, 2, 3} <= sizes
 

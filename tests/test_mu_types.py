@@ -9,16 +9,12 @@ from cap.mu_types import (
     BULLET,
     SYM_APP,
     SYM_ARROW,
-    SYM_UNION,
     AppT,
     Arrow,
-    Atom,
-    Bullet,
-    FiniteTree,
     MuType,
-    Node,
     Rec,
     TypeConst,
+    TypeVar,
     Union,
     admitted_symbols,
     canonical,
@@ -29,10 +25,20 @@ from cap.mu_types import (
     union_components,
     union_of,
 )
-from cap.relations import is_equivalent
-from cap.surface import parse_type
+from cap.relations import MODE_EQ, MODE_SUB, is_equivalent, oracle_compare
+from cap.surface import parse_type, pretty
 
 from conftest import F_NAT, LIST_A, reference_admitted_symbols, reference_truncate
+
+
+def test_unfolding_renames_a_binder_that_would_capture():
+    # the inner `rec x` would capture the free `x` of the type substituted for `a`
+    t = parse_type("rec a. Cons@x@(rec x. a@x)")
+    unfolded = unfold_once(t)
+    assert pretty(unfolded) == "Cons@x@(rec x_1. (rec a. Cons@x@(rec x. a@x))@x_1)"
+    for mode in (MODE_SUB, MODE_EQ):
+        report = oracle_compare(t, unfolded, 8, mode)
+        assert report.engine and report.agree
 
 
 def test_head_unfold_one_step():
@@ -94,28 +100,28 @@ def test_admitted_symbols_matches_the_guarded_reference():
 
 def test_truncate_examples():
     assert truncate(parse_type(F_NAT), 0) == BULLET
-    assert truncate(parse_type("Nat -> Nat"), 1) == Node(SYM_ARROW, BULLET, BULLET)
+    assert truncate(parse_type("Nat -> Nat"), 1) == Arrow(BULLET, BULLET)
     stream = parse_type("rec a. Cons@a")
-    assert truncate(stream, 2) == Node(SYM_APP, Atom("Cons"), Node(SYM_APP, BULLET, BULLET))
+    assert truncate(stream, 2) == AppT(TypeConst("Cons"), AppT(BULLET, BULLET))
 
 
 def test_truncate_union_does_not_consume_depth():
     t = parse_type("True + False")
-    assert truncate(t, 1) == Node("+", Atom("True"), Atom("False"))
+    assert truncate(t, 1) == Union(TypeConst("True"), TypeConst("False"))
 
 
-def cut_tree(t: FiniteTree, depth: int) -> FiniteTree:
-    """Reference: truncate an already-finite tree at the given constructor depth."""
+def cut_tree(t: MuType, depth: int) -> MuType:
+    """Reference: truncate an already-truncated type at the given constructor depth."""
     if depth == 0:
         return BULLET
     match t:
-        case Atom() | Bullet():
+        case TypeConst() | TypeVar():
             return t
-        case Node(label, l, r) if label == SYM_UNION:
-            return Node(SYM_UNION, cut_tree(l, depth), cut_tree(r, depth))
-        case Node(label, l, r):
-            return Node(label, cut_tree(l, depth - 1), cut_tree(r, depth - 1))
-    raise TypeError(f"not a finite tree: {t!r}")
+        case Union(l, r):
+            return Union(cut_tree(l, depth), cut_tree(r, depth))
+        case AppT(l, r) | Arrow(l, r):
+            return type(t)(cut_tree(l, depth - 1), cut_tree(r, depth - 1))
+    raise TypeError(f"not a truncation: {t!r}")
 
 
 @settings(max_examples=100, deadline=None)
@@ -141,7 +147,7 @@ def test_truncations_share_subtrees_across_depths():
     at = truncations(t)
     for k in range(2, 13):
         app = at(k).right
-        assert app.label == SYM_APP
+        assert isinstance(app, AppT)
         assert app.left is app.right is at(k - 1)
     # fresh truncators build equal trees, but not the same objects
     assert truncations(t)(5) == at(5) and truncations(t)(5) is not at(5)
@@ -152,9 +158,9 @@ def test_truncations_share_subtrees_across_depths():
 def test_truncations_give_one_object_per_subterm_and_depth(seed):
     t = gen_type(GenConfig(seed=seed))
     at = truncations(t)
-    seen: dict[tuple[MuType, int], FiniteTree] = {}
+    seen: dict[tuple[MuType, int], MuType] = {}
 
-    def walk(t: MuType, k: int, tree: FiniteTree) -> None:
+    def walk(t: MuType, k: int, tree: MuType) -> None:
         # follow the truncation's own descent, tree and type side by side
         if k == 0:
             return
@@ -162,15 +168,19 @@ def test_truncations_give_one_object_per_subterm_and_depth(seed):
             assert seen[t, k] is tree
             return
         seen[t, k] = tree
-        match t:
-            case AppT(l, r) | Arrow(l, r):
-                walk(l, k - 1, tree.left)
-                walk(r, k - 1, tree.right)
-            case Union(l, r):
-                walk(l, k, tree.left)
-                walk(r, k, tree.right)
-            case Rec():
+        match t, tree:
+            case (AppT(l, r), AppT(tl, tr)) | (Arrow(l, r), Arrow(tl, tr)):
+                walk(l, k - 1, tl)
+                walk(r, k - 1, tr)
+            case (Union(l, r), Union(tl, tr)):
+                walk(l, k, tl)
+                walk(r, k, tr)
+            case (Rec(), _):
                 walk(unfold_once(t), k, tree)
+            case (TypeConst() | TypeVar(), _):
+                pass
+            case _:
+                raise AssertionError(f"{tree!r} does not follow {t!r}")
 
     for k in (8, 3, 12, 0, 5, 11):
         walk(t, k, at(k))
@@ -210,27 +220,23 @@ def test_truncations_match_the_reference_in_any_depth_order(make):
 
 
 def test_truncation_nodes_grow_linearly_with_the_depth(monkeypatch):
-    calls = {"Node": 0, "unfold_once": 0}
+    calls = {"unfold_once": 0}
+    original = mu_types.unfold_once
 
-    def counted(name):
-        original = getattr(mu_types, name)
+    def counted(t):
+        calls["unfold_once"] += 1
+        return original(t)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-
-        return wrapper
-
-    # `truncations` looks both names up in the module when it calls them
-    for name in calls:
-        monkeypatch.setattr(mu_types, name, counted(name))
+    # `truncations` looks the name up in the module when it calls it
+    monkeypatch.setattr(mu_types, "unfold_once", counted)
     counts = {}
     for depth in (32, 64):
-        calls.update({"Node": 0, "unfold_once": 0})
-        at = truncations(parse_type(F_NAT))
+        calls["unfold_once"] = 0
+        table: dict = {}
+        at = truncations(parse_type(F_NAT), table)
         for k in range(depth + 1):
             at(k)
-        counts[depth] = calls["Node"]
+        counts[depth] = len(table)  # one hash-cons entry per distinct truncated subterm
         assert calls["unfold_once"] == 1  # the one binder, unfolded once for every depth
     assert counts[32] >= 32
     assert counts[64] <= 2 * counts[32], counts
@@ -269,4 +275,4 @@ def test_admitted_symbols_nonempty_at_typed_pattern_positions(seed):
 
 
 def test_pretty_of_tree_debug_forms():
-    assert repr(truncate(parse_type("Nat -> Nat"), 1)) == f"({BULLET!r} -> {BULLET!r})"
+    assert pretty(truncate(parse_type("Nat -> Nat"), 1)) == "• -> •"

@@ -14,7 +14,7 @@ import pytest
 from cap import relations
 from cap.cli import main
 from cap.generators import GenConfig, gen_type, mutate_type
-from cap.mu_types import Atom, Node
+from cap.mu_types import AppT, Arrow, TypeConst, TypeVar, Union
 from cap.relations import (
     MODE_EQ,
     MODE_SUB,
@@ -98,12 +98,12 @@ def structural_classes(roots) -> tuple[int, int]:
         got = number.get(id(t))
         if got is None:
             match t:
-                case Node(label, left, right):
-                    shape = (label, go(left), go(right))
-                case Atom(name):
-                    shape = ("atom", name)
+                case AppT(left, right) | Arrow(left, right) | Union(left, right):
+                    shape = (type(t), go(left), go(right))
+                case TypeConst(name) | TypeVar(name):
+                    shape = (type(t), name)
                 case _:
-                    shape = ("bullet",)
+                    raise TypeError(f"not a truncation: {t!r}")
             got = number[id(t)] = shapes.setdefault(shape, len(shapes))
         return got
 

@@ -1,16 +1,16 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cap.generators import GenConfig, gen_type, mutate_type
 from cap.mu_types import (
     BULLET,
-    SYM_ARROW,
-    SYM_UNION,
     AppT,
     Arrow,
-    Atom,
-    Node,
+    TypeConst,
+    TypeVar,
+    Union,
     truncate,
     union_components,
     union_of,
@@ -48,10 +48,32 @@ def test_arrow_variance():
 
 def test_finite_tree_rel_examples():
     assert finite_tree_rel(BULLET, BULLET, MODE_SUB)
-    arrow = Node(SYM_ARROW, Atom("A"), Atom("B"))
+    arrow = Arrow(TypeConst("A"), TypeConst("B"))
     assert finite_tree_rel(arrow, arrow, MODE_EQ)
-    assert finite_tree_rel(Atom("True"), Node(SYM_UNION, Atom("True"), Atom("False")), MODE_SUB)
-    assert not finite_tree_rel(BULLET, Atom("A"), MODE_SUB)
+    assert finite_tree_rel(TypeConst("True"), Union(TypeConst("True"), TypeConst("False")), MODE_SUB)
+    assert not finite_tree_rel(BULLET, TypeConst("A"), MODE_SUB)
+
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        (TypeConst("A"), TypeConst("A")),
+        (TypeVar("x"), TypeVar("x")),
+        (TypeConst("A"), TypeConst("B")),
+        (TypeVar("x"), TypeVar("y")),
+        (TypeVar("A"), TypeConst("A")),  # one name, but a rigid variable is no constant
+    ],
+    ids=["const", "var", "const-const", "var-var", "var-const"],
+)
+def test_atoms_are_related_only_to_themselves(left, right):
+    related = left == right
+    for mode, engine in ((MODE_SUB, is_subtype), (MODE_EQ, is_equivalent)):
+        for a, b in ((left, right), (right, left)):
+            assert engine(a, b) is related
+            report = oracle_compare(a, b, 2, mode)
+            assert report.engine is related and report.agree
+            assert report.per_depth == [True, related, related]
 
 
 def test_oracle_examples():
@@ -209,3 +231,16 @@ def test_truncations_of_equivalent_recursions_agree():
     b = parse_type("rec x. Nat -> x")
     for k in range(9):
         assert finite_tree_rel(truncate(a, k), truncate(b, k), MODE_EQ)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.integers(min_value=0, max_value=6))
+def test_engines_agree_with_the_tree_relation_on_truncations(seed, k):
+    # a truncation is a finite type, so the coinductive engines decide it too
+    rng = random.Random(seed)
+    a = gen_type(GenConfig(seed=seed))
+    b = mutate_type(rng, a) if rng.random() < 0.7 else gen_type(GenConfig(seed=seed + 1))
+    left, right = truncate(a, k), truncate(b, k)
+    for x, y in ((left, right), (right, left)):
+        assert is_subtype(x, y) == finite_tree_rel(x, y, MODE_SUB)
+        assert is_equivalent(x, y) == finite_tree_rel(x, y, MODE_EQ)

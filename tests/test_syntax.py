@@ -22,6 +22,7 @@ from cap.syntax import (
     subterm_at,
 )
 from cap.mu_types import TypeConst
+from cap.surface import parse_term, pretty
 
 
 def abs1(pattern, bindings, body):
@@ -86,6 +87,12 @@ def test_substitution_avoids_capture():
     binder = renamed.bindings[0][0]
     assert free_vars(out) == {"y"}
     assert renamed.body == App(Var("y"), Var(binder))
+
+
+
+def test_substitution_renames_a_binder_inside_a_compound_pattern():
+    out = apply_substitution({"z": Var("n")}, parse_term("[y: A, n: B] y n => z"))
+    assert pretty(out) == "[y:A, n_1:B] y n_1 => n"
 
 
 def test_classify_examples():
