@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .diagnostics import CapError
@@ -61,42 +61,31 @@ class SuiteReport:
         }
 
 
-# -- single-term checks ------------------------------------------------------------
+# -- single-term check --------------------------------------------------------------
 
 
-def check_subject_reduction(term: Term, ty: MuType, fuel: int = 1000) -> str | None:
-    """Re-check the type after every reduction step; None means no violation.
-    A stuck term also gives None: `check_progress` reports that failure."""
-    current = term
+def check_term(term: Term, ty: MuType, fuel: int = 1000) -> tuple[str | None, str | None, Term | None]:
+    """Walk `term` through at most `fuel` `small_step`s, re-checking `ty` after each.
+
+    Returns the first reduct that lost `ty` (subject reduction), the stuck
+    non-value (progress), and the value, reported only when it is reached in
+    fewer than `fuel` steps, as `evaluate(term, fuel)` reports it normal.
+    """
+    current, lost = term, None
     for step in range(fuel):
         try:
             stepped = small_step(current)
-        except StuckMatch:
-            return None
-        if stepped is None:
-            return None
-        current = stepped[0]
-        try:
-            check_type({}, current, ty)
-        except CapError as err:
-            return f"step {step + 1}: reduct {pretty(current)} lost type {pretty(ty)}: {err.message}"
-    return None
-
-
-def check_progress(term: Term, fuel: int = 1000) -> str | None:
-    """A closed well-typed non-value must always step; None means no violation."""
-    current = term
-    for _ in range(fuel):
-        if is_value(current):
-            return None
-        try:
-            stepped = small_step(current)
         except StuckMatch as stuck:
-            return f"stuck non-value {pretty(current)}: {stuck}"
+            return lost, f"stuck non-value {pretty(current)}: {stuck}", None
         if stepped is None:
-            return None
+            return lost, None, current
         current = stepped[0]
-    return None
+        if lost is None:
+            try:
+                check_type({}, current, ty)
+            except CapError as err:
+                lost = f"step {step + 1}: reduct {pretty(current)} lost type {pretty(ty)}: {err.message}"
+    return lost, None, None
 
 
 # -- pattern generation for the match suite -----------------------------------------
@@ -163,85 +152,45 @@ def random_order_normalize(rng: random.Random, term: Term, fuel: int) -> tuple[s
 # -- suites --------------------------------------------------------------------------
 
 
-# Subject reduction, progress and successful matching read the same corpus:
-# `run_conformance` builds it once and passes it as `corpus`, which must be
-# `_term_corpus(cfg, cases)`; a suite called alone builds its own.
-Corpus = list[tuple[int, Term, MuType]]
-
-
-def _term_corpus(cfg: GenConfig, cases: int) -> Corpus:
-    corpus = []
-    for i in range(cases):
-        seed = cfg.seed + i
-        term, ty = gen_typed_term(cfg.with_seed(seed))
-        corpus.append((seed, term, ty))
-    return corpus
-
-
-def subject_reduction_suite(cfg: GenConfig, cases: int, fuel: int = 1000, *, corpus: Corpus | None = None) -> SuiteReport:
-    report = SuiteReport("subject-reduction", cases)
-    for seed, term, ty in corpus if corpus is not None else _term_corpus(cfg, cases):
-        detail = check_subject_reduction(term, ty, fuel)
-        if detail is not None:
-            report.failures.append(Counterexample("subject-reduction", seed, pretty(term), pretty(ty), detail))
-    return report
-
-
-def progress_suite(cfg: GenConfig, cases: int, fuel: int = 1000, *, corpus: Corpus | None = None) -> SuiteReport:
-    report = SuiteReport("progress", cases)
-    for seed, term, ty in corpus if corpus is not None else _term_corpus(cfg, cases):
-        detail = check_progress(term, fuel)
-        if detail is not None:
-            report.failures.append(Counterexample("progress", seed, pretty(term), pretty(ty), detail))
-    return report
-
-
-def successful_match_suite(cfg: GenConfig, cases: int, fuel: int = 1000, *, corpus: Corpus | None = None) -> SuiteReport:
-    """Closed well-typed values must match any pattern of their own type."""
-    report = SuiteReport("successful-match", cases)
+def term_suites(cfg: GenConfig, cases: int, fuel: int = 1000) -> tuple[SuiteReport, SuiteReport, SuiteReport]:
+    """Subject reduction, progress and successful matching over one corpus of
+    `cases` generated terms, each walked once by `check_term`. A value must
+    keep its typability and match a pattern of its own type."""
+    sr, progress, match = (SuiteReport(name, cases) for name in ("subject-reduction", "progress", "successful-match"))
     checked = 0
-    for seed, term, _ in corpus if corpus is not None else _term_corpus(cfg, cases):
-        result = evaluate(term, fuel=fuel)
-        if result.status != "normal":
+    for seed in range(cfg.seed, cfg.seed + cases):
+        term, ty = gen_typed_term(cfg.with_seed(seed))
+        lost, stuck, value = check_term(term, ty, fuel)
+        if lost is not None:
+            sr.failures.append(Counterexample("subject-reduction", seed, pretty(term), pretty(ty), lost))
+        if stuck is not None:
+            progress.failures.append(Counterexample("progress", seed, pretty(term), pretty(ty), stuck))
+        if value is None:
             continue
-        value = result.term
         try:
             value_ty = infer_type({}, value)
         except CapError as err:
-            report.failures.append(
+            match.failures.append(
                 Counterexample("successful-match", seed, pretty(value), None, f"value lost typability: {err.message}")
             )
             continue
-        rng = random.Random(seed)
-        pattern, _bindings = pattern_of_type(rng, value_ty, [0])
+        pattern, _bindings = pattern_of_type(random.Random(seed), value_ty, [0])
         outcome = match_pattern(pattern, value)
         checked += 1
         if not isinstance(outcome, Success):
-            report.failures.append(
-                Counterexample(
-                    "successful-match",
-                    seed,
-                    pretty(value),
-                    pretty(value_ty),
-                    f"pattern {pretty(pattern)} produced {type(outcome).__name__}",
-                )
-            )
-    report.extra["values_checked"] = checked
-    return report
+            detail = f"pattern {pretty(pattern)} produced {type(outcome).__name__}"
+            match.failures.append(Counterexample("successful-match", seed, pretty(value), pretty(value_ty), detail))
+    match.extra["values_checked"] = checked
+    return sr, progress, match
 
 
 def confluence_suite(cfg: GenConfig, cases: int, fuel: int = 2000) -> SuiteReport:
     """Randomized redex order must agree with the deterministic strategy."""
     report = SuiteReport("confluence", cases)
     compared = 0
-    small = GenConfig(
-        seed=cfg.seed,
-        max_type_nodes=cfg.max_type_nodes,
-        max_term_nodes=min(cfg.max_term_nodes, 12),
-        max_union_width=cfg.max_union_width,
-        rec_probability=cfg.rec_probability,
-    )
-    for seed, term, ty in _term_corpus(small, cases):
+    small = replace(cfg, max_term_nodes=min(cfg.max_term_nodes, 12))
+    for seed in range(cfg.seed, cfg.seed + cases):
+        term, ty = gen_typed_term(small.with_seed(seed))
         cbv = evaluate(term, fuel=fuel)
         status, random_nf = random_order_normalize(random.Random(seed * 7 + 1), term, fuel)
         if cbv.status != "normal" or status == "out-of-fuel":
@@ -371,13 +320,7 @@ def run_conformance(
     dump_failures: bool = True,
 ) -> ConformanceSummary:
     """Run every suite; persist counterexamples so failures can be replayed."""
-    corpus = _term_corpus(cfg, cases)
-    reports = [
-        subject_reduction_suite(cfg, cases, fuel, corpus=corpus),
-        progress_suite(cfg, cases, fuel, corpus=corpus),
-        successful_match_suite(cfg, cases, fuel, corpus=corpus),
-        confluence_suite(cfg, min(cases, 200), fuel),
-    ]
+    reports = [*term_suites(cfg, cases, fuel), confluence_suite(cfg, min(cases, 200), fuel)]
     differential = run_differential(cfg, pairs, kmax)
     summary = ConformanceSummary(cfg.seed, reports, differential)
     if dump_failures and not summary.ok:

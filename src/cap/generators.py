@@ -276,13 +276,13 @@ class _TermGen:
 
 
 def gen_typed_term(cfg: GenConfig) -> tuple[Term, MuType]:
-    """A closed term together with its inferred type; deterministic per config."""
+    """A closed term and the type its generator built, which is `infer_type({}, term)`: each
+    generator step types its term as `infer_type` does, or calls it. Deterministic per config."""
     rng = random.Random(cfg.seed ^ 0x5EED)
     gen = _TermGen(rng, cfg)
     for _ in range(16):
         try:
-            term, _ = gen.gen({}, cfg.max_term_nodes)
-            return term, infer_type({}, term)
+            return gen.gen({}, cfg.max_term_nodes)
         except (GenerationExhausted, CapError):
             continue
     raise GenerationExhausted(f"seed {cfg.seed}: no term within retry budget")

@@ -15,10 +15,13 @@ from .typecheck import TypeEnv, check_type, infer_type
 @dataclass
 class DeclResult:
     label: str
-    ok: bool
     diagnostic: Diagnostic | None = None
     inferred: MuType | None = None
     evaluated: EvalResult | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.diagnostic is None
 
 
 @dataclass
@@ -31,7 +34,7 @@ class SessionState:
 
     def resolve(self, term: Term) -> Term:
         free = free_vars(term)
-        live = {name: body for name, body in self.definitions.items() if name in free}
+        live = {n: self.definitions[n] for n in free if n in self.definitions}
         return apply_substitution(live, term) if live else term
 
 
@@ -42,16 +45,16 @@ def process_decl(state: SessionState, decl, fuel: int = DEFAULT_FUEL, trace: boo
             case Assume(name=name, type=ty):
                 state.env[name] = ty
                 state.definitions.pop(name, None)
-                return DeclResult(label, True, inferred=ty)
+                return DeclResult(label, inferred=ty)
             case Def(name=name, term=term):
                 resolved = state.resolve(term)
                 ty = infer_type(state.env, resolved)
                 state.env[name] = ty
                 state.definitions[name] = resolved
-                return DeclResult(label, True, inferred=ty)
+                return DeclResult(label, inferred=ty)
             case Check(term=term, type=ty):
                 check_type(state.env, state.resolve(term), ty)
-                return DeclResult(label, True, inferred=ty)
+                return DeclResult(label, inferred=ty)
             case Eval(term=term):
                 resolved = state.resolve(term)
                 ty = infer_type(state.env, resolved)
@@ -65,10 +68,10 @@ def process_decl(state: SessionState, decl, fuel: int = DEFAULT_FUEL, trace: boo
                         decl=label,
                         actual=pretty(result.term),
                     )
-                    return DeclResult(label, False, diagnostic=diag, inferred=ty, evaluated=result)
-                return DeclResult(label, True, inferred=ty, evaluated=result)
+                    return DeclResult(label, diagnostic=diag, inferred=ty, evaluated=result)
+                return DeclResult(label, inferred=ty, evaluated=result)
     except CapError as err:
-        return DeclResult(label, False, diagnostic=err.to_diagnostic(span=decl.span, decl=label))
+        return DeclResult(label, diagnostic=err.to_diagnostic(span=decl.span, decl=label))
     raise TypeError(f"not a declaration: {decl!r}")
 
 

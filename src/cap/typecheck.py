@@ -106,6 +106,10 @@ def _infer_abs(env: TypeEnv, branches) -> MuType:
         if not is_linear(branch.pattern):
             raise CapError("type", f"branch {i + 1}: pattern is not linear")
         bindings = branch.binding_map()
+        if len(bindings) != len(branch.bindings):
+            names = [name for name, _ in branch.bindings]
+            twice = next(name for name in names if names.count(name) > 1)
+            raise CapError("type", f"branch {i + 1}: matchable '{twice}' is annotated twice")
         declared = set(bindings)
         used = set(free_matchables(branch.pattern))
         if declared != used:

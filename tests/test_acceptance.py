@@ -8,13 +8,7 @@ import random
 import time
 from pathlib import Path
 
-from cap.conformance import (
-    confluence_suite,
-    progress_suite,
-    run_differential,
-    subject_reduction_suite,
-    successful_match_suite,
-)
+from cap.conformance import confluence_suite, run_differential, term_suites
 from cap.compatibility import PatternJudgement, compatible_pair
 from cap.generators import GenConfig, gen_type, mutate_type
 from cap.mu_types import AppT, Arrow, head_unfold, union_components, union_of
@@ -138,9 +132,7 @@ def test_criterion_2_differential_oracle():
 def test_criterion_3_metatheory_properties():
     start = time.perf_counter()
     cfg = GenConfig(seed=9090)
-    sr = subject_reduction_suite(cfg, 500)
-    progress = progress_suite(cfg, 500)
-    match = successful_match_suite(cfg, 500)
+    sr, progress, match = term_suites(cfg, 500)
     confluence = confluence_suite(cfg, 200)
     elapsed = time.perf_counter() - start
     ok = sr.ok and progress.ok and match.ok and confluence.ok and elapsed < 60.0

@@ -41,6 +41,20 @@ def test_type_command(capsys):
     assert code == 1
 
 
+def test_a_matchable_annotated_twice_is_a_type_error(capsys):
+    code, out, err = run(capsys, "type", "[x:A, x:B] x => x")
+    assert code == 1 and out == ""
+    assert err.strip() == "1:1: error[type]: branch 1: matchable 'x' is annotated twice"
+    code, out, _ = run(capsys, "type", "[x:A, x:B] x => x", "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "decl": None,
+        "code": "type",
+        "span": {"line": 1, "col": 1},
+        "message": "branch 1: matchable 'x' is annotated twice",
+    }
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "type", "((")
     assert code == 2

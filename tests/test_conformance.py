@@ -1,16 +1,13 @@
 import random
 
 from cap.conformance import (
-    check_progress,
-    check_subject_reduction,
+    check_term,
     confluence_suite,
     pattern_of_type,
-    progress_suite,
     random_order_normalize,
     run_conformance,
     run_differential,
-    subject_reduction_suite,
-    successful_match_suite,
+    term_suites,
     weak_moves,
 )
 from cap.generators import GenConfig, gen_type, gen_typed_term
@@ -48,18 +45,40 @@ def test_gen_typed_term_contract():
 
 
 def test_subject_reduction_on_example_six():
-    assert check_subject_reduction(EX6, infer_type({}, EX6)) is None
+    lost, _, _ = check_term(EX6, infer_type({}, EX6))
+    assert lost is None
 
 
 def test_a_stuck_term_is_left_to_progress():
     stuck = parse_term("([ ] A => B) C")
-    assert check_subject_reduction(stuck, parse_type("B")) is None
-    assert check_progress(stuck).startswith("stuck non-value")
+    lost, detail, value = check_term(stuck, parse_type("B"))
+    assert lost is None and value is None
+    assert detail.startswith("stuck non-value")
 
 
 def test_progress_on_example_six_and_values():
-    assert check_progress(EX6) is None
-    assert check_progress(parse_term("Nil")) is None
+    assert check_term(EX6, infer_type({}, EX6))[1:] == (None, evaluate(EX6).term)
+    nil = parse_term("Nil")
+    assert check_term(nil, parse_type("Nil")) == (None, None, nil)
+
+
+def test_check_term_reports_a_value_exactly_when_evaluate_does():
+    # EX6 takes two steps: with fuel 2, `evaluate` stops out of fuel on the value.
+    ty = infer_type({}, EX6)
+    for fuel in range(1, 5):
+        result = evaluate(EX6, fuel=fuel)
+        _, _, value = check_term(EX6, ty, fuel)
+        assert (value is not None) == (result.status == "normal")
+        assert value is None or value == result.term
+    assert [check_term(EX6, ty, fuel)[2] is not None for fuel in range(1, 5)] == [False, False, True, True]
+
+
+def test_check_term_reports_the_first_reduct_that_lost_the_type():
+    # both reducts lose C1; the walk goes on to the value but keeps the first
+    lost, stuck, value = check_term(EX6, parse_type("C1"))
+    assert lost.startswith("step 1: reduct ")
+    assert "lost type C1" in lost
+    assert stuck is None and value == parse_term("C0")
 
 
 def test_weak_moves_and_random_order():
@@ -80,9 +99,7 @@ def test_pattern_of_type_matches_shape():
 
 def test_suites_zero_failures_small():
     cfg = GenConfig(seed=123)
-    assert subject_reduction_suite(cfg, 40).ok
-    assert progress_suite(cfg, 40).ok
-    assert successful_match_suite(cfg, 40).ok
+    assert all(report.ok for report in term_suites(cfg, 40))
     assert confluence_suite(cfg, 40).ok
 
 
@@ -134,21 +151,23 @@ def test_run_conformance_generates_the_term_corpus_once(tmp_path, monkeypatch):
     assert calls[0] == 20 + min(20, 200)
 
 
-def test_suites_called_alone_build_their_own_corpus(monkeypatch):
+def test_term_suites_generate_the_corpus_once(monkeypatch):
     calls = _count_generated_terms(monkeypatch)
-    cfg = GenConfig(seed=11)
-    assert subject_reduction_suite(cfg, 30).to_dict() == {
-        "name": "subject-reduction",
-        "cases": 30,
-        "failures": [],
-        "ok": True,
-    }
-    assert progress_suite(cfg, 30).to_dict() == {"name": "progress", "cases": 30, "failures": [], "ok": True}
-    assert successful_match_suite(cfg, 30).to_dict() == {
+    sr, progress, match = term_suites(GenConfig(seed=11), 30)
+    assert sr.to_dict() == {"name": "subject-reduction", "cases": 30, "failures": [], "ok": True}
+    assert progress.to_dict() == {"name": "progress", "cases": 30, "failures": [], "ok": True}
+    assert match.to_dict() == {
         "name": "successful-match",
         "cases": 30,
         "failures": [],
         "ok": True,
         "values_checked": 30,
     }
-    assert calls[0] == 3 * 30
+    assert calls[0] == 30
+
+
+def test_gen_typed_term_type_is_the_inferred_type():
+    # The generator's own type stands in for a re-inference in `term_suites`.
+    for seed in range(2000):
+        term, ty = gen_typed_term(GenConfig(seed=seed))
+        assert infer_type({}, term) == ty, seed

@@ -183,10 +183,20 @@ def test_pair_oracle_asks_the_engine_once_per_mode(monkeypatch):
     assert calls == [MODE_SUB, MODE_EQ]
 
 
+def test_pair_oracle_needs_every_depth_to_agree_with_a_true_engine(monkeypatch):
+    # an engine that wrongly says true must be caught by the depths that refute the pair
+    monkeypatch.setattr(relations, "is_subtype", lambda a, b: True)
+    report = PairOracle(parse_type("Vl@Nat"), parse_type("Vl@Bool")).compare(2, MODE_SUB)
+    assert report.engine is True
+    assert report.per_depth[0] and not all(report.per_depth)
+    assert report.agree is False
+
+
 def test_pair_oracle_rejects_what_oracle_compare_rejects():
     oracle = PairOracle(parse_type("A"), parse_type("A"))
     with pytest.raises(ValueError):
         oracle.compare(0, MODE_SUB)
+    assert oracle.compare(1, MODE_SUB).per_depth == [True, True]  # 1 is the least kmax
     with pytest.raises(ValueError):
         oracle.compare(2, "both")
 

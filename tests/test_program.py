@@ -1,11 +1,11 @@
 from pathlib import Path
 
 from cap import compatibility, conformance, program, reduction, relations, surface, typecheck
-from cap.conformance import subject_reduction_suite
+from cap.conformance import term_suites
 from cap.generators import GenConfig
 from cap.program import SessionState, check_program, process_decl
 from cap.relations import is_equivalent
-from cap.surface import parse_program, parse_type, pretty
+from cap.surface import parse_program, parse_term, parse_type, pretty
 from cap.syntax import Var
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -134,12 +134,39 @@ def test_types_are_validated_only_by_the_parser(monkeypatch):
     programs = [parse_program(path.read_text(encoding="utf-8")) for path in sorted(CORPUS.glob("*.cap"))]
     assert len(programs) == 7
     cfg = GenConfig(seed=11)
-    before = [check_program(p) for p in programs], subject_reduction_suite(cfg, 80).to_dict()
+    before = [check_program(p) for p in programs], [r.to_dict() for r in term_suites(cfg, 80)]
 
     def validate_after_parsing(raw):
         raise AssertionError(f"validate_type called after parsing on {raw!r}")
 
     for module in (surface, program, typecheck, compatibility, relations, reduction, conformance):
         monkeypatch.setattr(module, "validate_type", validate_after_parsing, raising=False)
-    after = [check_program(p) for p in programs], subject_reduction_suite(cfg, 80).to_dict()
+    after = [check_program(p) for p in programs], [r.to_dict() for r in term_suites(cfg, 80)]
     assert after == before
+
+
+class _DefinitionsThatMustNotBeScanned(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def __getitem__(self, name):
+        self.reads += 1
+        return super().__getitem__(name)
+
+    def _scan(self, *args):
+        raise AssertionError("resolve scanned every definition")
+
+    __iter__ = items = keys = values = _scan
+
+
+def test_resolve_reads_only_the_definitions_a_term_names():
+    state = SessionState()
+    for i in range(200):
+        process_decl(state, parse_program(f"def d{i} = Cons A;").decls[0])
+    state.definitions = _DefinitionsThatMustNotBeScanned(state.definitions)
+    resolved = state.resolve(parse_term("d7 (d150 free)"))
+    assert resolved == parse_term("(Cons A) ((Cons A) free)")
+    assert state.definitions.reads == 2
+    assert state.resolve(parse_term("free")) == Var("free")
+    assert state.definitions.reads == 2

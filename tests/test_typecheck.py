@@ -11,6 +11,7 @@ from cap.surface import parse_term, parse_type
 from cap.syntax import (
     Abs,
     App,
+    Branch,
     Const,
     Matchable,
     PatternCompound,
@@ -111,6 +112,19 @@ def test_branch_annotations_must_cover_matchables():
     assert "annotations" in err.value.message
     with pytest.raises(CapError):
         infer_type({}, parse_term("[x:Nat, extra:Nat] Vl x => x"))
+
+
+def test_a_matchable_annotated_twice_is_rejected():
+    # built without the parser: the typer itself rejects it
+    x = Matchable("x")
+    twice = Abs((Branch(x, (("x", parse_type("A")), ("x", parse_type("B"))), Var("x")),))
+    with pytest.raises(CapError) as err:
+        infer_type({}, twice)
+    assert err.value.code == "type"
+    assert err.value.message == "branch 1: matchable 'x' is annotated twice"
+    with pytest.raises(CapError) as err:
+        infer_type({}, parse_term("[ ] A => A | [y:Nat, x:A, y:Nat] Vl x y => x"))
+    assert err.value.message == "branch 2: matchable 'y' is annotated twice"
 
 
 def test_body_join_uses_union_when_needed():
