@@ -261,7 +261,7 @@ def run_differential(cfg: GenConfig, pairs: int, kmax: int) -> DifferentialRepor
         else:
             second = gen_type(cfg.with_seed(cfg.seed + 2 * i + 1))
         oracle = PairOracle(first, second)
-        sub_both = []
+        both_sub = False
         for mode in (MODE_SUB, MODE_EQ):
             result = oracle.compare(kmax, mode)
             if not result.agree:
@@ -278,10 +278,10 @@ def run_differential(cfg: GenConfig, pairs: int, kmax: int) -> DifferentialRepor
                             _pair_failure(cfg.seed + 2 * i, first, second, f"{mode}: no refutation to {4 * kmax}")
                         )
             if mode == MODE_SUB:
-                sub_both = [result.engine, is_subtype(second, first)]
-            else:
-                if all(sub_both) and not result.engine:
-                    report.antisymmetry_gaps += 1
+                # The reverse query matters only when the forward one holds.
+                both_sub = result.engine and is_subtype(second, first)
+            elif both_sub and not result.engine:
+                report.antisymmetry_gaps += 1
     return report
 
 

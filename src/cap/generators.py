@@ -3,6 +3,10 @@
 Terms are built by running the typing rules generatively rather than by
 filtering random syntax; abstraction branch lists are kept compatible by
 construction where possible and by bounded rejection sampling otherwise.
+Each step types the term it builds exactly once, with the typechecker's own
+rules: a compound by `AppT`, an abstraction by `abs_type` over its branch
+judgements and body types, a redex by `apply_arrow`. `infer_type` is never
+called here.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import dataclasses
 import random
 from dataclasses import dataclass
 
+from .compatibility import PatternJudgement
 from .diagnostics import CapError
 from .mu_types import (
     AppT,
@@ -38,7 +43,7 @@ from .syntax import (
     Term,
     Var,
 )
-from .typecheck import TypeEnv, infer_type, type_pattern
+from .typecheck import TypeEnv, abs_type, apply_arrow, type_pattern
 
 
 @dataclass(frozen=True)
@@ -200,18 +205,19 @@ class _TermGen:
             ty = AppT(ty, arg_ty)
         return term, ty
 
-    def pattern_for(self, env: TypeEnv, u: Term, ty: MuType) -> tuple[Pattern, tuple[tuple[str, MuType], ...]]:
-        """A pattern the value of `u` is guaranteed to match, with annotations."""
+    def pattern_for(self, u: Term, ty: MuType) -> tuple[Pattern, tuple[tuple[str, MuType], ...]]:
+        """A pattern the value of `u` (generated with type `ty`) is guaranteed
+        to match, with annotations."""
         rng = self.rng
         if isinstance(u, Const) and rng.random() < 0.5:
             return PatternConst(u.name), ()
-        if isinstance(u, App) and rng.random() < 0.7:
-            head_ty = infer_type(env, u.fun)
-            if is_datatype(head_ty):
-                left, left_bind = self.pattern_for(env, u.fun, head_ty)
-                arg_ty = infer_type(env, u.arg)
-                right, right_bind = self.pattern_for(env, u.arg, arg_ty)
-                return PatternCompound(left, right), left_bind + right_bind
+        # An application headed by an abstraction is a redex and gets a
+        # matchable; any other one comes from `gen_data`, typed `AppT(head, arg)`.
+        if isinstance(u, App) and rng.random() < 0.7 and not isinstance(u.fun, Abs):
+            assert isinstance(ty, AppT)
+            left, left_bind = self.pattern_for(u.fun, ty.left)
+            right, right_bind = self.pattern_for(u.arg, ty.right)
+            return PatternCompound(left, right), left_bind + right_bind
         name = self.fresh()
         return Matchable(name), ((name, ty),)
 
@@ -242,42 +248,51 @@ class _TermGen:
                 bindings: tuple[tuple[str, MuType], ...] = ((name, ann),)
             else:
                 assert argument_ty is not None
-                pattern, bindings = self.pattern_for(env, argument, argument_ty)
+                pattern, bindings = self.pattern_for(argument, argument_ty)
+            # Every matchable name comes from `fresh()`, so each pattern is
+            # linear and annotates each of its matchables exactly once.
             first_ty = type_pattern(dict(bindings), pattern)
             body_env = {**env, **dict(bindings)}
-            body, _ = self.gen(body_env, max(1, budget // 2), depth + 1)
+            body, body_ty = self.gen(body_env, max(1, budget // 2), depth + 1)
             branches = [Branch(pattern, bindings, body)]
+            judgements = [PatternJudgement(bindings, pattern, first_ty)]
+            body_types = [body_ty]
             match_index = 0
             # A leading constant branch that is bound to fail exercises the
             # fail-then-select side of beta.
             head = self._spine_head_const(argument) if argument is not None else None
             if argument is not None and not isinstance(argument, Var) and rng.random() < 0.35:
                 other = rng.choice([c for c in CONSTS if c != head])
-                decoy_body, _ = self.gen(env, 1, depth + 1)
+                decoy_body, decoy_ty = self.gen(env, 1, depth + 1)
                 branches.insert(0, Branch(PatternConst(other), (), decoy_body))
+                judgements.insert(0, PatternJudgement((), PatternConst(other), TypeConst(other)))
+                body_types.insert(0, decoy_ty)
                 match_index = 1
             if rng.random() < 0.4:
                 name = self.fresh()
-                catch_body, _ = self.gen({**env, name: first_ty}, 1, depth + 1)
+                catch_body, catch_ty = self.gen({**env, name: first_ty}, 1, depth + 1)
                 branches.append(Branch(Matchable(name), ((name, first_ty),), catch_body))
-            abs_term = Abs(tuple(branches))
+                judgements.append(PatternJudgement(((name, first_ty),), Matchable(name), first_ty))
+                body_types.append(catch_ty)
             try:
-                ty = infer_type(env, abs_term)
+                ty = abs_type(judgements, body_types)
             except CapError:
                 continue
-            return abs_term, ty, match_index
+            return Abs(tuple(branches)), ty, match_index
         raise GenerationExhausted("no compatible branch list found")
 
     def gen_redex(self, env: TypeEnv, budget: int, depth: int) -> tuple[Term, MuType]:
         arg, arg_ty = self.gen(env, max(1, budget // 3), depth + 1)
-        fun, _, _ = self.gen_abs_for(env, arg, arg_ty, budget - 1, depth)
-        term = App(fun, arg)
-        return term, infer_type(env, term)
+        fun, fun_ty, _ = self.gen_abs_for(env, arg, arg_ty, budget - 1, depth)
+        return App(fun, arg), apply_arrow(fun_ty, arg_ty)
 
 
 def gen_typed_term(cfg: GenConfig) -> tuple[Term, MuType]:
-    """A closed term and the type its generator built, which is `infer_type({}, term)`: each
-    generator step types its term as `infer_type` does, or calls it. Deterministic per config."""
+    """A closed term and the type its generator built, which is `infer_type({}, term)`.
+
+    Each step types its term once, with `infer_type`'s own rules (`AppT` for
+    compounds, `abs_type` for abstractions, `apply_arrow` for redexes), and
+    never calls `infer_type`. Deterministic per config."""
     rng = random.Random(cfg.seed ^ 0x5EED)
     gen = _TermGen(rng, cfg)
     for _ in range(16):

@@ -82,20 +82,24 @@ def _infer_app(env: TypeEnv, fun: Term, arg: Term) -> MuType:
         return AppT(fun_ty, infer_type(env, arg))
     components = union_components(fun_ty)
     if len(components) == 1 and isinstance(components[0], Arrow):
-        arrow = components[0]
-        arg_ty = infer_type(env, arg)
-        if is_subtype(arg_ty, arrow.dom):
-            return arrow.cod
-        raise CapError(
-            "type",
-            "argument type fits no part of the function domain",
-            expected=pretty(arrow.dom),
-            actual=pretty(arg_ty),
-        )
+        return apply_arrow(components[0], infer_type(env, arg))
     raise CapError(
         "type",
         "function position is neither a datatype nor a single arrow",
         actual=pretty(fun_ty),
+    )
+
+
+def apply_arrow(arrow: Arrow, arg_ty: MuType) -> MuType:
+    """The type of applying a function of type `arrow` to an argument of type
+    `arg_ty`: the codomain, once the argument fits the domain by subsumption."""
+    if is_subtype(arg_ty, arrow.dom):
+        return arrow.cod
+    raise CapError(
+        "type",
+        "argument type fits no part of the function domain",
+        expected=pretty(arrow.dom),
+        actual=pretty(arg_ty),
     )
 
 
@@ -127,6 +131,13 @@ def _infer_abs(env: TypeEnv, branches) -> MuType:
         pattern_ty = type_pattern(bindings, branch.pattern)
         judgements.append(PatternJudgement(tuple(bindings.items()), branch.pattern, pattern_ty))
         body_types.append(infer_type({**env, **bindings}, branch.body))
+    return abs_type(judgements, body_types)
+
+
+def abs_type(judgements: list[PatternJudgement], body_types: list[MuType]) -> Arrow:
+    """The type of an abstraction whose branches, in order, have the given
+    pattern judgements and body types; each branch must already be linear and
+    annotate exactly its matchables. Raises `CapError` on incompatible branches."""
     check_branch_compatibility(judgements)
     domain = union_of([j.type for j in judgements])
     if all(is_equivalent(body_types[0], ty) for ty in body_types[1:]):

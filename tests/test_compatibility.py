@@ -156,20 +156,22 @@ def test_an_incompatible_list_raises_a_compatibility_error():
 def test_typing_checks_each_branch_list_once(monkeypatch):
     # Count every call, through whichever module imported the function.
     counts = {"abs": 0, "compat": 0}
-    infer_abs, check = typecheck._infer_abs, check_branch_compatibility
+    abs_type, check = typecheck.abs_type, check_branch_compatibility
 
     def counting_abs(*args):
         counts["abs"] += 1
-        return infer_abs(*args)
+        return abs_type(*args)
 
     def counting_check(*args):
         counts["compat"] += 1
         return check(*args)
 
-    monkeypatch.setattr(typecheck, "_infer_abs", counting_abs)
     for module in list(sys.modules.values()):
-        if module is not None and module.__name__.startswith("cap.") and hasattr(module, "check_branch_compatibility"):
-            monkeypatch.setattr(module, "check_branch_compatibility", counting_check)
+        if module is None or not module.__name__.startswith("cap."):
+            continue
+        for name, counting in (("abs_type", counting_abs), ("check_branch_compatibility", counting_check)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
     for seed in range(200):
         gen_typed_term(GenConfig(seed=seed))
     assert counts["abs"] > 200

@@ -1,5 +1,7 @@
 import random
+import sys
 
+from cap import conformance
 from cap.conformance import (
     check_term,
     confluence_suite,
@@ -12,6 +14,7 @@ from cap.conformance import (
 )
 from cap.generators import GenConfig, gen_type, gen_typed_term
 from cap.reduction import evaluate
+from cap.relations import is_subtype
 from cap.surface import parse_term, parse_type, validate_type
 from cap.typecheck import check_type, infer_type
 
@@ -171,3 +174,44 @@ def test_gen_typed_term_type_is_the_inferred_type():
     for seed in range(2000):
         term, ty = gen_typed_term(GenConfig(seed=seed))
         assert infer_type({}, term) == ty, seed
+
+
+def test_generators_never_infer(monkeypatch):
+    # Each generator step types its term itself; a re-inference would raise here.
+    def refuse(*args):
+        raise AssertionError("a generator called infer_type")
+
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.split(".")[0] == "cap" and hasattr(module, "infer_type"):
+            monkeypatch.setattr(module, "infer_type", refuse)
+    for seed in range(500):
+        gen_typed_term(GenConfig(seed=seed))
+
+
+def differential_of(monkeypatch, first, second):
+    """`run_differential` over the one pair (first, second), counting its reverse `is_subtype` calls."""
+    reverse = []
+
+    def counting_is_subtype(a, b):
+        reverse.append((a, b))
+        return is_subtype(a, b)
+
+    first, second = parse_type(first), parse_type(second)
+    monkeypatch.setattr(conformance, "gen_type", lambda cfg: first if cfg.seed == 0 else second)
+    monkeypatch.setattr(conformance, "mutate_type", lambda rng, t: second)
+    monkeypatch.setattr(conformance, "is_subtype", counting_is_subtype)
+    return run_differential(GenConfig(seed=0), pairs=1, kmax=4), reverse
+
+
+def test_antisymmetry_gap_is_both_way_subtyping_without_equivalence(monkeypatch):
+    report, reverse = differential_of(monkeypatch, "(A -> C) + (A + B -> C)", "A -> C")
+    assert report.antisymmetry_gaps == 1
+    assert len(reverse) == 1
+    assert report.ok
+
+
+def test_no_reverse_query_when_forward_subtyping_fails(monkeypatch):
+    report, reverse = differential_of(monkeypatch, "A", "B")
+    assert report.antisymmetry_gaps == 0
+    assert reverse == []
+    assert report.ok

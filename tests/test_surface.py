@@ -305,3 +305,57 @@ def test_roundtrip_corpus_bulk():
     for seed in range(500):
         term, _ = gen_typed_term(GenConfig(seed=seed, max_term_nodes=10))
         assert parse_term(pretty(term)) == term
+
+
+
+# Every token the lexer knows, a few names of each case, and the comment and
+# line breaks it skips.
+TOKENS = (
+    "(", ")", "[", "]", ",", ";", ":", "=", "|", "+", "@", ".", "->", "=>",
+    "assume", "def", "check", "eval", "rec",
+    "A", "B", "Cons", "Nil", "Vl", "x", "y", "a",
+    "--", "\n",
+)
+TOKEN_LISTS = st.lists(st.sampled_from(TOKENS), max_size=24).map(" ".join)
+
+
+def _phrase(pattern, *parts):
+    return st.tuples(*parts).map(lambda p: pattern.format(*p))
+
+
+# Type- and term-shaped phrases, so that many inputs parse and reach the round trip.
+TYPE_PHRASES = st.recursive(
+    st.sampled_from(("A", "B", "Cons", "Nil", "Vl")),
+    lambda inner: st.one_of(
+        _phrase("{} {} {}", inner, st.sampled_from(("+", "@", "->")), inner),
+        _phrase("( {} {} {} )", inner, st.sampled_from(("+", "@", "->")), inner),
+        _phrase("rec a . {} + Cons @ a", inner),
+    ),
+    max_leaves=10,
+)
+TERM_PHRASES = st.recursive(
+    st.sampled_from(("A", "Cons", "Nil", "x")),
+    lambda inner: st.one_of(
+        _phrase("{} {}", inner, inner),
+        _phrase("( {} {} )", inner, inner),
+        _phrase("( [ x : {} ] x => {} )", TYPE_PHRASES, inner),
+        _phrase("[ ] Cons => {} | [ y : {} ] y => {}", inner, TYPE_PHRASES, inner),
+    ),
+    max_leaves=6,
+)
+PROGRAM_PHRASES = _phrase("def x = {} ; check x : {} ; eval x ;", TERM_PHRASES, TYPE_PHRASES)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(TOKEN_LISTS, TYPE_PHRASES, TERM_PHRASES, PROGRAM_PHRASES))
+def test_parsers_round_trip_or_raise_parse_failure(text):
+    for parse in (parse_type, parse_term):
+        try:
+            parsed = parse(text)
+        except ParseFailure:
+            continue
+        assert parse(pretty(parsed)) == parsed
+    try:
+        parse_program(text)
+    except ParseFailure:
+        pass
