@@ -21,7 +21,6 @@ from .syntax import Matchable, Pattern, PatternCompound, PatternConst, Position
 class PatternJudgement:
     """An annotated, typed pattern as it occurs in an abstraction branch."""
 
-    bindings: tuple[tuple[str, MuType], ...]
     pattern: Pattern
     type: MuType
 
@@ -69,8 +68,8 @@ class PairVerdict:
     reason: str
     mismatches: frozenset[Position]
     obligation: tuple[MuType, MuType] | None = None  # (later, earlier) subtype goal
-    witness: Position | None = None  # disjointness witness
-    # symbols both types admit, at each mismatching position up to the witness
+    # symbols both types admit, at each mismatching position up to the first
+    # one that admits none, which witnesses disjointness
     shared_symbols: dict[Position, frozenset[str]] = field(default_factory=dict)
 
     @property
@@ -90,7 +89,7 @@ def compatible_pair(first: PatternJudgement, second: PatternJudgement) -> PairVe
     for pos in sorted(mismatches):
         shared[pos] = admitted_symbols(a, pos) & admitted_symbols(b, pos)
         if not shared[pos]:
-            return PairVerdict(True, "disjoint", mismatches, witness=pos, shared_symbols=shared)
+            return PairVerdict(True, "disjoint", mismatches, shared_symbols=shared)
     holds = is_subtype(b, a)
     return PairVerdict(holds, "overlap", mismatches, obligation=(b, a), shared_symbols=shared)
 

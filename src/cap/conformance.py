@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .diagnostics import CapError
 from .generators import GenConfig, gen_type, gen_typed_term, mutate_type
 from .mu_types import AppT, MuType, TypeConst
-from .reduction import StuckMatch, Success, evaluate, match_pattern, select_branch, small_step
+from .reduction import StuckMatch, Success, beta, evaluate, match_pattern, small_step
 from .relations import MODE_EQ, MODE_SUB, PairOracle, is_subtype
 from .surface import pretty
 from .syntax import (
@@ -22,7 +22,6 @@ from .syntax import (
     PatternCompound,
     PatternConst,
     Term,
-    apply_substitution,
     is_value,
 )
 from .typecheck import check_type, infer_type
@@ -37,7 +36,7 @@ class Counterexample:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {"suite": self.suite, "seed": self.seed, "term": self.term, "type": self.type, "detail": self.detail}
+        return asdict(self)
 
 
 @dataclass
@@ -126,8 +125,7 @@ def weak_moves(t: Term) -> list[Term]:
             return
         if is_value(t.fun) and is_value(t.arg) and isinstance(t.fun, Abs):
             try:
-                index, sub = select_branch(t.fun.branches, t.arg)
-                moves.append(rebuild(apply_substitution(sub, t.fun.branches[index].body)))
+                moves.append(rebuild(beta(t.fun, t.arg)[1]))
             except StuckMatch:
                 pass
         fun, arg = t.fun, t.arg
@@ -231,18 +229,7 @@ class DifferentialReport:
         return not self.disagreements and len(self.inconclusive) < limit
 
     def to_dict(self) -> dict:
-        return {
-            "name": "differential",
-            "pairs": self.pairs,
-            "kmax": self.kmax,
-            "disagreements": [c.to_dict() for c in self.disagreements],
-            "inconclusive": [c.to_dict() for c in self.inconclusive],
-            "engine_false": self.engine_false,
-            "refuted_within_2k": self.refuted_within_2k,
-            "reverified": self.reverified,
-            "antisymmetry_gaps": self.antisymmetry_gaps,
-            "ok": self.ok,
-        }
+        return {"name": "differential", **asdict(self), "ok": self.ok}
 
 
 def _pair_failure(seed: int, first: MuType, second: MuType, detail: str) -> Counterexample:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 # Every diagnostic code and the CLI exit code it ends in. The order is the
@@ -17,7 +17,7 @@ class Span:
     col: int = 1
 
     def to_dict(self) -> dict:
-        return {"line": self.line, "col": self.col}
+        return asdict(self)
 
 
 @dataclass
@@ -25,7 +25,6 @@ class Diagnostic:
     code: str
     message: str
     span: Span = field(default_factory=Span)
-    severity: str = "error"
     decl: str | None = None
     expected: str | None = None
     actual: str | None = None
@@ -48,7 +47,7 @@ class Diagnostic:
         return out
 
     def render(self) -> str:
-        head = f"{self.span.line}:{self.span.col}: {self.severity}[{self.code}]"
+        head = f"{self.span.line}:{self.span.col}: error[{self.code}]"
         if self.decl:
             head += f" in {self.decl}"
         text = f"{head}: {self.message}"

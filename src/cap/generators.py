@@ -255,7 +255,7 @@ class _TermGen:
             body_env = {**env, **dict(bindings)}
             body, body_ty = self.gen(body_env, max(1, budget // 2), depth + 1)
             branches = [Branch(pattern, bindings, body)]
-            judgements = [PatternJudgement(bindings, pattern, first_ty)]
+            judgements = [PatternJudgement(pattern, first_ty)]
             body_types = [body_ty]
             match_index = 0
             # A leading constant branch that is bound to fail exercises the
@@ -265,14 +265,14 @@ class _TermGen:
                 other = rng.choice([c for c in CONSTS if c != head])
                 decoy_body, decoy_ty = self.gen(env, 1, depth + 1)
                 branches.insert(0, Branch(PatternConst(other), (), decoy_body))
-                judgements.insert(0, PatternJudgement((), PatternConst(other), TypeConst(other)))
+                judgements.insert(0, PatternJudgement(PatternConst(other), TypeConst(other)))
                 body_types.insert(0, decoy_ty)
                 match_index = 1
             if rng.random() < 0.4:
                 name = self.fresh()
                 catch_body, catch_ty = self.gen({**env, name: first_ty}, 1, depth + 1)
                 branches.append(Branch(Matchable(name), ((name, first_ty),), catch_body))
-                judgements.append(PatternJudgement(((name, first_ty),), Matchable(name), first_ty))
+                judgements.append(PatternJudgement(Matchable(name), first_ty))
                 body_types.append(catch_ty)
             try:
                 ty = abs_type(judgements, body_types)

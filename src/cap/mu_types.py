@@ -25,18 +25,12 @@ class TypeConst(MuType):
 
     name: str
 
-    def __repr__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True, slots=True)
 class TypeVar(MuType):
     """Recursion variable, or a free rigid variable; its sort is computed."""
 
     name: str
-
-    def __repr__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,9 +40,6 @@ class AppT(MuType):
     left: MuType
     right: MuType
 
-    def __repr__(self) -> str:
-        return f"({self.left!r}@{self.right!r})"
-
 
 @dataclass(frozen=True, slots=True)
 class Arrow(MuType):
@@ -56,9 +47,6 @@ class Arrow(MuType):
 
     dom: MuType
     cod: MuType
-
-    def __repr__(self) -> str:
-        return f"({self.dom!r}->{self.cod!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,9 +56,6 @@ class Union(MuType):
     left: MuType
     right: MuType
 
-    def __repr__(self) -> str:
-        return f"({self.left!r}+{self.right!r})"
-
 
 @dataclass(frozen=True, slots=True)
 class Rec(MuType):
@@ -78,9 +63,6 @@ class Rec(MuType):
 
     var: str
     body: MuType
-
-    def __repr__(self) -> str:
-        return f"(rec {self.var}. {self.body!r})"
 
 
 def union_of(components: list[MuType]) -> MuType:

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from .syntax import (
     Abs,
     App,
-    Branch,
     Const,
     Matchable,
     Pattern,
@@ -96,15 +95,17 @@ class StuckMatch(Exception):
         return f"stuck match ({self.kind})"
 
 
-def select_branch(branches: tuple[Branch, ...], u: Term) -> tuple[int, Substitution]:
-    """First branch whose pattern matches, provided all earlier ones fail."""
-    for index, branch in enumerate(branches):
-        outcome = match_pattern(branch.pattern, u)
+def beta(fun: Abs, arg: Term) -> tuple[int, Term]:
+    """The beta rule: the index of the first branch of `fun` whose pattern
+    matches `arg`, provided all earlier ones fail, and that branch's body
+    under the match's substitution."""
+    for index, branch in enumerate(fun.branches):
+        outcome = match_pattern(branch.pattern, arg)
         if isinstance(outcome, Success):
-            return index, outcome.as_dict()
+            return index, apply_substitution(outcome.as_dict(), branch.body)
         if isinstance(outcome, Wait):
-            raise StuckMatch(Abs(branches), u, "undecided")
-    raise StuckMatch(Abs(branches), u, "all-fail")
+            raise StuckMatch(fun, arg, "undecided")
+    raise StuckMatch(fun, arg, "all-fail")
 
 
 @dataclass
@@ -134,8 +135,7 @@ def small_step(t: Term) -> tuple[Term, StepInfo | None] | None:
         return App(t.fun, stepped[0]), stepped[1]
     # Both sides are values and the whole is not: the head must be an abstraction.
     assert isinstance(t.fun, Abs)
-    index, sub = select_branch(t.fun.branches, t.arg)
-    reduct = apply_substitution(sub, t.fun.branches[index].body)
+    index, reduct = beta(t.fun, t.arg)
     return reduct, StepInfo(index, len(t.fun.branches), t.arg)
 
 
@@ -180,10 +180,10 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, trace: bool = False) -> EvalResu
                 break
             if isinstance(fun, Abs):
                 try:
-                    index, sub = select_branch(fun.branches, focus)
+                    index, reduct = beta(fun, focus)
                 except StuckMatch as stuck:
                     return EvalResult("stuck", _plug(stack, App(fun, focus)), steps, stuck=stuck, trace=events)
-                arg, focus = focus, apply_substitution(sub, fun.branches[index].body)
+                arg, focus = focus, reduct
                 steps += 1
                 if trace:
                     events.append((steps, StepInfo(index, len(fun.branches), arg)))

@@ -1,14 +1,17 @@
 """Subtyping and equivalence of recursive union types, plus a truncation oracle.
 
-Both relations are decided by memoized coinductive descent: a pair under
-scrutiny is assumed to hold while its premises are checked, so cycles through
-recursive types succeed (the greatest-fixpoint reading). The reachable set of
-canonical component pairs is finite, which bounds every descent path.
+Both relations are decided by coinductive descent: a pair under scrutiny is
+assumed to hold while its premises are checked, so cycles through recursive
+types succeed (the greatest-fixpoint reading). The reachable set of canonical
+component pairs is finite, which bounds every descent path. Nothing is
+memoized: an assumption is discarded when its check returns, so sibling goals
+prove the same pairs again, and nested unions take time exponential in their
+depth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .mu_types import (
@@ -147,15 +150,7 @@ class OracleReport:
     searched_to: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "engine": self.engine,
-            "per_depth": self.per_depth,
-            "agree": self.agree,
-            "refuting_depth": self.refuting_depth,
-            "inconclusive": self.inconclusive,
-            "searched_to": self.searched_to,
-        }
+        return asdict(self)
 
 
 class PairOracle:

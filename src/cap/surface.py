@@ -208,27 +208,33 @@ class _Parser:
     def parse_term(self) -> Term:
         if self.at_punct("["):
             return self.parse_branches()
-        return self.parse_app_term()
+        return self.parse_spine(Var, Const, App, self.parse_term, "term")
 
-    def parse_app_term(self) -> Term:
-        out = self.parse_term_atom()
+    def parse_pattern(self) -> Pattern:
+        return self.parse_spine(Matchable, PatternConst, PatternCompound, self.parse_pattern, "pattern")
+
+    def parse_spine(self, var, const, node, inner, what: str):
+        """A left-nested application spine of atoms, joined by `node`: the one
+        grammar of terms (`App`) and patterns (`PatternCompound`)."""
+        out = self.parse_atom(var, const, inner, what)
         while self.peek().kind in ("lower", "upper") or self.at_punct("("):
-            out = App(out, self.parse_term_atom())
+            out = node(out, self.parse_atom(var, const, inner, what))
         return out
 
-    def parse_term_atom(self) -> Term:
+    def parse_atom(self, var, const, inner, what: str):
+        """A lower-case name as `var`, an upper-case one as `const`, or `inner` in parentheses."""
         tok = self.peek()
         if tok.kind == "lower":
             self.next()
-            return Var(tok.text)
+            return var(tok.text)
         if tok.kind == "upper":
             self.next()
-            return Const(tok.text)
+            return const(tok.text)
         if self.eat_punct("("):
-            inner = self.parse_term()
+            out = inner()
             self.expect("punct", ")")
-            return inner
-        raise self.fail(f"expected a term, found {tok.text!r}")
+            return out
+        raise self.fail(f"expected a {what}, found {tok.text!r}")
 
     def parse_branches(self) -> Abs:
         branches = [self.parse_branch()]
@@ -255,26 +261,6 @@ class _Parser:
         name = self.expect("lower")
         self.expect("punct", ":")
         return name.text, self.parse_valid_type()
-
-    def parse_pattern(self) -> Pattern:
-        out = self.parse_pattern_atom()
-        while self.peek().kind in ("lower", "upper") or self.at_punct("("):
-            out = PatternCompound(out, self.parse_pattern_atom())
-        return out
-
-    def parse_pattern_atom(self) -> Pattern:
-        tok = self.peek()
-        if tok.kind == "lower":
-            self.next()
-            return Matchable(tok.text)
-        if tok.kind == "upper":
-            self.next()
-            return PatternConst(tok.text)
-        if self.eat_punct("("):
-            inner = self.parse_pattern()
-            self.expect("punct", ")")
-            return inner
-        raise self.fail(f"expected a pattern, found {tok.text!r}")
 
     # -- programs --------------------------------------------------------------
 
@@ -360,34 +346,25 @@ class Program:
     decls: tuple[Decl, ...]
 
 
-def _parse_all(text: str, production: str):
+def _parse_all(text: str, production):
+    """Parse all of `text` with `production`, a `_Parser` method."""
     parser = _Parser(tokenize(text))
-    match production:
-        case "term":
-            out = parser.parse_term()
-        case "type":
-            out = parser.parse_valid_type()
-        case "pattern":
-            out = parser.parse_pattern()
-        case "program":
-            out = parser.parse_program()
-        case _:
-            raise ValueError(production)
+    out = production(parser)
     if parser.peek().kind != "eof":
         raise parser.fail(f"trailing input starting at {parser.peek().text!r}")
     return out
 
 
 def parse_program(text: str) -> Program:
-    return _parse_all(text, "program")
+    return _parse_all(text, _Parser.parse_program)
 
 
 def parse_term(text: str) -> Term:
-    return _parse_all(text, "term")
+    return _parse_all(text, _Parser.parse_term)
 
 
 def parse_type(text: str) -> MuType:
-    return _parse_all(text, "type")
+    return _parse_all(text, _Parser.parse_valid_type)
 
 
 # -- validation ---------------------------------------------------------------

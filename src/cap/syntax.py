@@ -18,25 +18,16 @@ class Matchable(Pattern):
 
     name: str
 
-    def __repr__(self) -> str:
-        return f"^{self.name}"
-
 
 @dataclass(frozen=True, slots=True)
 class PatternConst(Pattern):
     name: str
-
-    def __repr__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True, slots=True)
 class PatternCompound(Pattern):
     left: Pattern
     right: Pattern
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} {self.right!r})"
 
 
 class Term:
@@ -47,25 +38,16 @@ class Term:
 class Var(Term):
     name: str
 
-    def __repr__(self) -> str:
-        return self.name
-
 
 @dataclass(frozen=True, slots=True)
 class Const(Term):
     name: str
-
-    def __repr__(self) -> str:
-        return self.name
 
 
 @dataclass(frozen=True, slots=True)
 class App(Term):
     fun: Term
     arg: Term
-
-    def __repr__(self) -> str:
-        return f"({self.fun!r} {self.arg!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,9 +70,6 @@ class Abs(Term):
         if not self.branches:
             raise ValueError("abstraction needs at least one branch")
 
-    def __repr__(self) -> str:
-        return "(" + " | ".join(repr(b.pattern) + " => " + repr(b.body) for b in self.branches) + ")"
-
 
 Position = tuple[int, ...]
 
@@ -101,34 +80,26 @@ class InvalidPositionError(Exception):
     pass
 
 
-def free_matchables(p: Pattern) -> frozenset[str]:
+def matchables(p: Pattern) -> list[str]:
+    """The matchables of `p`, left to right, with repeats."""
     match p:
         case Matchable(name):
-            return frozenset((name,))
+            return [name]
         case PatternConst():
-            return frozenset()
+            return []
         case PatternCompound(l, r):
-            return free_matchables(l) | free_matchables(r)
+            return matchables(l) + matchables(r)
     raise TypeError(f"not a pattern: {p!r}")
+
+
+def free_matchables(p: Pattern) -> frozenset[str]:
+    return frozenset(matchables(p))
 
 
 def is_linear(p: Pattern) -> bool:
     """No matchable name occurs twice."""
-
-    def count(p: Pattern, seen: set[str]) -> bool:
-        match p:
-            case Matchable(name):
-                if name in seen:
-                    return False
-                seen.add(name)
-                return True
-            case PatternConst():
-                return True
-            case PatternCompound(l, r):
-                return count(l, seen) and count(r, seen)
-        raise TypeError(f"not a pattern: {p!r}")
-
-    return count(p, set())
+    names = matchables(p)
+    return len(names) == len(set(names))
 
 
 def free_vars(t: Term) -> frozenset[str]:

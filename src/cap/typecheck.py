@@ -129,7 +129,7 @@ def _infer_abs(env: TypeEnv, branches) -> MuType:
                 f"branch {i + 1}: annotations must cover exactly the pattern matchables ({', '.join(detail)})",
             )
         pattern_ty = type_pattern(bindings, branch.pattern)
-        judgements.append(PatternJudgement(tuple(bindings.items()), branch.pattern, pattern_ty))
+        judgements.append(PatternJudgement(branch.pattern, pattern_ty))
         body_types.append(infer_type({**env, **bindings}, branch.body))
     return abs_type(judgements, body_types)
 

@@ -76,7 +76,6 @@ def test_criterion_1_worked_example_corpus():
 
     # compound-head overlap demands exactly the engine's subtype verdict
     first = PatternJudgement(
-        (("z", parse_type("Nat")),),
         PatternCompound(PatternConst("Vl"), Matchable("z")),
         parse_type("Vl@Nat"),
     )
@@ -86,7 +85,6 @@ def test_criterion_1_worked_example_corpus():
         ("True + False", "branch_overlap_bad.cap", False),
     ):
         second = PatternJudgement(
-            (("x", parse_type("Vl")), ("y", parse_type(payload))),
             PatternCompound(Matchable("x"), Matchable("y")),
             parse_type(f"Vl@({payload})"),
         )

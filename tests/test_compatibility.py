@@ -29,8 +29,8 @@ XY = PatternCompound(Matchable("x"), Matchable("y"))
 W = Matchable("w")
 
 
-def judgement(bindings, pattern, ty):
-    return PatternJudgement(tuple((n, parse_type(t)) for n, t in bindings), pattern, parse_type(ty))
+def judgement(pattern, ty):
+    return PatternJudgement(pattern, parse_type(ty))
 
 
 def test_subsumes_examples():
@@ -88,8 +88,8 @@ def test_mismatch_walk_matches_the_position_scan():
 
 
 def test_pair_requires_subtype_on_subsumption():
-    first = judgement([("x", "True + False")], PatternCompound(PatternConst("Vl"), Matchable("x")), "Vl@(True + False)")
-    second = judgement([("y", "rec n. Zero + Succ@n")], PatternCompound(PatternConst("Vl"), Matchable("y")), "Vl@(rec n. Zero + Succ@n)")
+    first = judgement(PatternCompound(PatternConst("Vl"), Matchable("x")), "Vl@(True + False)")
+    second = judgement(PatternCompound(PatternConst("Vl"), Matchable("y")), "Vl@(rec n. Zero + Succ@n)")
     verdict = compatible_pair(first, second)
     assert verdict.reason == "subsumed"
     assert not verdict.compatible
@@ -99,9 +99,9 @@ def test_pair_requires_subtype_on_subsumption():
 
 def test_upd_branch_pairs_are_disjoint():
     fa = F_NAT
-    jp = judgement([("z", "Nat")], VL_Z, "Vl@Nat")
-    jq = judgement([("x", fa), ("y", fa)], XY, f"({fa})@({fa})")
-    jr = judgement([("w", "Cons + Node + Nil")], W, "Cons + Node + Nil")
+    jp = judgement(VL_Z, "Vl@Nat")
+    jq = judgement(XY, f"({fa})@({fa})")
+    jr = judgement(W, "Cons + Node + Nil")
     assert compatible_pair(jp, jq).reason == "disjoint"
     assert compatible_pair(jq, jr).reason == "disjoint"
     assert compatible_pair(jp, jr).reason == "disjoint"
@@ -109,9 +109,9 @@ def test_upd_branch_pairs_are_disjoint():
 
 
 def test_compound_head_obligation_tracks_subtyping():
-    first = judgement([("z", "Nat")], VL_Z, "Vl@Nat")
-    good = judgement([("x", "Vl"), ("y", "Nat")], XY, "Vl@Nat")
-    bad = judgement([("x", "Vl"), ("y", "True + False")], XY, "Vl@(True + False)")
+    first = judgement(VL_Z, "Vl@Nat")
+    good = judgement(XY, "Vl@Nat")
+    bad = judgement(XY, "Vl@(True + False)")
     v_good = compatible_pair(first, good)
     v_bad = compatible_pair(first, bad)
     assert v_good.reason == v_bad.reason == "overlap"
@@ -120,24 +120,24 @@ def test_compound_head_obligation_tracks_subtyping():
         assert verdict.compatible == is_subtype(*verdict.obligation)
     # a recursive head admitting Vl triggers the same obligation
     c2 = parse_type("rec c. Vl + c@c")
-    recursive = PatternJudgement((("x", c2), ("y", parse_type("Nat"))), XY, AppT(c2, parse_type("Nat")))
+    recursive = PatternJudgement(XY, AppT(c2, parse_type("Nat")))
     v_rec = compatible_pair(first, recursive)
     assert v_rec.reason == "overlap"
     assert v_rec.compatible == is_subtype(*v_rec.obligation)
 
 
 def test_list_reports_first_failing_pair():
-    ok = judgement([("z", "Nat")], VL_Z, "Vl@Nat")
-    clash = judgement([("y", "True + False")], PatternCompound(PatternConst("Vl"), Matchable("y")), "Vl@(True + False)")
+    ok = judgement(VL_Z, "Vl@Nat")
+    clash = judgement(PatternCompound(PatternConst("Vl"), Matchable("y")), "Vl@(True + False)")
     with pytest.raises(IncompatiblePair) as err:
         check_branch_compatibility([ok, clash, ok])
     assert (err.value.first_index, err.value.second_index) == (0, 1)
 
 
 def test_an_incompatible_list_raises_a_compatibility_error():
-    ok = judgement([("z", "Nat")], VL_Z, "Vl@Nat")
-    clash = judgement([("y", "True + False")], PatternCompound(PatternConst("Vl"), Matchable("y")), "Vl@(True + False)")
-    bad = judgement([("x", "Vl"), ("y", "True + False")], XY, "Vl@(True + False)")
+    ok = judgement(VL_Z, "Vl@Nat")
+    clash = judgement(PatternCompound(PatternConst("Vl"), Matchable("y")), "Vl@(True + False)")
+    bad = judgement(XY, "Vl@(True + False)")
     expected = {
         (0, 1): "branch 1 subsumes branch 2, so 'Vl@(True + False)' must be a subtype of 'Vl@Nat'; it does not hold",
         (0, 2): "branches 1 and 3 may overlap, so 'Vl@(True + False)' must be a subtype of 'Vl@Nat'; "
@@ -179,8 +179,8 @@ def test_typing_checks_each_branch_list_once(monkeypatch):
 
 
 def test_explain_collects_all_shared_symbols():
-    first = judgement([("z", "Nat")], VL_Z, "Vl@Nat")
-    other = judgement([("x", "Vl"), ("y", "Nat")], XY, "Vl@Nat")
+    first = judgement(VL_Z, "Vl@Nat")
+    other = judgement(XY, "Vl@Nat")
     verdict = compatible_pair(first, other)
     assert verdict.reason == "overlap"
     assert set(verdict.shared_symbols) == set(verdict.mismatches)
@@ -225,9 +225,9 @@ def test_compatibility_lemma_on_generated_values(seed):
     from cap.typecheck import type_pattern
 
     pattern_ty = type_pattern(dict(bindings), pattern)
-    own = PatternJudgement(bindings, pattern, pattern_ty)
+    own = PatternJudgement(pattern, pattern_ty)
     probe, probe_bind = pattern_of_type(rng, value_ty, [100])
-    other = PatternJudgement(probe_bind, probe, type_pattern(dict(probe_bind), probe))
+    other = PatternJudgement(probe, type_pattern(dict(probe_bind), probe))
     from cap.mu_types import admitted_symbols
 
     for pos in mismatch_positions(pattern, probe):

@@ -13,7 +13,7 @@ from cap.conformance import (
     weak_moves,
 )
 from cap.generators import GenConfig, gen_type, gen_typed_term
-from cap.reduction import evaluate
+from cap.reduction import evaluate, small_step
 from cap.relations import is_subtype
 from cap.surface import parse_term, parse_type, validate_type
 from cap.typecheck import check_type, infer_type
@@ -89,6 +89,18 @@ def test_weak_moves_and_random_order():
     assert len(moves) == 1  # only the inner redex has a value argument
     status, nf = random_order_normalize(random.Random(0), EX6, 100)
     assert status == "normal" and nf == evaluate(EX6).term
+
+
+def test_each_small_step_is_a_weak_move():
+    # small_step and weak_moves both fire redexes through reduction.beta
+    steps = 0
+    for seed in range(2000):
+        current, _ = gen_typed_term(GenConfig(seed=seed, max_term_nodes=12))
+        while (stepped := small_step(current)) is not None:
+            assert stepped[0] in weak_moves(current)
+            current = stepped[0]
+            steps += 1
+    assert steps > 1000
 
 
 def test_pattern_of_type_matches_shape():

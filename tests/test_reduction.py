@@ -120,6 +120,8 @@ def test_small_step_stuck_all_fail():
     with pytest.raises(StuckMatch) as err:
         small_step(term)
     assert err.value.kind == "all-fail"
+    assert err.value.abstraction is term.fun
+    assert evaluate(term).stuck.abstraction is term.fun
 
 
 def test_small_step_stuck_undecided_on_open_argument():
@@ -127,6 +129,8 @@ def test_small_step_stuck_undecided_on_open_argument():
     with pytest.raises(StuckMatch) as err:
         small_step(term)
     assert err.value.kind == "undecided"
+    assert err.value.abstraction is term.fun
+    assert evaluate(term).stuck.abstraction is term.fun
 
 
 def test_evaluate_example_six():

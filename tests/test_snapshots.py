@@ -1,0 +1,54 @@
+"""Replay the recorded stdout, stderr and exit code of `cap` on a fixed battery.
+
+The battery is `check` and `eval` on every corpus file, plain, `--json`,
+`--trace` and `--json --trace`, and one small `conform` run as text and as
+JSON. Run this file as a script to record the outputs again after a change
+that alters them on purpose.
+"""
+
+import io
+import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from cap.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+SNAPSHOTS = ROOT / "tests" / "snapshots" / "cli_outputs.json"
+FLAGS = ([], ["--json"], ["--trace"], ["--json", "--trace"])
+CONFORM = ["conform", "--seed", "3", "--cases", "10", "--pairs", "10"]
+
+
+def battery() -> list[list[str]]:
+    files = sorted(p.name for p in (ROOT / "corpus").glob("*.cap"))
+    runs = [[command, f"corpus/{name}", *flags] for name in files for command in ("check", "eval") for flags in FLAGS]
+    return runs + [CONFORM, CONFORM + ["--json"]]
+
+
+def run_cli(argv: list[str]) -> dict:
+    """Run `main` from the repository root and capture what it writes."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return {"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}
+
+
+RECORDED = json.loads(SNAPSHOTS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", battery(), ids=" ".join)
+def test_cli_output_matches_its_snapshot(argv):
+    assert run_cli(argv) == RECORDED[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    outputs = {" ".join(argv): run_cli(argv) for argv in battery()}
+    SNAPSHOTS.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8")

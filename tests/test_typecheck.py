@@ -17,7 +17,6 @@ from cap.syntax import (
     PatternCompound,
     PatternConst,
     Var,
-    apply_substitution,
     is_data_structure,
 )
 from cap.typecheck import check_type, infer_type, type_pattern
@@ -213,7 +212,7 @@ def test_substitution_preserves_types(seed):
                 return
             current = stepped[0]
             continue
-        from cap.reduction import StuckMatch, select_branch
+        from cap.reduction import StuckMatch, beta
         from cap.syntax import is_value
 
         if not (is_value(current.fun) and is_value(current.arg)):
@@ -223,12 +222,11 @@ def test_substitution_preserves_types(seed):
             current = stepped[0]
             continue
         try:
-            index, sub = select_branch(current.fun.branches, current.arg)
+            index, substituted = beta(current.fun, current.arg)
         except StuckMatch:
             return
         branch = current.fun.branches[index]
         body_env = {**branch.binding_map()}
         body_ty = infer_type(body_env, branch.body)
-        substituted = apply_substitution(sub, branch.body)
         assert is_subtype(infer_type({}, substituted), body_ty)
         return
