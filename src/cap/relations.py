@@ -157,9 +157,14 @@ class PairOracle:
     """The truncation oracle for one pair of types.
 
     Both sides' truncations share one hash-cons table and are built once for
-    every depth, both modes and any deeper re-check. Each mode computes its
-    engine verdict once and keeps one tree relation, so a depth compares only
-    the pairs of truncated subterms that no earlier depth compared.
+    every depth, both modes and any deeper re-check; each mode computes its
+    engine verdict once and keeps one tree relation. Truncation verdicts are
+    monotone in the depth: the truncation at k' < k is the one at k cut at
+    k', and cutting both sides to one depth keeps them related (unions
+    consume no depth). So they read True...True False...False from depth 0,
+    which always holds, and the first refuting depth decides them all: a true
+    engine verdict is checked once, at kmax, and otherwise the depths are
+    scanned upward from 1 to the first refuting one.
     """
 
     def __init__(self, a: MuType, b: MuType):
@@ -182,26 +187,19 @@ class PairOracle:
             rel = tree_relation(mode)  # a bad mode raises before any work
             self._modes[mode] = (rel, is_subtype(self.a, self.b) if mode == MODE_SUB else is_equivalent(self.a, self.b))
         rel, engine = self._modes[mode]
-        per_depth = [rel(self._left(k), self._right(k)) for k in range(kmax + 1)]
+
+        def refutes(k: int) -> bool:
+            return not rel(self._left(k), self._right(k))
+
+        limit = kmax if engine else max(kmax, 2 * kmax if deep_limit is None else deep_limit)
+        holds = engine and not refutes(kmax)
+        refuting = None if holds else next((k for k in range(1, limit + 1) if refutes(k)), None)
+        per_depth = [refuting is None or k < refuting for k in range(kmax + 1)]
         if engine:
-            return OracleReport(mode, True, per_depth, agree=all(per_depth), searched_to=kmax)
-        refuting = next((k for k, ok in enumerate(per_depth) if not ok), None)
-        searched = kmax
-        if refuting is None:
-            limit = deep_limit if deep_limit is not None else 2 * kmax
-            for k in range(kmax + 1, limit + 1):
-                searched = k
-                if not rel(self._left(k), self._right(k)):
-                    refuting = k
-                    break
+            return OracleReport(mode, True, per_depth, agree=refuting is None, searched_to=kmax)
+        searched = max(kmax, limit if refuting is None else refuting)
         return OracleReport(
-            mode,
-            False,
-            per_depth,
-            agree=True,
-            refuting_depth=refuting,
-            inconclusive=refuting is None,
-            searched_to=searched,
+            mode, False, per_depth, agree=True, refuting_depth=refuting, inconclusive=refuting is None, searched_to=searched
         )
 
 

@@ -103,19 +103,30 @@ def is_linear(p: Pattern) -> bool:
 
 
 def free_vars(t: Term) -> frozenset[str]:
+    return _free_vars(t, {})
+
+
+def _free_vars(t: Term, memo: dict[int, tuple[Term, frozenset[str]]]) -> frozenset[str]:
+    """`free_vars`, computed once per node: `memo` holds each node it has seen,
+    keyed on its id, so the ids stay valid for as long as the memo lives."""
+    got = memo.get(id(t))
+    if got is not None:
+        return got[1]
     match t:
         case Var(name):
-            return frozenset((name,))
+            out = frozenset((name,))
         case Const():
-            return frozenset()
+            out = frozenset()
         case App(f, a):
-            return free_vars(f) | free_vars(a)
+            out = _free_vars(f, memo) | _free_vars(a, memo)
         case Abs(branches):
-            out: frozenset[str] = frozenset()
+            out = frozenset()
             for b in branches:
-                out |= free_vars(b.body) - free_matchables(b.pattern)
-            return out
-    raise TypeError(f"not a term: {t!r}")
+                out |= _free_vars(b.body, memo) - free_matchables(b.pattern)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    memo[id(t)] = (t, out)
+    return out
 
 
 def positions(x: TyUnion[Term, Pattern]) -> frozenset[Position]:
@@ -160,7 +171,15 @@ def rename_matchable(p: Pattern, old: str, new: str) -> Pattern:
 
 
 def apply_substitution(sub: Substitution, t: Term) -> Term:
-    """Simultaneous capture-avoiding replacement of free variables."""
+    """Simultaneous capture-avoiding replacement of free variables.
+
+    Free variables are computed once per node for the whole call, so the
+    cost is linear in the size of `t`, however deeply its abstractions nest.
+    """
+    return _substitute(sub, t, {})
+
+
+def _substitute(sub: Substitution, t: Term, fv: dict) -> Term:
     if not sub:
         return t
     match t:
@@ -169,31 +188,32 @@ def apply_substitution(sub: Substitution, t: Term) -> Term:
         case Const():
             return t
         case App(f, a):
-            return App(apply_substitution(sub, f), apply_substitution(sub, a))
+            return App(_substitute(sub, f, fv), _substitute(sub, a, fv))
         case Abs(branches):
-            return Abs(tuple(_subst_branch(sub, b) for b in branches))
+            return Abs(tuple(_subst_branch(sub, b, fv) for b in branches))
     raise TypeError(f"not a term: {t!r}")
 
 
-def _subst_branch(sub: Substitution, b: Branch) -> Branch:
+def _subst_branch(sub: Substitution, b: Branch, fv: dict) -> Branch:
     binders = free_matchables(b.pattern)
-    live = {x: u for x, u in sub.items() if x not in binders and x in free_vars(b.body)}
+    body_vars = _free_vars(b.body, fv)
+    live = {x: u for x, u in sub.items() if x not in binders and x in body_vars}
     if not live:
         return b
     range_vars: set[str] = set()
     for u in live.values():
-        range_vars |= free_vars(u)
+        range_vars |= _free_vars(u, fv)
     captured = sorted(binders & range_vars)
     pattern, bindings, body = b.pattern, b.bindings, b.body
     if captured:
-        avoid = set(range_vars) | set(free_vars(body)) | set(binders) | set(live)
+        avoid = set(range_vars) | set(body_vars) | set(binders) | set(live)
         for old in captured:
             new = _fresh_name(old, avoid)
             avoid.add(new)
             pattern = rename_matchable(pattern, old, new)
             bindings = tuple((new if n == old else n, ty) for n, ty in bindings)
-            body = apply_substitution({old: Var(new)}, body)
-    return Branch(pattern, bindings, apply_substitution(live, body))
+            body = _substitute({old: Var(new)}, body, fv)
+    return Branch(pattern, bindings, _substitute(live, body, fv))
 
 
 # --- Classification ---------------------------------------------------------

@@ -1,9 +1,12 @@
 """The pair oracle against the one-query-at-a-time oracle it replaced.
 
-`reference_oracle_compare` truncates both sides afresh at every depth and in
-every mode; `PairOracle` shares one set of truncations per pair. Their
+`reference_oracle_compare` truncates both sides afresh and compares them at
+every depth and in every mode; `PairOracle` shares one set of truncations per
+pair and reads every depth's verdict from the first refuting one. Their
 reports must be identical, including the 2·kmax search and the deeper
-re-check that `run_differential` makes on the same oracle.
+re-check that `run_differential` makes on the same oracle. The lemma that
+reading rests on, monotonicity of truncation verdicts in the depth, is
+checked here too.
 """
 
 import json
@@ -14,7 +17,7 @@ import pytest
 from cap import relations
 from cap.cli import main
 from cap.generators import GenConfig, gen_type, mutate_type
-from cap.mu_types import AppT, Arrow, TypeConst, TypeVar, Union
+from cap.mu_types import BULLET, AppT, Arrow, TypeConst, TypeVar, Union
 from cap.relations import (
     MODE_EQ,
     MODE_SUB,
@@ -89,9 +92,13 @@ def test_pair_oracle_answers_the_same_in_any_query_order(seed):
             assert got.to_dict() == reference_oracle_compare(first, second, 8, mode, deep_limit).to_dict()
 
 
-def structural_classes(roots) -> tuple[int, int]:
-    """(reachable tree objects, classes of structurally equal ones) below `roots`."""
-    number: dict[int, int] = {}
+def structure_numbering():
+    """Number finite trees so that two get one number exactly when they are structurally equal.
+
+    Linear in the shared size of each tree. The memo keeps every tree it has
+    numbered, so their ids stay valid.
+    """
+    number: dict[int, tuple] = {}
     shapes: dict[tuple, int] = {}
 
     def go(t) -> int:
@@ -104,9 +111,15 @@ def structural_classes(roots) -> tuple[int, int]:
                     shape = (type(t), name)
                 case _:
                     raise TypeError(f"not a truncation: {t!r}")
-            got = number[id(t)] = shapes.setdefault(shape, len(shapes))
-        return got
+            got = number[id(t)] = (t, shapes.setdefault(shape, len(shapes)))
+        return got[1]
 
+    return go, number, shapes
+
+
+def structural_classes(roots) -> tuple[int, int]:
+    """(reachable tree objects, classes of structurally equal ones) below `roots`."""
+    go, number, shapes = structure_numbering()
     for root in roots:
         go(root)
     return len(number), len(shapes)
@@ -135,21 +148,24 @@ def _conses(n: int) -> str:
 STREAM = "rec a. Cons@a"
 
 
+DEEP_SEARCHES = [
+    # refuted within kmax
+    ("Vl@Nat", "Vl@Bool", 2, 2, 2),
+    # engine true: every depth holds, no search
+    ("rec x. Nat -> Nat -> x", "rec x. Nat -> x", 3, None, None),
+    # refuted in the 2·kmax search
+    (STREAM, _conses(3), 2, 4, 4),
+    # inconclusive at 2·kmax, refuted by the 4·kmax re-check
+    (STREAM, _conses(5), 2, None, 6),
+    (_conses(6), STREAM, 2, None, 7),
+    # inconclusive even at 4·kmax
+    (STREAM, _conses(9), 2, None, None),
+]
+
+
 @pytest.mark.parametrize(
     "left, right, kmax, refuted_at, deep_refuted_at",
-    [
-        # refuted within kmax
-        ("Vl@Nat", "Vl@Bool", 2, 2, 2),
-        # engine true: every depth holds, no search
-        ("rec x. Nat -> Nat -> x", "rec x. Nat -> x", 3, None, None),
-        # refuted in the 2·kmax search
-        (STREAM, _conses(3), 2, 4, 4),
-        # inconclusive at 2·kmax, refuted by the 4·kmax re-check
-        (STREAM, _conses(5), 2, None, 6),
-        (_conses(6), STREAM, 2, None, 7),
-        # inconclusive even at 4·kmax
-        (STREAM, _conses(9), 2, None, None),
-    ],
+    DEEP_SEARCHES,
     ids=["within-kmax", "engine-true", "2kmax-search", "4kmax-recheck", "4kmax-recheck-reversed", "inconclusive"],
 )
 def test_pair_oracle_matches_the_reference_on_deep_searches(left, right, kmax, refuted_at, deep_refuted_at):
@@ -185,11 +201,104 @@ def test_pair_oracle_asks_the_engine_once_per_mode(monkeypatch):
 
 def test_pair_oracle_needs_every_depth_to_agree_with_a_true_engine(monkeypatch):
     # an engine that wrongly says true must be caught by the depths that refute the pair
+    a, b = parse_type("Vl@Nat"), parse_type("Vl@Bool")
+    expected = reference_oracle_compare(a, b, 2, MODE_SUB).per_depth
     monkeypatch.setattr(relations, "is_subtype", lambda a, b: True)
-    report = PairOracle(parse_type("Vl@Nat"), parse_type("Vl@Bool")).compare(2, MODE_SUB)
+    report = PairOracle(a, b).compare(2, MODE_SUB)
     assert report.engine is True
     assert report.per_depth[0] and not all(report.per_depth)
+    assert report.per_depth == expected
     assert report.agree is False
+
+
+def test_pair_oracle_searches_no_further_than_kmax_when_deep_limit_is_shorter():
+    # no depth up to 8 refutes the pair; a deep limit below kmax searches nothing beyond it
+    a, b = parse_type(STREAM), parse_type(_conses(9))
+    oracle = PairOracle(a, b)
+    for mode in (MODE_SUB, MODE_EQ):
+        got = oracle.compare(8, mode, deep_limit=4)
+        assert got.searched_to == 8 and got.inconclusive and got.refuting_depth is None
+        assert got.to_dict() == reference_oracle_compare(a, b, 8, mode, deep_limit=4).to_dict()
+
+
+def _counting_tree_relation(monkeypatch) -> list:
+    """The mode of every comparison made through a relation that `tree_relation` returns."""
+    compared = []
+    original = relations.tree_relation
+
+    def counting(mode):
+        rel = original(mode)
+        return lambda x, y: compared.append(mode) or rel(x, y)
+
+    monkeypatch.setattr(relations, "tree_relation", counting)
+    return compared
+
+
+@pytest.mark.parametrize("left, right", [(F_NAT, F_NAT), ("rec x. Nat -> Nat -> x", "rec x. Nat -> x")])
+def test_pair_oracle_compares_an_engine_true_pair_once_per_mode(monkeypatch, left, right):
+    a, b = parse_type(left), parse_type(right)
+    expected = [reference_oracle_compare(a, b, 8, mode).to_dict() for mode in (MODE_SUB, MODE_EQ)]
+    compared = _counting_tree_relation(monkeypatch)
+    oracle = PairOracle(a, b)
+    assert [oracle.compare(8, mode).to_dict() for mode in (MODE_SUB, MODE_EQ)] == expected
+    assert all(report["engine"] for report in expected)
+    assert compared == [MODE_SUB, MODE_EQ]
+
+
+@pytest.mark.parametrize(
+    "left, right, kmax, refuted_at",
+    [("Vl@Nat", "Vl@Bool", 8, 2), (STREAM, _conses(3), 2, 4), ("rec a. Cons@a", "rec b. Cons@b + Nil", 8, 1)],
+    ids=["within-kmax", "beyond-kmax", "at-depth-1"],
+)
+def test_pair_oracle_compares_a_refuted_pair_up_to_its_refuting_depth(monkeypatch, left, right, kmax, refuted_at):
+    a, b = parse_type(left), parse_type(right)
+    expected = reference_oracle_compare(a, b, kmax, MODE_EQ).to_dict()
+    compared = _counting_tree_relation(monkeypatch)
+    got = PairOracle(a, b).compare(kmax, MODE_EQ)
+    assert got.to_dict() == expected and got.refuting_depth == refuted_at
+    assert len(compared) == refuted_at
+
+
+def cut(t, depth: int):
+    """A finite type cut at constructor depth `depth`, as truncation cuts it."""
+    memo: dict[tuple[int, int], object] = {}
+
+    def go(t, k: int):
+        if k == 0:
+            return BULLET
+        key = (id(t), k)
+        if key not in memo:
+            match t:
+                case AppT(left, right) | Arrow(left, right):
+                    memo[key] = type(t)(go(left, k - 1), go(right, k - 1))
+                case Union(left, right):
+                    memo[key] = Union(go(left, k), go(right, k))
+                case _:
+                    memo[key] = t
+        return memo[key]
+
+    return go(t, depth)
+
+
+@pytest.mark.parametrize("seed", [0, 1000, 7777, "deep-search"])
+def test_truncation_verdicts_are_monotone_in_the_depth(seed):
+    # the lemma the oracle's sweep rests on: a truncation at a shallower depth
+    # is the deeper one cut, and cutting keeps related truncations related, so
+    # the verdicts over depths 0..12 read True...True False...False
+    if seed == "deep-search":
+        pairs = [(parse_type(left), parse_type(right)) for left, right, *_ in DEEP_SEARCHES]
+    else:
+        pairs = list(generated_pairs(seed, 300))
+    for first, second in pairs:
+        lefts = [reference_truncate(first, k) for k in range(13)]
+        rights = [reference_truncate(second, k) for k in range(13)]
+        shape, _, _ = structure_numbering()
+        for trees in (lefts, rights):
+            for k, tree in enumerate(trees):
+                assert all(shape(cut(tree, shallower)) == shape(trees[shallower]) for shallower in range(k + 1))
+        for mode in (MODE_SUB, MODE_EQ):
+            verdicts = [finite_tree_rel(x, y, mode) for x, y in zip(lefts, rights)]
+            assert verdicts[0] and verdicts == sorted(verdicts, reverse=True)
 
 
 def test_pair_oracle_rejects_what_oracle_compare_rejects():

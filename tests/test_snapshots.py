@@ -1,8 +1,9 @@
 """Replay the recorded stdout, stderr and exit code of `cap` on a fixed battery.
 
 The battery is `check` and `eval` on every corpus file, plain, `--json`,
-`--trace` and `--json --trace`, and one small `conform` run as text and as
-JSON. Run this file as a script to record the outputs again after a change
+`--trace` and `--json --trace`, and two small `conform` runs as text and as
+JSON. The second, at `--kmax 1`, reaches the oracle's deep paths: pairs
+refuted beyond kmax, the 4·kmax re-check and an inconclusive pair. Run this file as a script to record the outputs again after a change
 that alters them on purpose.
 """
 
@@ -20,12 +21,13 @@ ROOT = Path(__file__).resolve().parent.parent
 SNAPSHOTS = ROOT / "tests" / "snapshots" / "cli_outputs.json"
 FLAGS = ([], ["--json"], ["--trace"], ["--json", "--trace"])
 CONFORM = ["conform", "--seed", "3", "--cases", "10", "--pairs", "10"]
+CONFORM_DEEP = ["conform", "--seed", "245", "--cases", "5", "--pairs", "120", "--kmax", "1"]
 
 
 def battery() -> list[list[str]]:
     files = sorted(p.name for p in (ROOT / "corpus").glob("*.cap"))
     runs = [[command, f"corpus/{name}", *flags] for name in files for command in ("check", "eval") for flags in FLAGS]
-    return runs + [CONFORM, CONFORM + ["--json"]]
+    return runs + [CONFORM, CONFORM + ["--json"], CONFORM_DEEP, CONFORM_DEEP + ["--json"]]
 
 
 def run_cli(argv: list[str]) -> dict:

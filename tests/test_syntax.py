@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from cap import syntax
 from cap.generators import GenConfig, gen_typed_term
 from cap.syntax import (
     Abs,
@@ -121,3 +122,23 @@ def test_positions_law_on_generated_terms(seed):
     term, _ = gen_typed_term(GenConfig(seed=seed, max_term_nodes=10))
     for pos in positions(term):
         assert subterm_at(term, pos) is not None
+
+
+def _nested_abstractions(n: int, t=Var("f")):
+    """n abstractions deep, each body `(previous) x_i`, with `t` at the bottom."""
+    for i in range(n):
+        t = abs1(Matchable(f"x{i}"), ((f"x{i}", TypeConst("A")),), App(t, Var(f"x{i}")))
+    return t
+
+
+def test_substitution_is_linear_in_the_nesting_depth(monkeypatch):
+    visits = []
+    original = syntax._free_vars
+    monkeypatch.setattr(syntax, "_free_vars", lambda t, memo: visits.append(t) or original(t, memo))
+    counts = []
+    for n in (100, 200):
+        visits.clear()
+        out = apply_substitution({"f": Const("C")}, _nested_abstractions(n))
+        counts.append(len(visits))
+        assert pretty(out) == pretty(_nested_abstractions(n, Const("C")))
+    assert counts[1] <= 2.2 * counts[0]
