@@ -31,8 +31,6 @@ from .syntax import (
     Term,
     Var,
     apply_substitution,
-    positions,
-    subterm_at,
 )
 from .typecheck import check_type, infer_type, type_pattern
 
@@ -74,10 +72,8 @@ __all__ = [
     "parse_program",
     "parse_term",
     "parse_type",
-    "positions",
     "pretty",
     "small_step",
-    "subterm_at",
     "truncate",
     "truncations",
     "type_pattern",

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .conformance import GenConfig, run_conformance
-from .diagnostics import EXIT_CODES, CapError, Diagnostic
+from .diagnostics import EXIT_CODES, CapError
 from .program import DeclResult, SessionState, check_program, process_decl
 from .reduction import DEFAULT_FUEL
 from .relations import MODE_EQ, MODE_SUB, PairOracle, is_equivalent, is_subtype
@@ -20,7 +20,7 @@ EXIT_OK = 0
 EXIT_CONFORMANCE = 4
 
 
-def _print_diagnostic(diag: Diagnostic, as_json: bool) -> None:
+def _print_diagnostic(diag: CapError, as_json: bool) -> None:
     if as_json:
         print(json.dumps(diag.to_dict()))
         return
@@ -30,10 +30,10 @@ def _print_diagnostic(diag: Diagnostic, as_json: bool) -> None:
     print(text, file=sys.stderr)
 
 
-def _to_diagnostic(err: CapError | RecursionError) -> Diagnostic:
+def _to_diagnostic(err: CapError | RecursionError) -> CapError:
     if isinstance(err, RecursionError):
-        return Diagnostic(code="resource", message="input is nested too deeply to process")
-    return err.to_diagnostic()
+        return CapError("resource", "input is nested too deeply to process")
+    return err
 
 
 def _exit_code(results: list[DeclResult]) -> int:
@@ -158,7 +158,7 @@ def cmd_repl(args) -> int:
         if line.strip() in (":q", ":quit"):
             return EXIT_OK
         buffer += line + "\n"
-        if ";" not in line:
+        if ";" not in line.split("--", 1)[0]:  # a ';' in a comment ends nothing
             continue
         source, buffer = buffer, ""
         try:

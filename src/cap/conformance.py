@@ -250,17 +250,16 @@ def run_differential(cfg: GenConfig, pairs: int, kmax: int) -> DifferentialRepor
         oracle = PairOracle(first, second)
         both_sub = False
         for mode in (MODE_SUB, MODE_EQ):
-            result = oracle.compare(kmax, mode)
+            result = oracle.compare(kmax, mode, deep_limit=4 * kmax)
             if not result.agree:
                 report.disagreements.append(_pair_failure(cfg.seed + 2 * i, first, second, f"{mode}: {result.to_dict()}"))
             if not result.engine:
                 report.engine_false += 1
-                if result.refuting_depth is not None:
+                if result.refuting_depth is not None and result.refuting_depth <= 2 * kmax:
                     report.refuted_within_2k += 1
                 else:
-                    deeper = oracle.compare(kmax, mode, deep_limit=4 * kmax)
                     report.reverified += 1
-                    if deeper.refuting_depth is None:
+                    if result.refuting_depth is None:
                         report.inconclusive.append(
                             _pair_failure(cfg.seed + 2 * i, first, second, f"{mode}: no refutation to {4 * kmax}")
                         )

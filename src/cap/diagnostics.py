@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 
 # Every diagnostic code and the CLI exit code it ends in. The order is the
@@ -21,23 +21,28 @@ class Span:
 
 
 @dataclass
-class Diagnostic:
+class CapError(Exception):
+    """A diagnostic, raised where the failure is found: a code from
+    `EXIT_CODES` and a message, located by `span` and `decl` once those are
+    known. An unset span is reported as 1:1."""
+
     code: str
     message: str
-    span: Span = field(default_factory=Span)
-    decl: str | None = None
     expected: str | None = None
     actual: str | None = None
+    span: Span | None = None
+    decl: str | None = None
 
     def __post_init__(self) -> None:
         if self.code not in EXIT_CODES:
             raise ValueError(f"unknown diagnostic code {self.code!r}")
+        super().__init__(self.message)
 
     def to_dict(self) -> dict:
         out = {
             "decl": self.decl,
             "code": self.code,
-            "span": self.span.to_dict(),
+            "span": (self.span or Span()).to_dict(),
             "message": self.message,
         }
         if self.expected is not None:
@@ -47,7 +52,8 @@ class Diagnostic:
         return out
 
     def render(self) -> str:
-        head = f"{self.span.line}:{self.span.col}: error[{self.code}]"
+        span = self.span or Span()
+        head = f"{span.line}:{span.col}: error[{self.code}]"
         if self.decl:
             head += f" in {self.decl}"
         text = f"{head}: {self.message}"
@@ -56,24 +62,3 @@ class Diagnostic:
         if self.actual is not None:
             text += f"\n  actual:   {self.actual}"
         return text
-
-
-class CapError(Exception):
-    """Internal error carrying the fields of a diagnostic."""
-
-    def __init__(self, code: str, message: str, expected: str | None = None, actual: str | None = None):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-        self.expected = expected
-        self.actual = actual
-
-    def to_diagnostic(self, span: Span | None = None, decl: str | None = None) -> Diagnostic:
-        return Diagnostic(
-            code=self.code,
-            message=self.message,
-            span=span or Span(),
-            decl=decl,
-            expected=self.expected,
-            actual=self.actual,
-        )

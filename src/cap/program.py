@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import CapError, Diagnostic
+from .diagnostics import CapError
 from .mu_types import MuType
 from .reduction import DEFAULT_FUEL, EvalResult, evaluate
 from .surface import Assume, Check, Def, Eval, Program, pretty
@@ -15,7 +15,7 @@ from .typecheck import TypeEnv, check_type, infer_type
 @dataclass
 class DeclResult:
     label: str
-    diagnostic: Diagnostic | None = None
+    diagnostic: CapError | None = None
     inferred: MuType | None = None
     evaluated: EvalResult | None = None
 
@@ -61,17 +61,14 @@ def process_decl(state: SessionState, decl, fuel: int = DEFAULT_FUEL, trace: boo
                 result = evaluate(resolved, fuel=fuel, trace=trace)
                 if result.status != "normal":
                     detail = str(result.stuck) if result.stuck else "step budget exhausted"
-                    diag = Diagnostic(
-                        code="runtime",
-                        message=f"evaluation did not reach a value: {detail}",
-                        span=decl.span,
-                        decl=label,
-                        actual=pretty(result.term),
-                    )
+                    message = f"evaluation did not reach a value: {detail}"
+                    diag = CapError("runtime", message, actual=pretty(result.term), span=decl.span, decl=label)
                     return DeclResult(label, diagnostic=diag, inferred=ty, evaluated=result)
                 return DeclResult(label, inferred=ty, evaluated=result)
     except CapError as err:
-        return DeclResult(label, diagnostic=err.to_diagnostic(span=decl.span, decl=label))
+        # the result keeps the error, but not the frames its traceback holds
+        err.span, err.decl = decl.span, label
+        return DeclResult(label, diagnostic=err.with_traceback(None))
     raise TypeError(f"not a declaration: {decl!r}")
 
 

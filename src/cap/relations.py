@@ -157,21 +157,20 @@ class PairOracle:
     """The truncation oracle for one pair of types.
 
     Both sides' truncations share one hash-cons table and are built once for
-    every depth, both modes and any deeper re-check; each mode computes its
-    engine verdict once and keeps one tree relation. Truncation verdicts are
-    monotone in the depth: the truncation at k' < k is the one at k cut at
-    k', and cutting both sides to one depth keeps them related (unions
-    consume no depth). So they read True...True False...False from depth 0,
-    which always holds, and the first refuting depth decides them all: a true
-    engine verdict is checked once, at kmax, and otherwise the depths are
-    scanned upward from 1 to the first refuting one.
+    every depth and both modes; each `compare` asks the engine once and keeps
+    one tree relation. Truncation verdicts are monotone in the depth: the
+    truncation at k' < k is the one at k cut at k', and cutting both sides to
+    one depth keeps them related (unions consume no depth). So they read
+    True...True False...False from depth 0, which always holds, and the first
+    refuting depth decides them all: a true engine verdict is checked once, at
+    kmax, and otherwise the depths are scanned upward from 1 to the first
+    refuting one.
     """
 
     def __init__(self, a: MuType, b: MuType):
         self.a, self.b = a, b
         table: dict = {}
         self._left, self._right = truncations(a, table), truncations(b, table)
-        self._modes: dict[str, tuple[Callable[[MuType, MuType], bool], bool]] = {}
 
     def compare(self, kmax: int, mode: str, deep_limit: int | None = None) -> OracleReport:
         """Cross-check the engine against truncation verdicts for depths 0..kmax.
@@ -183,10 +182,8 @@ class PairOracle:
         """
         if kmax < 1:
             raise ValueError("kmax must be at least 1")
-        if mode not in self._modes:
-            rel = tree_relation(mode)  # a bad mode raises before any work
-            self._modes[mode] = (rel, is_subtype(self.a, self.b) if mode == MODE_SUB else is_equivalent(self.a, self.b))
-        rel, engine = self._modes[mode]
+        rel = tree_relation(mode)  # a bad mode raises before any work
+        engine = is_subtype(self.a, self.b) if mode == MODE_SUB else is_equivalent(self.a, self.b)
 
         def refutes(k: int) -> bool:
             return not rel(self._left(k), self._right(k))

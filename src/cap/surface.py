@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagnostics import CapError, Diagnostic, Span
+from .diagnostics import CapError, Span
 from .mu_types import (
     BULLET_NAME,
     AppT,
@@ -59,18 +59,6 @@ class Token:
     @property
     def span(self) -> Span:
         return Span(self.line, self.col)
-
-
-class ParseFailure(CapError):
-    """A rejected input: a syntax error (code `parse`) or an ill-formed type
-    (code `sort` or `contractiveness`), located at its first token."""
-
-    def __init__(self, message: str, span: Span, code: str = "parse", actual: str | None = None):
-        super().__init__(code, message, actual=actual)
-        self.span = span
-
-    def to_diagnostic(self, span: Span | None = None, decl: str | None = None) -> Diagnostic:
-        return super().to_diagnostic(span or self.span, decl)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -117,7 +105,7 @@ def tokenize(text: str) -> list[Token]:
                 tokens.append(Token("lower", word, line, col))
             col += width
             continue
-        raise ParseFailure(f"unexpected character {ch!r}", Span(line, col))
+        raise CapError("parse", f"unexpected character {ch!r}", span=Span(line, col))
     tokens.append(Token("eof", "", line, col))
     return tokens
 
@@ -135,8 +123,8 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str) -> ParseFailure:
-        return ParseFailure(message, self.peek().span)
+    def fail(self, message: str) -> CapError:
+        return CapError("parse", message, span=self.peek().span)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.peek()
@@ -164,7 +152,8 @@ class _Parser:
         try:
             return validate_type(t)
         except CapError as err:
-            raise ParseFailure(err.message, start, err.code, err.actual) from err
+            err.span = start
+            raise
 
     def parse_type(self) -> MuType:
         left = self.parse_union_type()
@@ -252,7 +241,7 @@ class _Parser:
         self.expect("punct", "]")
         pattern = self.parse_pattern()
         if not is_linear(pattern):
-            raise ParseFailure("pattern binds a matchable twice", opening.span)
+            raise CapError("parse", "pattern binds a matchable twice", span=opening.span)
         self.expect("punct", "=>")
         body = self.parse_term()
         return Branch(pattern, tuple(bindings), body)

@@ -1,9 +1,8 @@
-"""Terms and patterns: abstract syntax, positions, free names, substitution."""
+"""Terms and patterns: abstract syntax, free names, substitution."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union as TyUnion
 
 from .mu_types import MuType, _fresh_name
 
@@ -76,10 +75,6 @@ Position = tuple[int, ...]
 Substitution = dict[str, Term]
 
 
-class InvalidPositionError(Exception):
-    pass
-
-
 def matchables(p: Pattern) -> list[str]:
     """The matchables of `p`, left to right, with repeats."""
     match p:
@@ -127,36 +122,6 @@ def _free_vars(t: Term, memo: dict[int, tuple[Term, frozenset[str]]]) -> frozens
             raise TypeError(f"not a term: {t!r}")
     memo[id(t)] = (t, out)
     return out
-
-
-def positions(x: TyUnion[Term, Pattern]) -> frozenset[Position]:
-    """Positions descend only through applications and pattern compounds."""
-    out: set[Position] = set()
-
-    def go(x, at: Position) -> None:
-        out.add(at)
-        match x:
-            case App(f, a):
-                go(f, at + (1,))
-                go(a, at + (2,))
-            case PatternCompound(l, r):
-                go(l, at + (1,))
-                go(r, at + (2,))
-
-    go(x, ())
-    return frozenset(out)
-
-
-def subterm_at(x: TyUnion[Term, Pattern], pos: Position) -> TyUnion[Term, Pattern]:
-    for step in pos:
-        if step not in (1, 2):
-            raise InvalidPositionError(f"bad step {step} in {pos}")
-        match x:
-            case App(f, a) | PatternCompound(f, a):
-                x = f if step == 1 else a
-            case _:
-                raise InvalidPositionError(f"no subterm at {pos}")
-    return x
 
 
 def rename_matchable(p: Pattern, old: str, new: str) -> Pattern:

@@ -16,7 +16,7 @@ from cap.mu_types import (
     unfold_once,
 )
 from cap.surface import parse_term, parse_type
-from cap.syntax import Pattern, positions, subterm_at
+from cap.syntax import App, Pattern, PatternCompound, Position, Term
 
 
 @pytest.fixture
@@ -91,6 +91,40 @@ def reference_admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str
                     active.discard(key)
 
     return go(t, pos)
+
+
+class InvalidPositionError(Exception):
+    pass
+
+
+def positions(x: Term | Pattern) -> frozenset[Position]:
+    """Positions descend only through applications and pattern compounds."""
+    out: set[Position] = set()
+
+    def go(x, at: Position) -> None:
+        out.add(at)
+        match x:
+            case App(f, a):
+                go(f, at + (1,))
+                go(a, at + (2,))
+            case PatternCompound(l, r):
+                go(l, at + (1,))
+                go(r, at + (2,))
+
+    go(x, ())
+    return frozenset(out)
+
+
+def subterm_at(x: Term | Pattern, pos: Position) -> Term | Pattern:
+    for step in pos:
+        if step not in (1, 2):
+            raise InvalidPositionError(f"bad step {step} in {pos}")
+        match x:
+            case App(f, a) | PatternCompound(f, a):
+                x = f if step == 1 else a
+            case _:
+                raise InvalidPositionError(f"no subterm at {pos}")
+    return x
 
 
 def maximal_positions(pos_set: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:

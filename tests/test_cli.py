@@ -218,6 +218,18 @@ def test_repl_goes_on_after_a_sort_error(capsys, monkeypatch):
     assert "assume n: Nat" in captured.out
 
 
+def test_repl_reads_on_past_a_semicolon_in_a_comment(capsys, monkeypatch):
+    # as in a file, the ';' after "--" is part of the comment and ends nothing
+    lines = iter(["def x = -- a; comment", " A;", "eval x;", ":q"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(lines))
+    code = main(["repl"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "def x: A" in captured.out
+    assert "eval: A  [0 steps]" in captured.out
+
+
 def test_repl_goes_on_after_a_too_deep_line():
     deep = "eval " + "Cons A (" * 1200 + "Nil" + ")" * 1200 + ";\n"
     root = CORPUS.parent

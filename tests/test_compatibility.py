@@ -19,10 +19,10 @@ from cap.mu_types import AppT
 from cap.reduction import FAIL, Success, evaluate, match_pattern
 from cap.relations import is_subtype
 from cap.surface import parse_type
-from cap.syntax import Matchable, PatternCompound, PatternConst, positions
+from cap.syntax import Matchable, PatternCompound, PatternConst
 from cap.typecheck import infer_type
 
-from conftest import F_NAT, maximal_positions, reference_mismatch_positions
+from conftest import F_NAT, maximal_positions, positions, reference_mismatch_positions
 
 VL_Z = PatternCompound(PatternConst("Vl"), Matchable("z"))
 XY = PatternCompound(Matchable("x"), Matchable("y"))

@@ -28,7 +28,7 @@ from cap.mu_types import (
 from cap.relations import MODE_EQ, MODE_SUB, is_equivalent, oracle_compare
 from cap.surface import parse_type, pretty
 
-from conftest import F_NAT, LIST_A, reference_admitted_symbols, reference_truncate
+from conftest import F_NAT, LIST_A, positions, reference_admitted_symbols, reference_truncate
 
 
 def test_unfolding_renames_a_binder_that_would_capture():
@@ -263,7 +263,6 @@ def test_admitted_symbols_nonempty_at_typed_pattern_positions(seed):
     import random
 
     from cap.conformance import pattern_of_type
-    from cap.syntax import positions
     from cap.typecheck import type_pattern
 
     rng = random.Random(seed)

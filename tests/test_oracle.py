@@ -3,8 +3,8 @@
 `reference_oracle_compare` truncates both sides afresh and compares them at
 every depth and in every mode; `PairOracle` shares one set of truncations per
 pair and reads every depth's verdict from the first refuting one. Their
-reports must be identical, including the 2·kmax search and the deeper
-re-check that `run_differential` makes on the same oracle. The lemma that
+reports must be identical, including the default 2·kmax search and the
+4·kmax one that `run_differential` asks for. The lemma that
 reading rests on, monotonicity of truncation verdicts in the depth, is
 checked here too.
 """
@@ -16,6 +16,7 @@ import pytest
 
 from cap import relations
 from cap.cli import main
+from cap.conformance import run_differential
 from cap.generators import GenConfig, gen_type, mutate_type
 from cap.mu_types import BULLET, AppT, Arrow, TypeConst, TypeVar, Union
 from cap.relations import (
@@ -53,7 +54,7 @@ def reference_oracle_compare(a, b, kmax: int, mode: str, deep_limit: int | None 
 
 
 def assert_same_reports(a, b, kmax: int) -> None:
-    """Both modes and the 4·kmax re-check on one pair oracle, as `run_differential` asks them."""
+    """Both modes on one pair oracle, with the default search and with the 4·kmax one of `run_differential`."""
     oracle = PairOracle(a, b)
     for mode in (MODE_SUB, MODE_EQ):
         got = oracle.compare(kmax, mode)
@@ -187,16 +188,16 @@ def test_pair_oracle_answers_the_deep_re_check_after_the_first_query():
     assert shallow.to_dict() == reference_oracle_compare(a, b, 2, MODE_EQ).to_dict()
 
 
-def test_pair_oracle_asks_the_engine_once_per_mode(monkeypatch):
-    calls = []
-    monkeypatch.setattr(relations, "is_subtype", lambda a, b: calls.append(MODE_SUB) or is_subtype(a, b))
-    monkeypatch.setattr(relations, "is_equivalent", lambda a, b: calls.append(MODE_EQ) or is_equivalent(a, b))
-    oracle = PairOracle(parse_type(STREAM), parse_type(_conses(5)))
-    for mode in (MODE_SUB, MODE_EQ):
-        oracle.compare(2, mode)
-        oracle.compare(2, mode, deep_limit=8)
-        oracle.compare(3, mode)
-    assert calls == [MODE_SUB, MODE_EQ]
+def test_run_differential_asks_the_oracle_and_the_engine_once_per_pair_and_mode(monkeypatch):
+    compared, queries = [], []
+    compare = PairOracle.compare
+    monkeypatch.setattr(PairOracle, "compare", lambda self, *args, **kw: compared.append(args[1]) or compare(self, *args, **kw))
+    monkeypatch.setattr(relations, "is_subtype", lambda a, b: queries.append(MODE_SUB) or is_subtype(a, b))
+    monkeypatch.setattr(relations, "is_equivalent", lambda a, b: queries.append(MODE_EQ) or is_equivalent(a, b))
+    # at this seed and kmax the run refutes pairs within 2·kmax, beyond it, and not at all
+    report = run_differential(GenConfig(seed=245), pairs=120, kmax=1)
+    assert report.refuted_within_2k and report.reverified > len(report.inconclusive) > 0
+    assert compared == queries == [MODE_SUB, MODE_EQ] * 120
 
 
 def test_pair_oracle_needs_every_depth_to_agree_with_a_true_engine(monkeypatch):

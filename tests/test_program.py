@@ -34,6 +34,10 @@ def test_untypable_applications_rejected_individually():
     results = run_file("untypable_app.cap")
     assert [r.ok for r in results] == [False, False]
     assert all(r.diagnostic.code == "type" for r in results)
+    # each result keeps its error, located at its declaration, but not the
+    # frames of the checker that raised it
+    assert [(r.diagnostic.span.line, r.diagnostic.decl) for r in results] == [(3, "check"), (4, "check")]
+    assert all(r.diagnostic.__traceback__ is None for r in results)
 
 
 def test_compat_failure_reported():

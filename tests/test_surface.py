@@ -18,7 +18,6 @@ from cap.mu_types import (
     is_datatype,
 )
 from cap.surface import (
-    ParseFailure,
     parse_program,
     parse_term,
     parse_type,
@@ -61,10 +60,15 @@ def test_comments_and_spans():
 
 
 def test_parse_failure_has_span():
-    with pytest.raises(ParseFailure) as err:
+    with pytest.raises(CapError) as err:
         parse_program("eval ;")
     assert err.value.span.line == 1
     assert err.value.span.col == 6
+
+
+def test_an_error_needs_a_known_diagnostic_code():
+    with pytest.raises(ValueError):
+        CapError("nope", "x")
 
 
 def test_rec_binders_get_sorts():
@@ -194,7 +198,7 @@ def test_sort_rule_matches_the_retry_based_reference():
 
 
 def test_a_type_with_several_sort_errors_names_the_first_under_the_computed_sorts():
-    with pytest.raises(ParseFailure) as err:
+    with pytest.raises(CapError) as err:
         parse_type("rec a. a@Z + (X -> Y)@a")
     assert (err.value.code, err.value.actual) == ("sort", "X -> Y")
     assert (err.value.span.line, err.value.span.col) == (1, 1)
@@ -256,7 +260,7 @@ def test_validate_accepts(text):
     ],
 )
 def test_validate_rejects(text, code):
-    with pytest.raises(ParseFailure) as err:
+    with pytest.raises(CapError) as err:
         parse_type(text)
     assert err.value.code == code
 
@@ -268,7 +272,7 @@ def test_bullet_atom_is_reserved():
 
 
 def test_lexer_rejects_stray_characters():
-    with pytest.raises(ParseFailure):
+    with pytest.raises(CapError):
         tokenize("Nat # Bool")
 
 
@@ -352,10 +356,11 @@ def test_parsers_round_trip_or_raise_parse_failure(text):
     for parse in (parse_type, parse_term):
         try:
             parsed = parse(text)
-        except ParseFailure:
+        except CapError as err:
+            assert err.span is not None
             continue
         assert parse(pretty(parsed)) == parsed
     try:
         parse_program(text)
-    except ParseFailure:
-        pass
+    except CapError as err:
+        assert err.span is not None

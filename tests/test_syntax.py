@@ -8,7 +8,6 @@ from cap.syntax import (
     App,
     Branch,
     Const,
-    InvalidPositionError,
     Matchable,
     PatternCompound,
     PatternConst,
@@ -19,11 +18,11 @@ from cap.syntax import (
     is_linear,
     is_matchable_form,
     is_value,
-    positions,
-    subterm_at,
 )
 from cap.mu_types import TypeConst
 from cap.surface import parse_term, pretty
+
+from conftest import InvalidPositionError, positions, subterm_at
 
 
 def abs1(pattern, bindings, body):
