@@ -20,11 +20,12 @@ class Span:
         return asdict(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class CapError(Exception):
     """A diagnostic, raised where the failure is found: a code from
     `EXIT_CODES` and a message, located by `span` and `decl` once those are
-    known. An unset span is reported as 1:1."""
+    known. An unset span is reported as 1:1. Its fields live in slots, so a
+    stored error holds no per-instance `__dict__`."""
 
     code: str
     message: str
@@ -36,7 +37,8 @@ class CapError(Exception):
     def __post_init__(self) -> None:
         if self.code not in EXIT_CODES:
             raise ValueError(f"unknown diagnostic code {self.code!r}")
-        super().__init__(self.message)
+        # slots=True rebuilds the class, which breaks zero-argument super()
+        Exception.__init__(self, self.message)
 
     def to_dict(self) -> dict:
         out = {

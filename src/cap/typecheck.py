@@ -1,4 +1,20 @@
-"""Pattern typing and bidirectional-style term type synthesis with subsumption."""
+"""Pattern typing, term type synthesis with subsumption, and type checking.
+
+`infer_type` synthesizes a term's type; subsumption is applied only at
+application arguments and at checking boundaries. `check_type` is the
+checking direction. A constructed term (a constant, or an application spine
+headed by a constant or by a variable whose type is a datatype) synthesizes
+a single `TypeConst` or `AppT`, and for such a left side the fixpoint
+clauses of the subtype relation are: it is a subtype of a union exactly when
+it is a subtype of one of the union's components, a constant is a subtype
+of a component only when that is the same constant, and `D@A <= D'@A'`
+holds exactly when `D <= D'` and `A <= A'`. `check_type` applies those
+clauses to the term itself, pushing each component's sides into the
+function and the argument, so it reaches the verdict of
+`is_subtype(infer_type(env, t), expected)` without building or walking the
+whole inferred type. Every other subterm, and every other term, is inferred
+and compared with `is_subtype`.
+"""
 
 from __future__ import annotations
 
@@ -149,12 +165,59 @@ def abs_type(judgements: list[PatternJudgement], body_types: list[MuType]) -> Ar
 
 def check_type(env: TypeEnv, t: Term, expected: MuType) -> None:
     """Require `t` to infer a subtype of `expected`; both carry validated
-    types, as for `infer_type`."""
-    actual = infer_type(env, t)
-    if not is_subtype(actual, expected):
-        raise CapError(
-            "type",
-            "term does not have the expected type",
-            expected=pretty(expected),
-            actual=pretty(actual),
-        )
+    types, as for `infer_type`.
+
+    A constructed term (see `_is_constructed`) is checked against the union
+    components of `expected` one by one, by the fixpoint clauses in the
+    module docstring, without inferring its whole type; any other term
+    infers its type and asks `is_subtype`. Both ways give the same verdict
+    and raise the same first inference error. A failure reports the whole
+    inferred type as `actual`, which a constructed term infers only then.
+    """
+    if _is_constructed(env, t):
+        if any(_fits(env, t, c) for c in union_components(expected)):
+            return
+        actual = infer_type(env, t)
+    else:
+        actual = infer_type(env, t)
+        if is_subtype(actual, expected):
+            return
+    raise CapError(
+        "type",
+        "term does not have the expected type",
+        expected=pretty(expected),
+        actual=pretty(actual),
+    )
+
+
+def _is_constructed(env: TypeEnv, t: Term) -> bool:
+    """Whether `t` is a constant, or an application spine headed by a
+    constant or by a variable whose type is a datatype: the terms
+    `infer_type` types as a `TypeConst` or as an `AppT` down their spine."""
+    head = t
+    while isinstance(head, App):
+        head = head.fun
+    if isinstance(head, Const):
+        return True
+    return head is not t and isinstance(head, Var) and head.name in env and is_datatype(env[head.name])
+
+
+def _checks(env: TypeEnv, t: Term, expected: MuType) -> bool:
+    """The verdict of `is_subtype(infer_type(env, t), expected)`, raising the
+    first inference error of `t` that it reaches."""
+    if _is_constructed(env, t):
+        return any(_fits(env, t, c) for c in union_components(expected))
+    return is_subtype(infer_type(env, t), expected)
+
+
+def _fits(env: TypeEnv, t: Term, component: MuType) -> bool:
+    """Whether a constructed term's type is a subtype of one union component,
+    by the fixpoint clauses in the module docstring. The function is checked
+    before the argument, so the first inference error reached is the one
+    `infer_type` raises first."""
+    match t, component:
+        case Const(name), TypeConst(expected_name):
+            return name == expected_name
+        case App(fun, arg), AppT(left, right):
+            return _checks(env, fun, left) and _checks(env, arg, right)
+    return False

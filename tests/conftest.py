@@ -1,6 +1,7 @@
 import pytest
 
 from cap.compatibility import subsumes
+from cap.diagnostics import CapError
 from cap.mu_types import (
     BULLET,
     SYM_APP,
@@ -15,8 +16,10 @@ from cap.mu_types import (
     canonical,
     unfold_once,
 )
-from cap.surface import parse_term, parse_type
+from cap.relations import is_subtype
+from cap.surface import parse_term, parse_type, pretty
 from cap.syntax import App, Pattern, PatternCompound, Position, Term
+from cap.typecheck import TypeEnv, infer_type
 
 
 @pytest.fixture
@@ -60,6 +63,18 @@ def reference_truncate(t: MuType, depth: int) -> MuType:
         return out
 
     return go(t, depth)
+
+
+def reference_check_type(env: TypeEnv, t: Term, expected: MuType) -> None:
+    """Reference: infer the whole type of `t`, then one subtype query against `expected`."""
+    actual = infer_type(env, t)
+    if not is_subtype(actual, expected):
+        raise CapError(
+            "type",
+            "term does not have the expected type",
+            expected=pretty(expected),
+            actual=pretty(actual),
+        )
 
 
 def reference_admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:

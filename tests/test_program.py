@@ -40,6 +40,13 @@ def test_untypable_applications_rejected_individually():
     assert all(r.diagnostic.__traceback__ is None for r in results)
 
 
+def test_a_stored_error_keeps_its_fields_in_slots():
+    state = SessionState()
+    err = process_decl(state, parse_program("check A : B;").decls[0]).diagnostic
+    assert (err.code, err.decl, err.actual) == ("type", "check", "A")
+    assert vars(err) == {}
+
+
 def test_compat_failure_reported():
     results = run_file("compat_bool_nat.cap")
     assert [r.ok for r in results] == [False]

@@ -1,13 +1,16 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cap import typecheck
 from cap.diagnostics import CapError
-from cap.generators import GenConfig, gen_typed_term
+from cap.generators import GenConfig, gen_type, gen_typed_term, mutate_type
 from cap.mu_types import AppT, Arrow, TypeConst, is_datatype, union_components
-from cap.reduction import evaluate, small_step
+from cap.program import SessionState, process_decl
+from cap.reduction import StuckMatch, evaluate, small_step
 from cap.relations import is_equivalent, is_subtype
-from cap.surface import parse_term, parse_type
+from cap.surface import parse_program, parse_term, parse_type, pretty
 from cap.syntax import (
     Abs,
     App,
@@ -21,7 +24,7 @@ from cap.syntax import (
 )
 from cap.typecheck import check_type, infer_type, type_pattern
 
-from conftest import F_NAT
+from conftest import F_NAT, reference_check_type
 
 
 def test_type_pattern_examples():
@@ -155,6 +158,143 @@ def test_check_type_examples():
             parse_type("Vl@(True + False) -> True + False"),
         )
     assert err.value.code == "compatibility"
+
+
+def test_a_constructed_term_is_never_asked_about_as_a_whole(monkeypatch):
+    # d8 resolves to a tree of 2**9 - 1 nodes; it checks component by
+    # component, so no subtype query sees its whole inferred type
+    defs = ["def d0 = A;"] + [f"def d{i} = Cons d{i - 1} d{i - 1};" for i in range(1, 9)]
+    *chain, check = parse_program("\n".join(defs + ["check d8 : rec t. A + Cons@t@t;"])).decls
+    state = SessionState()
+    for decl in chain:
+        process_decl(state, decl)
+    whole = state.env["d8"]
+    asked = []
+
+    def counting(sub, sup):
+        asked.append(sub)
+        return is_subtype(sub, sup)
+
+    monkeypatch.setattr(typecheck, "is_subtype", counting)
+    assert process_decl(state, check).ok
+    assert sum(sub == whole for sub in asked) == 0
+
+
+def test_a_constructed_term_reports_its_first_inference_error():
+    # the first argument misses its component, which must not hide the
+    # ill-typed redex in the second
+    term = parse_term("Cons B (([x:A] x => x) C)")
+    with pytest.raises(CapError) as err:
+        check_type({}, term, parse_type("Cons@A@A + Nil"))
+    assert err.value.message == "argument type fits no part of the function domain"
+    assert (err.value.expected, err.value.actual) == ("A", "C")
+    # with no inference error, a miss reports the whole inferred type
+    with pytest.raises(CapError) as err:
+        check_type({}, parse_term("Cons B (Vl C)"), parse_type("Cons@A@(Vl@C) + Nil"))
+    assert err.value.message == "term does not have the expected type"
+    assert err.value.actual == "Cons@B@(Vl@C)"
+
+
+def _check_outcome(check, env, t, expected):
+    try:
+        check(env, t, expected)
+    except CapError as err:
+        return err.code, err.message, err.expected, err.actual
+    return None
+
+
+def _assert_same_checks(queries) -> list:
+    """Compare `check_type` with the reference on each (env, term, type) query;
+    returns the reference outcomes."""
+    outcomes = []
+    for env, t, expected in queries:
+        want = _check_outcome(reference_check_type, env, t, expected)
+        assert _check_outcome(check_type, env, t, expected) == want, (pretty(t), pretty(expected))
+        outcomes.append(want)
+    return outcomes
+
+
+def _against_related_types(rng, seed, ty):
+    """A type, two mutations of it and an unrelated type."""
+    return [ty, mutate_type(rng, ty), mutate_type(rng, ty), gen_type(GenConfig(seed=seed + 1))]
+
+
+def test_check_type_agrees_with_the_reference_on_terms_and_reducts():
+    queries = []
+    for seed in range(260):
+        term, ty = gen_typed_term(GenConfig(seed=seed))
+        terms = [term]
+        try:
+            while len(terms) < 6 and (stepped := small_step(terms[-1])) is not None:
+                terms.append(stepped[0])
+        except StuckMatch:
+            pass
+        types = _against_related_types(random.Random(seed), seed, ty)
+        queries += [({}, t, expected) for t in terms for expected in types]
+    outcomes = _assert_same_checks(queries)
+    assert len(queries) > 1900
+    assert 0 < outcomes.count(None) < len(outcomes)
+
+
+def _open_subterms(env, t):
+    """The subterms of `t` that sit under an abstraction, each with the typing
+    environment it sees, and each redex of `t` with its abstraction named by
+    a variable `h` of the abstraction's type."""
+    match t:
+        case App(Abs() as fun, arg):
+            yield {**env, "h": infer_type(env, fun)}, App(Var("h"), arg)
+    if env:
+        yield env, t
+    match t:
+        case App(fun, arg):
+            yield from _open_subterms(env, fun)
+            yield from _open_subterms(env, arg)
+        case Abs(branches):
+            for branch in branches:
+                yield from _open_subterms({**env, **branch.binding_map()}, branch.body)
+
+
+def test_check_type_agrees_with_the_reference_on_open_subterms():
+    # spines headed by a variable occur here: a matchable of datatype type,
+    # or `h`, whose type is an arrow
+    queries = []
+    for seed in range(120):
+        term, _ = gen_typed_term(GenConfig(seed=seed))
+        rng = random.Random(seed)
+        for env, sub in _open_subterms({}, term):
+            types = _against_related_types(rng, seed, infer_type(env, sub))
+            queries += [(env, sub, expected) for expected in types]
+    outcomes = _assert_same_checks(queries)
+    heads = {(t.fun.name, is_datatype(env[t.fun.name])) for env, t, _ in queries if isinstance(t, App) and isinstance(t.fun, Var)}
+    assert ("h", False) in heads and any(datatype for _, datatype in heads)
+    assert 0 < outcomes.count(None) < len(outcomes)
+
+
+def test_check_type_agrees_with_the_reference_on_ill_typed_spines():
+    # `h (f a) (g b)` over generated terms, headed by a constant or by a
+    # variable of a generated type (a datatype or not): the spine or either
+    # argument may fail to type, so verdicts and the first error must match
+    pool = [gen_typed_term(GenConfig(seed=seed, max_term_nodes=8)) for seed in range(24)]
+    rng = random.Random(0)
+    queries = []
+    for _ in range(150):
+        (f, f_ty), (a, a_ty), (g, g_ty), (b, b_ty) = rng.sample(pool, 4)
+        env = {"h": rng.choice(pool)[1]}
+        head = rng.choice((Const("Cons"), Var("h")))
+        term = App(App(head, App(f, a)), App(g, b))
+        component = AppT(AppT(TypeConst("Cons"), f_ty), rng.choice((a_ty, g_ty, b_ty)))
+        types = [component, mutate_type(rng, component)]
+        try:
+            types.append(infer_type(env, term))
+        except CapError:
+            pass
+        queries += [(env, term, expected) for expected in types]
+    outcomes = _assert_same_checks(queries)
+    messages = {outcome[1] for outcome in outcomes if outcome is not None}
+    assert "argument type fits no part of the function domain" in messages
+    assert "function position is neither a datatype nor a single arrow" in messages
+    assert "term does not have the expected type" in messages
+    assert None in outcomes
 
 
 @settings(max_examples=100, deadline=None)
