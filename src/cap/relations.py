@@ -75,10 +75,10 @@ class _Engine:
 
 
 def is_subtype(a: MuType, b: MuType) -> bool:
-    return _Engine(MODE_SUB).rel(a, b)
+    return a is b or _Engine(MODE_SUB).rel(a, b)
 
 def is_equivalent(a: MuType, b: MuType) -> bool:
-    return _Engine(MODE_EQ).rel(a, b)
+    return a is b or _Engine(MODE_EQ).rel(a, b)
 
 
 def tree_relation(mode: str) -> Callable[[MuType, MuType], bool]:

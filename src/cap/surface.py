@@ -421,22 +421,35 @@ def _check_contractive(t: MuType, unguarded: frozenset[str]) -> None:
 
 
 def pretty_type(t: MuType, level: int = 0) -> str:
+    return _pretty_type(t, level, {})
+
+
+def _pretty_type(t: MuType, level: int, memo: dict) -> str:
+    """`pretty_type` with a memo of the text of each (node, level) pair, so a
+    shared subterm is rendered once."""
+    if isinstance(t, (TypeConst, TypeVar)):
+        return t.name
+    key = (id(t), level)
+    got = memo.get(key)
+    if got is not None:
+        return got[1]
     match t:
-        case TypeConst(name) | TypeVar(name):
-            return name
         case Rec(var, body):
-            text = f"rec {var}. {pretty_type(body, 0)}"
-            return f"({text})" if level > 0 else text
+            text = f"rec {var}. {_pretty_type(body, 0, memo)}"
+            text = f"({text})" if level > 0 else text
         case Arrow(dom, cod):
-            text = f"{pretty_type(dom, 1)} -> {pretty_type(cod, 0)}"
-            return f"({text})" if level > 0 else text
+            text = f"{_pretty_type(dom, 1, memo)} -> {_pretty_type(cod, 0, memo)}"
+            text = f"({text})" if level > 0 else text
         case Union(left, right):
-            text = f"{pretty_type(left, 1)} + {pretty_type(right, 2)}"
-            return f"({text})" if level > 1 else text
+            text = f"{_pretty_type(left, 1, memo)} + {_pretty_type(right, 2, memo)}"
+            text = f"({text})" if level > 1 else text
         case AppT(left, right):
-            text = f"{pretty_type(left, 2)}@{pretty_type(right, 3)}"
-            return f"({text})" if level > 2 else text
-    raise TypeError(f"not a type: {t!r}")
+            text = f"{_pretty_type(left, 2, memo)}@{_pretty_type(right, 3, memo)}"
+            text = f"({text})" if level > 2 else text
+        case _:
+            raise TypeError(f"not a type: {t!r}")
+    memo[key] = (t, text)
+    return text
 
 
 def pretty_pattern(p: Pattern, atom: bool = False) -> str:

@@ -14,6 +14,26 @@ function and the argument, so it reaches the verdict of
 `is_subtype(infer_type(env, t), expected)` without building or walking the
 whole inferred type. Every other subterm, and every other term, is inferred
 and compared with `is_subtype`.
+
+Terms are DAGs: `SessionState.resolve` puts one definition body at every
+place its name occurs, so `def d_i = Cons d_{i-1} d_{i-1}` holds `d_{i-1}`
+twice as the same object. Each walk memoizes on node identity, in a memo
+that lives for one top-level call and keeps the nodes it is keyed on alive:
+
+- `infer_type` keys its memo on the term node. A memo serves one typing
+  environment: each branch body, typed under `{**env, **bindings}`, starts a
+  fresh one, so one `Var` object can be a bound matchable inside a body and
+  an assumed name outside it.
+- `check_type` keys `_checks`'s verdicts on the pair (term node, expected
+  type), and shares one inference memo among every subterm it infers and
+  the `actual` type it reports.
+- `surface.pretty_type`, which prints `actual`, keys its memo on the pair
+  (type node, precedence level).
+
+Each memo is looked up inside the recursive function itself, so the memo
+adds no Python frame per level of the term, and the traversal order is the
+one of a tree walk: the verdicts and the first error are those of walking
+every occurrence.
 """
 
 from __future__ import annotations
@@ -77,28 +97,39 @@ def infer_type(env: TypeEnv, t: Term) -> MuType:
     Branch annotations must already be validated types, as `parse_*` and the
     generators produce them; they are not checked again here.
     """
+    return _infer(env, t, {})
+
+
+def _infer(env: TypeEnv, t: Term, memo: dict) -> MuType:
+    """`infer_type` with the memo of `env`: a node met again, as a shared
+    subterm is, returns the type it got the first time."""
+    got = memo.get(id(t))
+    if got is not None:
+        return got[1]
     match t:
         case Var(name):
             ty = env.get(name)
             if ty is None:
                 raise CapError("type", f"unbound variable '{name}'")
-            return ty
         case Const(name):
-            return TypeConst(name)
+            ty = TypeConst(name)
         case App(fun, arg):
-            return _infer_app(env, fun, arg)
+            ty = _infer_app(env, fun, arg, memo)
         case Abs(branches):
-            return _infer_abs(env, branches)
-    raise TypeError(f"not a term: {t!r}")
+            ty = _infer_abs(env, branches)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    memo[id(t)] = (t, ty)
+    return ty
 
 
-def _infer_app(env: TypeEnv, fun: Term, arg: Term) -> MuType:
-    fun_ty = infer_type(env, fun)
+def _infer_app(env: TypeEnv, fun: Term, arg: Term, memo: dict) -> MuType:
+    fun_ty = _infer(env, fun, memo)
     if is_datatype(fun_ty):
-        return AppT(fun_ty, infer_type(env, arg))
+        return AppT(fun_ty, _infer(env, arg, memo))
     components = union_components(fun_ty)
     if len(components) == 1 and isinstance(components[0], Arrow):
-        return apply_arrow(components[0], infer_type(env, arg))
+        return apply_arrow(components[0], _infer(env, arg, memo))
     raise CapError(
         "type",
         "function position is neither a datatype nor a single arrow",
@@ -123,31 +154,37 @@ def _infer_abs(env: TypeEnv, branches) -> MuType:
     judgements: list[PatternJudgement] = []
     body_types: list[MuType] = []
     for i, branch in enumerate(branches):
-        if not is_linear(branch.pattern):
-            raise CapError("type", f"branch {i + 1}: pattern is not linear")
-        bindings = branch.binding_map()
-        if len(bindings) != len(branch.bindings):
-            names = [name for name, _ in branch.bindings]
-            twice = next(name for name in names if names.count(name) > 1)
-            raise CapError("type", f"branch {i + 1}: matchable '{twice}' is annotated twice")
-        declared = set(bindings)
-        used = set(free_matchables(branch.pattern))
-        if declared != used:
-            missing = sorted(used - declared)
-            extra = sorted(declared - used)
-            detail = []
-            if missing:
-                detail.append(f"missing {missing}")
-            if extra:
-                detail.append(f"unused {extra}")
-            raise CapError(
-                "type",
-                f"branch {i + 1}: annotations must cover exactly the pattern matchables ({', '.join(detail)})",
-            )
-        pattern_ty = type_pattern(bindings, branch.pattern)
-        judgements.append(PatternJudgement(branch.pattern, pattern_ty))
-        body_types.append(infer_type({**env, **bindings}, branch.body))
+        bindings = branch_bindings(i, branch)
+        judgements.append(PatternJudgement(branch.pattern, type_pattern(bindings, branch.pattern)))
+        body_types.append(_infer({**env, **bindings}, branch.body, {}))
     return abs_type(judgements, body_types)
+
+
+def branch_bindings(i: int, branch) -> TypeEnv:
+    """The annotations of the `i`-th branch (from 0) as a map, once its
+    pattern is linear and they annotate each of its matchables exactly once."""
+    if not is_linear(branch.pattern):
+        raise CapError("type", f"branch {i + 1}: pattern is not linear")
+    bindings = branch.binding_map()
+    if len(bindings) != len(branch.bindings):
+        names = [name for name, _ in branch.bindings]
+        twice = next(name for name in names if names.count(name) > 1)
+        raise CapError("type", f"branch {i + 1}: matchable '{twice}' is annotated twice")
+    declared = set(bindings)
+    used = set(free_matchables(branch.pattern))
+    if declared != used:
+        missing = sorted(used - declared)
+        extra = sorted(declared - used)
+        detail = []
+        if missing:
+            detail.append(f"missing {missing}")
+        if extra:
+            detail.append(f"unused {extra}")
+        raise CapError(
+            "type",
+            f"branch {i + 1}: annotations must cover exactly the pattern matchables ({', '.join(detail)})",
+        )
+    return bindings
 
 
 def abs_type(judgements: list[PatternJudgement], body_types: list[MuType]) -> Arrow:
@@ -174,14 +211,10 @@ def check_type(env: TypeEnv, t: Term, expected: MuType) -> None:
     and raise the same first inference error. A failure reports the whole
     inferred type as `actual`, which a constructed term infers only then.
     """
-    if _is_constructed(env, t):
-        if any(_fits(env, t, c) for c in union_components(expected)):
-            return
-        actual = infer_type(env, t)
-    else:
-        actual = infer_type(env, t)
-        if is_subtype(actual, expected):
-            return
+    inferred: dict = {}
+    if _checks(env, t, expected, inferred, {}):
+        return
+    actual = _infer(env, t, inferred)
     raise CapError(
         "type",
         "term does not have the expected type",
@@ -202,15 +235,28 @@ def _is_constructed(env: TypeEnv, t: Term) -> bool:
     return head is not t and isinstance(head, Var) and head.name in env and is_datatype(env[head.name])
 
 
-def _checks(env: TypeEnv, t: Term, expected: MuType) -> bool:
+def _checks(env: TypeEnv, t: Term, expected: MuType, inferred: dict, checked: dict) -> bool:
     """The verdict of `is_subtype(infer_type(env, t), expected)`, raising the
-    first inference error of `t` that it reaches."""
+    first inference error of `t` that it reaches. `inferred` is the memo of
+    `_infer` for `env`, and `checked` holds the verdicts already reached."""
+    key = (id(t), id(expected))
+    got = checked.get(key)
+    if got is not None:
+        return got[2]
     if _is_constructed(env, t):
-        return any(_fits(env, t, c) for c in union_components(expected))
-    return is_subtype(infer_type(env, t), expected)
+        for component in union_components(expected):
+            if _fits(env, t, component, inferred, checked):
+                verdict = True
+                break
+        else:
+            verdict = False
+    else:
+        verdict = is_subtype(_infer(env, t, inferred), expected)
+    checked[key] = (t, expected, verdict)
+    return verdict
 
 
-def _fits(env: TypeEnv, t: Term, component: MuType) -> bool:
+def _fits(env: TypeEnv, t: Term, component: MuType, inferred: dict, checked: dict) -> bool:
     """Whether a constructed term's type is a subtype of one union component,
     by the fixpoint clauses in the module docstring. The function is checked
     before the argument, so the first inference error reached is the one
@@ -219,5 +265,5 @@ def _fits(env: TypeEnv, t: Term, component: MuType) -> bool:
         case Const(name), TypeConst(expected_name):
             return name == expected_name
         case App(fun, arg), AppT(left, right):
-            return _checks(env, fun, left) and _checks(env, arg, right)
+            return _checks(env, fun, left, inferred, checked) and _checks(env, arg, right, inferred, checked)
     return False

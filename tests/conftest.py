@@ -1,6 +1,6 @@
 import pytest
 
-from cap.compatibility import subsumes
+from cap.compatibility import PatternJudgement, subsumes
 from cap.diagnostics import CapError
 from cap.mu_types import (
     BULLET,
@@ -14,12 +14,14 @@ from cap.mu_types import (
     TypeVar,
     Union,
     canonical,
+    is_datatype,
     unfold_once,
+    union_components,
 )
 from cap.relations import is_subtype
-from cap.surface import parse_term, parse_type, pretty
-from cap.syntax import App, Pattern, PatternCompound, Position, Term
-from cap.typecheck import TypeEnv, infer_type
+from cap.surface import parse_term, parse_type
+from cap.syntax import Abs, App, Const, Pattern, PatternCompound, Position, Term, Var
+from cap.typecheck import TypeEnv, abs_type, apply_arrow, branch_bindings, type_pattern
 
 
 @pytest.fixture
@@ -65,15 +67,69 @@ def reference_truncate(t: MuType, depth: int) -> MuType:
     return go(t, depth)
 
 
+def reference_pretty_type(t: MuType, level: int = 0) -> str:
+    """Reference: the printer walks the type as a tree, with no memo."""
+    match t:
+        case TypeConst(name) | TypeVar(name):
+            return name
+        case Rec(var, body):
+            text = f"rec {var}. {reference_pretty_type(body, 0)}"
+            return f"({text})" if level > 0 else text
+        case Arrow(dom, cod):
+            text = f"{reference_pretty_type(dom, 1)} -> {reference_pretty_type(cod, 0)}"
+            return f"({text})" if level > 0 else text
+        case Union(left, right):
+            text = f"{reference_pretty_type(left, 1)} + {reference_pretty_type(right, 2)}"
+            return f"({text})" if level > 1 else text
+        case AppT(left, right):
+            text = f"{reference_pretty_type(left, 2)}@{reference_pretty_type(right, 3)}"
+            return f"({text})" if level > 2 else text
+    raise TypeError(f"not a type: {t!r}")
+
+
+def reference_infer_type(env: TypeEnv, t: Term) -> MuType:
+    """Reference: the typing walk over the term as a tree, with no memo, so a
+    shared subterm is typed once per occurrence."""
+    match t:
+        case Var(name):
+            ty = env.get(name)
+            if ty is None:
+                raise CapError("type", f"unbound variable '{name}'")
+            return ty
+        case Const(name):
+            return TypeConst(name)
+        case App(fun, arg):
+            fun_ty = reference_infer_type(env, fun)
+            if is_datatype(fun_ty):
+                return AppT(fun_ty, reference_infer_type(env, arg))
+            components = union_components(fun_ty)
+            if len(components) == 1 and isinstance(components[0], Arrow):
+                return apply_arrow(components[0], reference_infer_type(env, arg))
+            raise CapError(
+                "type",
+                "function position is neither a datatype nor a single arrow",
+                actual=reference_pretty_type(fun_ty),
+            )
+        case Abs(branches):
+            judgements: list[PatternJudgement] = []
+            body_types: list[MuType] = []
+            for i, branch in enumerate(branches):
+                bindings = branch_bindings(i, branch)
+                judgements.append(PatternJudgement(branch.pattern, type_pattern(bindings, branch.pattern)))
+                body_types.append(reference_infer_type({**env, **bindings}, branch.body))
+            return abs_type(judgements, body_types)
+    raise TypeError(f"not a term: {t!r}")
+
+
 def reference_check_type(env: TypeEnv, t: Term, expected: MuType) -> None:
     """Reference: infer the whole type of `t`, then one subtype query against `expected`."""
-    actual = infer_type(env, t)
+    actual = reference_infer_type(env, t)
     if not is_subtype(actual, expected):
         raise CapError(
             "type",
             "term does not have the expected type",
-            expected=pretty(expected),
-            actual=pretty(actual),
+            expected=reference_pretty_type(expected),
+            actual=reference_pretty_type(actual),
         )
 
 

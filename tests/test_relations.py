@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cap import relations
 from cap.generators import GenConfig, gen_type, mutate_type
 from cap.mu_types import (
     BULLET,
@@ -23,7 +24,7 @@ from cap.relations import (
     is_subtype,
     oracle_compare,
 )
-from cap.surface import parse_type
+from cap.surface import parse_type, pretty
 
 from conftest import F_NAT
 
@@ -99,9 +100,19 @@ def test_oracle_confirms_recursive_subtyping():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_reflexivity(seed):
+    # an equal copy goes through the engine; the same object does not
     t = gen_type(GenConfig(seed=seed))
-    assert is_subtype(t, t)
-    assert is_equivalent(t, t)
+    copy = parse_type(pretty(t))
+    assert copy == t and copy is not t
+    assert is_subtype(t, copy) and is_subtype(copy, t)
+    assert is_equivalent(t, copy)
+    assert is_subtype(t, t) and is_equivalent(t, t)
+
+
+def test_a_type_against_itself_builds_no_engine(monkeypatch):
+    monkeypatch.setattr(relations, "_Engine", None)
+    t = parse_type(F_NAT)
+    assert is_subtype(t, t) and is_equivalent(t, t)
 
 
 @settings(max_examples=80, deadline=None)

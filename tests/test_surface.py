@@ -22,12 +22,13 @@ from cap.surface import (
     parse_term,
     parse_type,
     pretty,
+    pretty_type,
     tokenize,
     validate_type,
 )
 from cap.syntax import Abs, App, Const, Var
 
-from conftest import F_NAT, LIST_A, TREE_A
+from conftest import F_NAT, LIST_A, TREE_A, reference_pretty_type
 
 
 def test_union_binds_tighter_than_arrow_and_app_tightest():
@@ -279,6 +280,27 @@ def test_lexer_rejects_stray_characters():
 def test_pretty_examples():
     assert pretty(parse_type("True + False")) == "True + False"
     assert pretty(parse_type(F_NAT)) == F_NAT
+
+
+def test_pretty_type_agrees_with_the_reference_on_shared_types():
+    # every generated type at every precedence level, and as both sides of a
+    # binary constructor, which puts one node object at two levels
+    for seed in range(3000):
+        t = gen_type(GenConfig(seed=seed))
+        for level in range(4):
+            assert pretty_type(t, level) == reference_pretty_type(t, level)
+        for shared in (Union(t, t), Arrow(t, t), AppT(t, t)):
+            assert pretty_type(shared) == reference_pretty_type(shared)
+    union = parse_type("A + B")
+    assert pretty_type(Union(union, union)) == "A + B + (A + B)"
+
+
+def test_pretty_type_agrees_with_the_reference_on_the_chained_def_type():
+    # the type of `d_i = Cons d_(i-1) d_(i-1)`, with d_(i-1)'s type shared
+    ty = TypeConst("A")
+    for _ in range(14):
+        ty = AppT(AppT(TypeConst("Cons"), ty), ty)
+    assert pretty_type(ty) == reference_pretty_type(ty)
 
 
 def test_roundtrip_example_six():

@@ -24,7 +24,7 @@ from cap.syntax import (
 )
 from cap.typecheck import check_type, infer_type, type_pattern
 
-from conftest import F_NAT, reference_check_type
+from conftest import F_NAT, reference_check_type, reference_infer_type, reference_pretty_type
 
 
 def test_type_pattern_examples():
@@ -370,3 +370,174 @@ def test_substitution_preserves_types(seed):
         body_ty = infer_type(body_env, branch.body)
         assert is_subtype(infer_type({}, substituted), body_ty)
         return
+
+
+# -- shared subterms: each walk memoizes on node identity ------------------------
+
+
+def _infer_outcome(infer, env, t):
+    try:
+        return infer(env, t)
+    except CapError as err:
+        return err.code, err.message, err.expected, err.actual
+
+
+def _assert_same_inference(env, t):
+    """`infer_type` and the tree-walking reference give equal types, printed
+    alike, or the same first error."""
+    got, want = _infer_outcome(infer_type, env, t), _infer_outcome(reference_infer_type, env, t)
+    assert got == want, pretty(t)
+    if not isinstance(want, tuple):
+        assert pretty(got) == reference_pretty_type(want)
+
+
+def _chain(n: int) -> str:
+    return "\n".join(["def d0 = A;"] + [f"def d{i} = Cons d{i - 1} d{i - 1};" for i in range(1, n + 1)])
+
+
+def _resolved_chain(n: int) -> tuple[SessionState, list]:
+    """A session holding `d0 … dn`, and the resolved terms `d0 … dn`, each
+    holding the one before it twice as the same object."""
+    state = SessionState()
+    for decl in parse_program(_chain(n)).decls:
+        assert process_decl(state, decl).ok
+    return state, [state.resolve(Var(f"d{i}")) for i in range(n + 1)]
+
+
+def test_typing_agrees_with_the_reference_on_chained_defs():
+    state, terms = _resolved_chain(10)
+    assert terms[10].fun.arg is terms[10].arg is terms[9]
+    types = [parse_type(text) for text in ("rec t. A + Cons@t@t", "rec t. B + Cons@t@t", "Cons@A@A + A", "rec t. A + Cons@t@A")]
+    for t in terms:
+        _assert_same_inference(state.env, t)
+        _assert_same_checks([(state.env, t, expected) for expected in types])
+
+
+def _subterms(t):
+    yield t
+    match t:
+        case App(fun, arg):
+            yield from _subterms(fun)
+            yield from _subterms(arg)
+        case Abs(branches):
+            for branch in branches:
+                yield from _subterms(branch.body)
+
+
+def test_typing_agrees_with_the_reference_on_a_subterm_used_twice():
+    # one subterm object at two positions: beside the term it comes from, or
+    # as both sides of an application; a subterm from under an abstraction
+    # meets an environment where its matchables are unbound
+    pool = [gen_typed_term(GenConfig(seed=seed, max_term_nodes=10)) for seed in range(60)]
+    rng = random.Random(3)
+    queries = []
+    for term, ty in pool:
+        for sub in _subterms(term):
+            for shared in (App(App(Const("Cons"), term), sub), App(App(Const("Cons"), sub), sub), App(sub, sub)):
+                _assert_same_inference({}, shared)
+                queries += [({}, shared, AppT(AppT(TypeConst("Cons"), ty), rng.choice((ty, mutate_type(rng, ty))))), ({}, shared, ty)]
+    outcomes = _assert_same_checks(queries)
+    messages = {outcome[1] for outcome in outcomes if outcome is not None}
+    assert None in outcomes and "term does not have the expected type" in messages
+    assert any(message.startswith("unbound variable") for message in messages)
+
+
+def test_one_variable_object_typed_under_two_environments():
+    # `x` is the same object inside the branch body, where it is the bound
+    # matchable of type A, and outside it, where it is assumed of type B; a
+    # memo keyed on the node alone would give both occurrences one type
+    x = Var("x")
+    ident = Abs((Branch(Matchable("x"), (("x", parse_type("A")),), x),))
+    env = {"x": parse_type("B")}
+    inner_first = App(App(Const("Cons"), App(ident, Const("A"))), x)
+    outer_first = App(App(Const("Cons"), x), App(ident, Const("A")))
+    assert infer_type(env, inner_first) == parse_type("Cons@A@B")
+    assert infer_type(env, outer_first) == parse_type("Cons@B@A")
+    types = [parse_type(text) for text in ("Cons@A@B", "Cons@B@A", "Cons@A@A", "Cons@B@B")]
+    for t in (inner_first, outer_first):
+        _assert_same_inference(env, t)
+        outcomes = _assert_same_checks([(env, t, expected) for expected in types])
+        assert outcomes.count(None) == 1
+
+
+def test_chained_defs_type_and_check_in_linear_time(monkeypatch):
+    # `d_i` is a DAG of 2i applications whose tree has 2**(i+1) - 2; a count
+    # past its bound fails at once, so an exponential walk does not hang
+    n = 48
+    decls = parse_program(_chain(n) + f"\ncheck d{n} : rec t. A + Cons@t@t;").decls
+    bounds = {"visits": [2 * i for i in range(n + 1)] + [0], "splits": [0] * (n + 1) + [3 * n + 1]}
+    counts = {"visits": [], "splits": []}
+
+    def counting(what, real):
+        def counted(*args):
+            counts[what][-1] += 1
+            assert counts[what][-1] <= bounds[what][len(counts[what]) - 1]
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(typecheck, "_infer_app", counting("visits", typecheck._infer_app))
+    monkeypatch.setattr(typecheck, "union_components", counting("splits", union_components))
+    state = SessionState()
+    for decl in decls:
+        counts["visits"].append(0)
+        counts["splits"].append(0)
+        assert process_decl(state, decl).ok
+    # the definitions split no type, and the check infers nothing
+    assert counts["splits"][-1] > 0
+
+
+def test_a_rejected_chained_def_prints_its_whole_type():
+    n = 12
+    state, _ = _resolved_chain(n)
+    actual = "A"
+    for _ in range(n):
+        actual = f"Cons@{actual}@{actual}" if actual == "A" else f"Cons@({actual})@({actual})"
+    result = process_decl(state, parse_program(f"check d{n} : rec t. B + Cons@t@t;").decls[0])
+    diag = result.diagnostic
+    assert (diag.code, diag.message, diag.expected) == ("type", "term does not have the expected type", "rec t. B + Cons@t@t")
+    assert diag.actual == actual == reference_pretty_type(reference_infer_type(state.env, state.resolve(Var(f"d{n}"))))
+
+
+def test_checking_a_left_nested_term_against_two_components_is_linear(monkeypatch):
+    # both `Cons` components fit the left argument; the second one must not
+    # check it again, which would cost 2**n
+    n = 12
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        assert len(calls) <= 8 * n
+        return union_components(t)
+
+    monkeypatch.setattr(typecheck, "union_components", counting)
+    term = Const("Nil")
+    for _ in range(n):
+        term = App(App(Const("Cons"), term), Const("B"))
+    check_type({}, term, parse_type("rec t. Nil + Cons@t@A + Cons@t@B"))
+
+
+def _deep_list(depth: int):
+    term = Const("Nil")
+    for _ in range(depth):
+        term = App(App(Const("Cons"), Const("A")), term)
+    return term
+
+
+def test_a_deep_right_nested_list_types():
+    # the memo adds no frame per level of the term
+    depth = 450
+    ty = infer_type({}, _deep_list(depth))
+    for _ in range(depth):
+        assert ty.left == parse_type("Cons@A")
+        ty = ty.right
+    assert ty == TypeConst("Nil")
+
+
+def test_a_deep_right_nested_list_checks():
+    # two frames per level, `_checks` and `_fits`
+    term = _deep_list(450)
+    check_type({}, term, parse_type("rec t. Nil + Cons@A@t"))
+    with pytest.raises(CapError) as err:
+        check_type({}, term, parse_type("rec t. Nil + Cons@B@t"))
+    assert err.value.actual.count("Cons@A@") == 450
