@@ -23,6 +23,7 @@ from .syntax import (
     PatternConst,
     Term,
     is_value,
+    same_term,
 )
 from .typecheck import check_type, infer_type
 
@@ -198,7 +199,7 @@ def confluence_suite(cfg: GenConfig, cases: int, fuel: int = 2000) -> SuiteRepor
             report.failures.append(
                 Counterexample("confluence", seed, pretty(term), pretty(ty), f"random order got stuck at {pretty(random_nf)}")
             )
-        elif random_nf != cbv.term:
+        elif not same_term(random_nf, cbv.term):
             report.failures.append(
                 Counterexample(
                     "confluence",

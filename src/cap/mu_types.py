@@ -150,6 +150,44 @@ def union_components(t: MuType) -> list[MuType]:
     return [t]
 
 
+def same_type(a: MuType, b: MuType) -> bool:
+    """Structural equality, `a == b`, in time linear in the shared size.
+
+    It walks an explicit stack, so no nesting depth raises `RecursionError`.
+    Identical objects are equal at once, and each pair of compound nodes is
+    compared once, so a DAG is not walked as a tree. Binder names count:
+    alpha-equivalent types that name a binder differently are not the same.
+    """
+    seen: set[tuple[int, int]] = set()
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, (TypeConst, TypeVar)):
+            if x.name != y.name:
+                return False
+            continue
+        key = (id(x), id(y))
+        if key in seen:
+            continue
+        seen.add(key)
+        match x:
+            case AppT(l, r) | Union(l, r):
+                stack += ((r, y.right), (l, y.left))
+            case Arrow(l, r):
+                stack += ((r, y.cod), (l, y.dom))
+            case Rec(var, body):
+                if var != y.var:
+                    return False
+                stack.append((body, y.body))
+            case _:
+                raise TypeError(f"not a type: {x!r}")
+    return True
+
+
 def canonical(t: MuType) -> MuType:
     """Alpha-normal form: recursion binders renamed by binding depth.
 

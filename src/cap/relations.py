@@ -7,6 +7,17 @@ component pairs is finite, which bounds every descent path. Nothing is
 memoized: an assumption is discarded when its check returns, so sibling goals
 prove the same pairs again, and nested unions take time exponential in their
 depth.
+
+Two questions are answered before that search, and both answers are exact:
+
+- `is_subtype` and `is_equivalent` hold at once when the two types are equal
+  as structures (`same_type`, linear in their shared size): equal types have
+  equal canonical forms, which the engine relates at its first step.
+- In the union clause, an atomic component (a constant or a rigid variable)
+  is related exactly when it is among the other side's components. The
+  engine relates an atom only to the same atom, by its reflexive step, and
+  no pair holding an atom is ever among the assumptions while another check
+  runs, because `_structural` answers it without descending.
 """
 
 from __future__ import annotations
@@ -22,12 +33,15 @@ from .mu_types import (
     TypeVar,
     Union,
     canonical,
+    same_type,
     truncations,
     union_components,
 )
 
 MODE_SUB = "sub"
 MODE_EQ = "eq"
+
+_ATOMS = (TypeConst, TypeVar)
 
 
 class _Engine:
@@ -44,10 +58,15 @@ class _Engine:
         rights = union_components(b)
         if len(lefts) == 1 and len(rights) == 1:
             return self.component(lefts[0], rights[0])
-        forward = all(any(self.component(l, r) for r in rights) for l in lefts)
+        # an atom is related only to itself: look it up (see the module docstring)
+        forward = all(
+            l in rights if isinstance(l, _ATOMS) else any(self.component(l, r) for r in rights) for l in lefts
+        )
         if self.mode == MODE_SUB or not forward:
             return forward
-        return all(any(self.component(l, r) for l in lefts) for r in rights)
+        return all(
+            r in lefts if isinstance(r, _ATOMS) else any(self.component(l, r) for l in lefts) for r in rights
+        )
 
     def component(self, a: MuType, b: MuType) -> bool:
         key = (canonical(a), canonical(b))
@@ -75,10 +94,11 @@ class _Engine:
 
 
 def is_subtype(a: MuType, b: MuType) -> bool:
-    return a is b or _Engine(MODE_SUB).rel(a, b)
+    return same_type(a, b) or _Engine(MODE_SUB).rel(a, b)
+
 
 def is_equivalent(a: MuType, b: MuType) -> bool:
-    return a is b or _Engine(MODE_EQ).rel(a, b)
+    return same_type(a, b) or _Engine(MODE_EQ).rel(a, b)
 
 
 def tree_relation(mode: str) -> Callable[[MuType, MuType], bool]:

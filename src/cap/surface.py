@@ -19,7 +19,9 @@ matchables or recursion binders. Comments run from "--" to end of line.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import CapError, Span
 from .mu_types import (
@@ -49,8 +51,8 @@ from .syntax import (
 
 KEYWORDS = ("assume", "def", "check", "eval", "rec")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # "lower", "upper", "punct", "keyword", "eof"
     text: str
     line: int
@@ -61,52 +63,43 @@ class Token:
         return Span(self.line, self.col)
 
 
+# The lexemes of one line, each after optional blanks, tried in order: "--"
+# starts a comment before it could start "->". A word starts with a letter and
+# goes on with letters, digits or "_"; `\w` is `str.isalnum` or "_", and the
+# first character is checked with `str.isalpha`, because `[^\W\d_]` also
+# admits numerals such as "²" that are not letters.
+_LEXEME = re.compile(
+    r"[ \t\r]*(?:(?P<comment>--.*)|(?P<punct>[-=]>|[()\[\],;:=|+@.])|(?P<word>[^\W\d_]\w*)|(?P<bad>.))"
+)
+
+
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text`, ending in one "eof" token. Columns count
+    characters from 1: a tab or a carriage return is one column, and only a
+    line feed ends a line. The eof token sits at the end of the last line, or
+    where its comment starts if it has one."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("->", i) or text.startswith("=>", i):
-            tokens.append(Token("punct", text[i : i + 2], line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "()[],;:=|+@.":
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha():
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            width = i - start
-            if word in KEYWORDS:
-                tokens.append(Token("keyword", word, line, col))
-            elif word[0].isupper():
-                tokens.append(Token("upper", word, line, col))
+    append = tokens.append
+    for line, src in enumerate(text.split("\n"), 1):
+        end = len(src) + 1
+        # trailing blanks would make every failed match rescan them
+        for m in _LEXEME.finditer(src.rstrip(" \t\r")):
+            kind = m.lastgroup
+            word = m[kind]
+            col = m.end() - len(word) + 1
+            if kind == "comment":
+                end = col
+                break
+            if kind == "punct":
+                append(Token("punct", word, line, col))
+            elif kind == "word" and word[0].isalpha():
+                if word in KEYWORDS:
+                    append(Token("keyword", word, line, col))
+                else:
+                    append(Token("upper" if word[0].isupper() else "lower", word, line, col))
             else:
-                tokens.append(Token("lower", word, line, col))
-            col += width
-            continue
-        raise CapError("parse", f"unexpected character {ch!r}", span=Span(line, col))
-    tokens.append(Token("eof", "", line, col))
+                raise CapError("parse", f"unexpected character {word[0]!r}", span=Span(line, col))
+    append(Token("eof", "", line, end))
     return tokens
 
 
@@ -126,11 +119,15 @@ class _Parser:
     def fail(self, message: str) -> CapError:
         return CapError("parse", message, span=self.peek().span)
 
+    def unexpected(self, want: str) -> CapError:
+        """`fail` with "expected `want`, found" the next token or end of input."""
+        text = self.peek().text
+        return self.fail(f"expected {want}, found {text!r}" if text else f"expected {want}, found end of input")
+
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise self.fail(f"expected {want!r}, found {tok.text!r}" if tok.text else f"expected {want!r}, found end of input")
+            raise self.unexpected(repr(text or kind))
         return self.next()
 
     def at_punct(self, text: str) -> bool:
@@ -190,7 +187,7 @@ class _Parser:
             inner = self.parse_type()
             self.expect("punct", ")")
             return inner
-        raise self.fail(f"expected a type, found {tok.text!r}")
+        raise self.unexpected("a type")
 
     # -- terms and patterns ----------------------------------------------------
 
@@ -223,7 +220,7 @@ class _Parser:
             out = inner()
             self.expect("punct", ")")
             return out
-        raise self.fail(f"expected a {what}, found {tok.text!r}")
+        raise self.unexpected(f"a {what}")
 
     def parse_branches(self) -> Abs:
         branches = [self.parse_branch()]

@@ -410,11 +410,30 @@ def test_a_pattern_sort_error_shows_the_pattern_in_concrete_syntax(tmp_path, cap
         ("check", "def f = [x: A] (x => x;\n", "1:19", "expected ')', found '=>'"),
         ("check", "def f = [x: A] => x;\n", "1:16", "expected a pattern, found '=>'"),
         ("check", "eval ;\n", "1:6", "expected a term, found ';'"),
+        ("check", "check A : ", "1:11", "expected a type, found end of input"),
+        ("check", "eval ", "1:6", "expected a term, found end of input"),
+        ("check", "def x = [y:A] y => ", "1:20", "expected a term, found end of input"),
+        # the end of input sits where a final comment starts
+        ("check", "check A : -- c", "1:11", "expected a type, found end of input"),
         ("check", "check A : A;\n  rec a. A;\n", "2:3", "expected a declaration (assume, def, check or eval)"),
         # a program is parsed to the end of its input, so only an inline term can trail
         ("type", "A )", "1:3", "trailing input starting at ')'"),
     ],
-    ids=["expect", "expect-end-of-input", "type", "nonlinear", "parenthesised-pattern", "pattern", "term", "decl", "trailing"],
+    ids=[
+        "expect",
+        "expect-end-of-input",
+        "type",
+        "nonlinear",
+        "parenthesised-pattern",
+        "pattern",
+        "term",
+        "type-end-of-input",
+        "term-end-of-input",
+        "body-end-of-input",
+        "end-of-input-at-a-comment",
+        "decl",
+        "trailing",
+    ],
 )
 def test_parse_failures_report_their_message_and_position(tmp_path, capsys, command, text, where, message):
     if command == "check":

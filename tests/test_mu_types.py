@@ -19,6 +19,7 @@ from cap.mu_types import (
     admitted_symbols,
     canonical,
     head_unfold,
+    same_type,
     truncate,
     truncations,
     unfold_once,
@@ -275,3 +276,59 @@ def test_admitted_symbols_nonempty_at_typed_pattern_positions(seed):
 
 def test_pretty_of_tree_debug_forms():
     assert pretty(truncate(parse_type("Nat -> Nat"), 1)) == "• -> •"
+
+
+def test_same_type_is_structural_equality():
+    types = [gen_type(GenConfig(seed=seed)) for seed in range(300)]
+    types += [parse_type("rec a. A + Cons@a"), parse_type("rec b. A + Cons@b"), TypeVar("x"), TypeConst("X")]
+    for t in types:
+        copy = parse_type(pretty(t))
+        assert same_type(t, copy) and same_type(copy, t)
+    for s, t in zip(types, types[1:]):
+        assert same_type(s, t) is (s == t)
+    # the binder names count: here a free `b` against a bound one
+    assert not same_type(parse_type("rec a. Cons@b"), parse_type("rec b. Cons@b"))
+
+
+def test_same_type_relates_deep_unions_without_recursion():
+    n = 10_000
+    a = union_of([TypeConst(f"C{i}") for i in range(n)])
+    b = union_of([TypeConst(f"C{i}") for i in range(n)])
+    c = union_of([TypeConst(f"C{i}") for i in range(n - 1)] + [TypeConst("D")])
+    assert a is not b
+    assert same_type(a, b) and not same_type(a, c) and not same_type(c, b)
+
+
+class _CountedApp(AppT):
+    """An application that counts the reads of its left side, and stops a
+    walk at 10 000 of them, so a walk over the tree fails instead of hanging."""
+
+    __slots__ = ()
+    reads = 0
+
+    def __getattribute__(self, name):
+        if name == "left":
+            _CountedApp.reads += 1
+            if _CountedApp.reads > 10_000:
+                raise RuntimeError("the walk does not share")
+        return super().__getattribute__(name)
+
+
+def _doubling_dag(n: int) -> MuType:
+    """T_i = T_{i-1}@T_{i-1}: n + 1 distinct nodes, a tree of 2^n leaves."""
+    t = TypeConst("A")
+    for _ in range(n):
+        t = _CountedApp(t, t)
+    return t
+
+
+def test_same_type_compares_each_pair_of_shared_nodes_once():
+    reads = []
+    for n in (20, 40):
+        a, b = _doubling_dag(n), _doubling_dag(n)
+        _CountedApp.reads = 0
+        assert same_type(a, b)
+        reads.append(_CountedApp.reads)
+    assert reads[1] <= 4 * 40 + 4
+    assert reads[1] <= 2.2 * reads[0]
+    assert not same_type(_doubling_dag(40), _CountedApp(_doubling_dag(39), TypeConst("B")))

@@ -26,7 +26,7 @@ from cap.relations import (
 )
 from cap.surface import parse_type, pretty
 
-from conftest import F_NAT
+from conftest import F_NAT, reference_is_equivalent, reference_is_subtype
 
 
 def test_subtype_examples():
@@ -100,19 +100,74 @@ def test_oracle_confirms_recursive_subtyping():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_reflexivity(seed):
-    # an equal copy goes through the engine; the same object does not
+    # the entry points answer an equal copy by structure, so the engine is
+    # asked directly as well
     t = gen_type(GenConfig(seed=seed))
     copy = parse_type(pretty(t))
     assert copy == t and copy is not t
     assert is_subtype(t, copy) and is_subtype(copy, t)
     assert is_equivalent(t, copy)
     assert is_subtype(t, t) and is_equivalent(t, t)
+    for mode in (MODE_SUB, MODE_EQ):
+        assert relations._Engine(mode).rel(t, copy) and relations._Engine(mode).rel(copy, t)
 
 
 def test_a_type_against_itself_builds_no_engine(monkeypatch):
     monkeypatch.setattr(relations, "_Engine", None)
     t = parse_type(F_NAT)
     assert is_subtype(t, t) and is_equivalent(t, t)
+
+
+def test_a_type_against_an_equal_copy_builds_no_engine(monkeypatch):
+    monkeypatch.setattr(relations, "_Engine", None)
+    for seed in range(200):
+        t = gen_type(GenConfig(seed=seed))
+        copy = parse_type(pretty(t))
+        assert is_subtype(t, copy) and is_subtype(copy, t) and is_equivalent(t, copy)
+
+
+# the map's type of the programs benchmark's widest `upd` program
+UPD_W9 = "rec a. Vl@Nat + a@a + Cons + Node + Nil + Leaf + Pair + Tip + Bin + Fork + Unit"
+
+
+def test_constants_are_looked_up_in_a_union_without_canonical(monkeypatch):
+    calls = []
+    original = relations.canonical
+    monkeypatch.setattr(relations, "canonical", lambda t: calls.append(t) or original(t))
+    leaves = parse_type("Unit + Fork + Bin + Tip + Pair + Leaf + Nil + Node + Cons")
+    target = parse_type(UPD_W9)
+    assert is_subtype(leaves, target)
+    assert not is_subtype(parse_type(f"{pretty(leaves)} + Stray"), target)
+    assert calls == []
+    # a compound component is still tried against each candidate
+    assert not is_subtype(target, leaves) and not is_equivalent(leaves, target)
+    assert calls
+
+
+def test_a_rigid_variable_is_looked_up_like_a_constant():
+    assert is_subtype(parse_type("x + A"), parse_type("A + B + x"))
+    assert not is_subtype(parse_type("x + A"), parse_type("A + B + X"))
+    assert not is_subtype(parse_type("X + A"), parse_type("A + B + x"))
+    assert is_equivalent(parse_type("x + A + x"), parse_type("A + x"))
+    assert not is_equivalent(parse_type("x + A"), parse_type("A + x + y"))
+
+
+def _engine_pairs(seeds):
+    """Generated pairs: a type against a mutation, a fresh type, or an equal copy."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        a = gen_type(GenConfig(seed=seed))
+        b = (mutate_type(rng, a), gen_type(GenConfig(seed=seed + 100_000)), parse_type(pretty(a)))[seed % 3]
+        yield a, b
+        yield b, a
+
+
+def test_the_engine_agrees_with_the_reference_engine():
+    pairs = list(_engine_pairs(range(800)))
+    assert len(pairs) >= 1500
+    for a, b in pairs:
+        assert is_subtype(a, b) is reference_is_subtype(a, b), (pretty(a), pretty(b))
+        assert is_equivalent(a, b) is reference_is_equivalent(a, b), (pretty(a), pretty(b))
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,7 @@ from cap.surface import (
 )
 from cap.syntax import Abs, App, Const, Var
 
-from conftest import F_NAT, LIST_A, TREE_A, reference_pretty_type
+from conftest import F_NAT, LIST_A, TREE_A, reference_pretty_type, reference_tokenize
 
 
 def test_union_binds_tighter_than_arrow_and_app_tightest():
@@ -275,6 +276,51 @@ def test_bullet_atom_is_reserved():
 def test_lexer_rejects_stray_characters():
     with pytest.raises(CapError):
         tokenize("Nat # Bool")
+
+
+def _tokens_or_error(lexer, text):
+    try:
+        return lexer(text)
+    except CapError as err:
+        return err.message, err.span
+
+
+def test_lexer_agrees_with_the_character_loop():
+    texts = [path.read_text(encoding="utf-8") for path in sorted(Path(__file__).parent.parent.glob("corpus/*.cap"))]
+    for seed in range(2000):
+        term, ty = gen_typed_term(GenConfig(seed=seed))
+        texts.append(f"check {pretty(term)} : {pretty(ty)};")
+    rng = random.Random(19)
+    pieces = [*"aZé²½_09 \t\r\n#-=>()[],;:|+@.", "->", "=>", "--", "-- c", "-- c\n", "rec", "check", "Xy_2"]
+    for _ in range(4000):
+        texts.append("".join(rng.choice(pieces) for _ in range(rng.randint(0, 12))))
+    outcomes = {"tokens": 0, "error": 0}
+    for text in texts:
+        got = _tokens_or_error(tokenize, text)
+        assert got == _tokens_or_error(reference_tokenize, text), repr(text)
+        outcomes["tokens" if isinstance(got, list) else "error"] += 1
+    assert min(outcomes.values()) > 500
+
+
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ("check A : -- c", ("eof", "", 1, 11)),  # the eof token sits where the final comment starts
+        ("check A : -- c\n", ("eof", "", 2, 1)),
+        ("a\tb\r c", ("lower", "c", 1, 6)),  # a tab and a carriage return are one column each
+        ("Xy_2é", ("upper", "Xy_2é", 1, 1)),
+    ],
+)
+def test_lexer_positions(text, token):
+    assert token in tokenize(text)
+
+
+@pytest.mark.parametrize("text, col", [("a ²", 3), ("½", 1), ("_x", 1), ("2x", 1), ("a - b", 3), ("\xa0", 1)])
+def test_lexer_rejects_what_does_not_start_a_word(text, col):
+    with pytest.raises(CapError) as err:
+        tokenize(text)
+    assert err.value.message == f"unexpected character {text[col - 1]!r}"
+    assert (err.value.span.line, err.value.span.col) == (1, col)
 
 
 def test_pretty_examples():

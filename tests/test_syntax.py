@@ -18,6 +18,7 @@ from cap.syntax import (
     is_linear,
     is_matchable_form,
     is_value,
+    same_term,
 )
 from cap.mu_types import TypeConst
 from cap.surface import parse_term, pretty
@@ -141,3 +142,26 @@ def test_substitution_is_linear_in_the_nesting_depth(monkeypatch):
         counts.append(len(visits))
         assert pretty(out) == pretty(_nested_abstractions(n, Const("C")))
     assert counts[1] <= 2.2 * counts[0]
+
+
+def test_same_term_compares_deep_terms_without_recursion():
+    a, b = _nested_abstractions(1000), _nested_abstractions(1000)
+    assert a is not b and same_term(a, b)
+    assert not same_term(a, _nested_abstractions(1000, Const("C")))
+
+
+def test_same_term_is_structural_equality():
+    terms = [gen_typed_term(GenConfig(seed=seed))[0] for seed in range(300)]
+    terms += [
+        parse_term("[x:A] x => x"),
+        parse_term("[x:B] x => x"),
+        parse_term("[y:A] y => y"),
+        parse_term("[x:A] x => x | [ ] C => C"),
+        parse_term("[x:A, y:B] x y => x"),
+        parse_term("[x:A] x y => x"),
+    ]
+    for t in terms:
+        copy = parse_term(pretty(t))
+        assert same_term(t, copy) and same_term(copy, t)
+    for s, t in zip(terms, terms[1:]):
+        assert same_term(s, t) is (s == t)
