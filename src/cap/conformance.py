@@ -296,6 +296,8 @@ class ConformanceSummary:
 
 
 FAILURE_DUMP = "cap_conform_failures.json"
+# The beta steps each suite term may take before it counts as out of fuel.
+SUITE_FUEL = 1000
 
 
 def run_conformance(
@@ -303,11 +305,10 @@ def run_conformance(
     cases: int = 500,
     kmax: int = 8,
     pairs: int = 1000,
-    fuel: int = 1000,
     dump_failures: bool = True,
 ) -> ConformanceSummary:
     """Run every suite; persist counterexamples so failures can be replayed."""
-    reports = [*term_suites(cfg, cases, fuel), confluence_suite(cfg, min(cases, 200), fuel)]
+    reports = [*term_suites(cfg, cases, SUITE_FUEL), confluence_suite(cfg, min(cases, 200), SUITE_FUEL)]
     differential = run_differential(cfg, pairs, kmax)
     summary = ConformanceSummary(cfg.seed, reports, differential)
     if dump_failures and not summary.ok:

@@ -75,6 +75,19 @@ def union_of(components: list[MuType]) -> MuType:
     return out
 
 
+def union_spine(t: Union) -> list[MuType]:
+    """The operands of the left-nested unions from `t` down, left to right,
+    so `union_spine(union_of(cs)) == cs` when no component is a union. It
+    walks the spine in a loop, so a flat union of any width adds no recursion."""
+    operands = []
+    while isinstance(t, Union):
+        operands.append(t.right)
+        t = t.left
+    operands.append(t)
+    operands.reverse()
+    return operands
+
+
 def free_type_vars(t: MuType) -> frozenset[str]:
     match t:
         case TypeConst():
@@ -230,8 +243,8 @@ def is_datatype(t: MuType, data_vars: frozenset[str] = frozenset()) -> bool:
             return False
         case TypeVar(name):
             return name in data_vars
-        case Union(l, r):
-            return is_datatype(l, data_vars) and is_datatype(r, data_vars)
+        case Union():
+            return all(is_datatype(part, data_vars) for part in union_spine(t))
         case Rec(var, body):
             return is_datatype(body, data_vars | {var})
     raise TypeError(f"not a type: {t!r}")

@@ -34,6 +34,7 @@ from .mu_types import (
     TypeVar,
     Union,
     is_datatype,
+    union_spine,
 )
 from .syntax import (
     Abs,
@@ -365,51 +366,39 @@ def validate_type(t: MuType) -> MuType:
     are checked before contractiveness, so a type with both errors reports
     `sort`.
     """
-    _check_sorts(t, frozenset())
-    _check_contractive(t, frozenset())
+    name = _validate(t, frozenset(), frozenset())
+    if name is not None:
+        raise CapError("contractiveness", f"recursion variable '{name}' must occur under @ or ->")
     return t
 
 
-def _check_sorts(t: MuType, data_vars: frozenset[str]) -> None:
+def _validate(t: MuType, data_vars: frozenset[str], unguarded: frozenset[str]) -> str | None:
+    """One walk for both rules: raise the first sort error of `t`, left to
+    right, and return the first recursion variable that occurs in `t` outside
+    any @ or ->, counting the binders in `unguarded`, or None. A left-nested
+    union is walked as one spine, so its width adds no recursion."""
     match t:
         case TypeConst(name):
             if name == BULLET_NAME:
                 raise CapError("sort", "the truncation marker is reserved and cannot appear in types")
-        case TypeVar():
-            return
+            return None
+        case TypeVar(name):
+            return name if name in unguarded else None
         case AppT(left, right):
-            _check_sorts(left, data_vars)
+            found = [_validate(left, data_vars, frozenset())]
             if not is_datatype(left, data_vars):
                 raise CapError("sort", "left argument of @ must be a datatype", actual=pretty(left))
-            _check_sorts(right, data_vars)
-        case Arrow(l, r) | Union(l, r):
-            _check_sorts(l, data_vars)
-            _check_sorts(r, data_vars)
+            found.append(_validate(right, data_vars, frozenset()))
+        case Arrow(dom, cod):
+            found = [_validate(dom, data_vars, frozenset()), _validate(cod, data_vars, frozenset())]
+        case Union():
+            found = [_validate(part, data_vars, unguarded) for part in union_spine(t)]
         case Rec(var, body):
             inner = data_vars | {var} if is_datatype(t, data_vars) else data_vars - {var}
-            _check_sorts(body, inner)
+            return _validate(body, inner, unguarded | {var})
         case _:
             raise TypeError(f"not a type: {t!r}")
-
-
-def _check_contractive(t: MuType, unguarded: frozenset[str]) -> None:
-    match t:
-        case TypeConst():
-            return
-        case TypeVar(name):
-            if name in unguarded:
-                raise CapError(
-                    "contractiveness",
-                    f"recursion variable '{name}' must occur under @ or ->",
-                )
-        case AppT(l, r) | Arrow(l, r):
-            _check_contractive(l, frozenset())
-            _check_contractive(r, frozenset())
-        case Union(l, r):
-            _check_contractive(l, unguarded)
-            _check_contractive(r, unguarded)
-        case Rec(var, body):
-            _check_contractive(body, unguarded | {var})
+    return next(filter(None, found), None)
 
 
 # -- pretty printing ------------------------------------------------------------
@@ -437,8 +426,9 @@ def _pretty_type(t: MuType, level: int, memo: dict) -> str:
         case Arrow(dom, cod):
             text = f"{_pretty_type(dom, 1, memo)} -> {_pretty_type(cod, 0, memo)}"
             text = f"({text})" if level > 0 else text
-        case Union(left, right):
-            text = f"{_pretty_type(left, 1, memo)} + {_pretty_type(right, 2, memo)}"
+        case Union():
+            first, *rest = union_spine(t)
+            text = " + ".join([_pretty_type(first, 1, memo), *(_pretty_type(part, 2, memo) for part in rest)])
             text = f"({text})" if level > 1 else text
         case AppT(left, right):
             text = f"{_pretty_type(left, 2, memo)}@{_pretty_type(right, 3, memo)}"
@@ -449,44 +439,28 @@ def _pretty_type(t: MuType, level: int, memo: dict) -> str:
     return text
 
 
-def pretty_pattern(p: Pattern, atom: bool = False) -> str:
-    match p:
-        case Matchable(name):
+def _pretty_syntax(x: Term | Pattern, atom: bool = False) -> str:
+    """A term or a pattern. Both are application spines (`App` or
+    `PatternCompound`) over names; only a term has abstractions."""
+    match x:
+        case Var(name) | Const(name) | Matchable(name) | PatternConst(name):
             return name
-        case PatternConst(name):
-            return name
-        case PatternCompound(left, right):
-            text = f"{pretty_pattern(left)} {pretty_pattern(right, atom=True)}"
-            return f"({text})" if atom else text
-    raise TypeError(f"not a pattern: {p!r}")
-
-
-def pretty_term(t: Term, atom: bool = False) -> str:
-    match t:
-        case Var(name) | Const(name):
-            return name
-        case App(fun, arg):
-            text = f"{pretty_term(fun, atom=isinstance(fun, Abs))} {pretty_term(arg, atom=True)}"
-            return f"({text})" if atom else text
+        case App(left, right) | PatternCompound(left, right):
+            text = f"{_pretty_syntax(left, atom=isinstance(left, Abs))} {_pretty_syntax(right, atom=True)}"
         case Abs(branches):
             parts = []
             for b in branches:
                 bindings = ", ".join(f"{n}:{pretty_type(ty)}" for n, ty in b.bindings)
                 # parenthesize abstraction bodies, else a following "|" would
                 # attach to the innermost branch list when re-parsed
-                body = pretty_term(b.body, atom=isinstance(b.body, Abs))
-                parts.append(f"[{bindings}] {pretty_pattern(b.pattern)} => {body}")
+                body = _pretty_syntax(b.body, atom=isinstance(b.body, Abs))
+                parts.append(f"[{bindings}] {_pretty_syntax(b.pattern)} => {body}")
             text = " | ".join(parts)
-            return f"({text})" if atom else text
-    raise TypeError(f"not a term: {t!r}")
+        case _:
+            raise TypeError(f"cannot pretty-print {x!r}")
+    return f"({text})" if atom else text
 
 
 def pretty(x) -> str:
     """Render a term, pattern or type back to concrete syntax."""
-    if isinstance(x, MuType):
-        return pretty_type(x)
-    if isinstance(x, Pattern):
-        return pretty_pattern(x)
-    if isinstance(x, Term):
-        return pretty_term(x)
-    raise TypeError(f"cannot pretty-print {x!r}")
+    return pretty_type(x) if isinstance(x, MuType) else _pretty_syntax(x)

@@ -4,6 +4,7 @@ from cap.compatibility import PatternJudgement, subsumes
 from cap.diagnostics import CapError, Span
 from cap.mu_types import (
     BULLET,
+    BULLET_NAME,
     SYM_APP,
     SYM_ARROW,
     AppT,
@@ -185,6 +186,53 @@ def reference_pretty_type(t: MuType, level: int = 0) -> str:
             text = f"{reference_pretty_type(left, 2)}@{reference_pretty_type(right, 3)}"
             return f"({text})" if level > 2 else text
     raise TypeError(f"not a type: {t!r}")
+
+
+def reference_validate_type(t: MuType) -> MuType:
+    """Reference: the sort rule in one recursive walk, then contractiveness in
+    another, so a type with both errors reports the sort error."""
+    reference_check_sorts(t, frozenset())
+    reference_check_contractive(t, frozenset())
+    return t
+
+
+def reference_check_sorts(t: MuType, data_vars: frozenset[str]) -> None:
+    match t:
+        case TypeConst(name):
+            if name == BULLET_NAME:
+                raise CapError("sort", "the truncation marker is reserved and cannot appear in types")
+        case TypeVar():
+            return
+        case AppT(left, right):
+            reference_check_sorts(left, data_vars)
+            if not is_datatype(left, data_vars):
+                raise CapError("sort", "left argument of @ must be a datatype", actual=reference_pretty_type(left))
+            reference_check_sorts(right, data_vars)
+        case Arrow(l, r) | Union(l, r):
+            reference_check_sorts(l, data_vars)
+            reference_check_sorts(r, data_vars)
+        case Rec(var, body):
+            inner = data_vars | {var} if is_datatype(t, data_vars) else data_vars - {var}
+            reference_check_sorts(body, inner)
+        case _:
+            raise TypeError(f"not a type: {t!r}")
+
+
+def reference_check_contractive(t: MuType, unguarded: frozenset[str]) -> None:
+    match t:
+        case TypeConst():
+            return
+        case TypeVar(name):
+            if name in unguarded:
+                raise CapError("contractiveness", f"recursion variable '{name}' must occur under @ or ->")
+        case AppT(l, r) | Arrow(l, r):
+            reference_check_contractive(l, frozenset())
+            reference_check_contractive(r, frozenset())
+        case Union(l, r):
+            reference_check_contractive(l, unguarded)
+            reference_check_contractive(r, unguarded)
+        case Rec(var, body):
+            reference_check_contractive(body, unguarded | {var})
 
 
 def reference_infer_type(env: TypeEnv, t: Term) -> MuType:

@@ -319,6 +319,25 @@ def test_deep_input_is_a_resource_diagnostic(tmp_path, capsys):
     assert "error[resource]" in err and "Traceback" not in err
 
 
+def flat_union(width):
+    return " + ".join(f"C{i}" for i in range(width))
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("wrap", ["{}", "rec t. Cons@t + {}"])
+@pytest.mark.parametrize("command, mode", [("sub", "sub"), ("equiv", "eq")])
+@pytest.mark.parametrize("width", [3000, 10_000])
+def test_a_flat_union_is_related_to_itself(capsys, width, command, mode, wrap, as_json):
+    # validation, the sort rule and the printer walk a union's spine in a loop
+    t = wrap.format(flat_union(width))
+    code, out, err = run(capsys, command, t, t, *(["--json"] if as_json else []))
+    assert (code, err) == (0, "")
+    if as_json:
+        assert json.loads(out) == {"left": t, "right": t, "mode": mode, "verdict": True}
+    else:
+        assert out == "true\n"
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
 def test_an_unreadable_file_is_a_parse_diagnostic(tmp_path, capsys, kind, as_json):

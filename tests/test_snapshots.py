@@ -1,10 +1,11 @@
 """Replay the recorded stdout, stderr and exit code of `cap` on a fixed battery.
 
 The battery is `check` and `eval` on every corpus file, plain, `--json`,
-`--trace` and `--json --trace`, and two small `conform` runs as text and as
-JSON. The second, at `--kmax 1`, reaches the oracle's deep paths: pairs
-refuted beyond kmax, the 4·kmax re-check and an inconclusive pair. Run this file as a script to record the outputs again after a change
-that alters them on purpose.
+`--trace` and `--json --trace`; `type` on inline terms, plain and `--json`;
+and two small `conform` runs as text and as JSON. The second, at `--kmax 1`,
+reaches the oracle's deep paths: pairs refuted beyond kmax, the 4·kmax
+re-check and an inconclusive pair. Run this file as a script to record the
+outputs again after a change that alters them on purpose.
 """
 
 import io
@@ -22,11 +23,24 @@ SNAPSHOTS = ROOT / "tests" / "snapshots" / "cli_outputs.json"
 FLAGS = ([], ["--json"], ["--trace"], ["--json", "--trace"])
 CONFORM = ["conform", "--seed", "3", "--cases", "10", "--pairs", "10"]
 CONFORM_DEEP = ["conform", "--seed", "245", "--cases", "5", "--pairs", "120", "--kmax", "1"]
+# Terms whose printed form (`type --json` echoes the term) covers nested
+# compound patterns, abstractions as arguments and as branch bodies, and
+# annotations with unions and `rec`; the last one is a sort error.
+TYPE_TERMS = [
+    "[x:A, y:B, z:C] Pair (Cons x (Cons y Nil)) (Box (Pair z Nil)) => Pair z x",
+    "([f: A -> A] Box f => f) (Box ([x:A] x => x))",
+    "[f: A -> A] Box f => ([y:A] Wrap y => f y) | [] Nil => Nil",
+    "Cons ([x:A] x => x) ([z:B] Box z => z)",
+    "[x: rec t. Nil + Cons@A@t, y: A + B] Pair x y => x",
+    "[g: (rec t. Nil + Cons@A@t) -> A + B] Go (Pair g (Cons Nil)) => ([h: A + rec u. Nil + Box@u] Wrap h => g)",
+    "[x:A -> A] Box (x Nil) => x",
+]
 
 
 def battery() -> list[list[str]]:
     files = sorted(p.name for p in (ROOT / "corpus").glob("*.cap"))
     runs = [[command, f"corpus/{name}", *flags] for name in files for command in ("check", "eval") for flags in FLAGS]
+    runs += [["type", term, *flags] for term in TYPE_TERMS for flags in ([], ["--json"])]
     return runs + [CONFORM, CONFORM + ["--json"], CONFORM_DEEP, CONFORM_DEEP + ["--json"]]
 
 

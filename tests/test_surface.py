@@ -29,7 +29,15 @@ from cap.surface import (
 )
 from cap.syntax import Abs, App, Const, Var
 
-from conftest import F_NAT, LIST_A, TREE_A, reference_pretty_type, reference_tokenize
+from conftest import (
+    F_NAT,
+    LIST_A,
+    TREE_A,
+    reference_check_contractive,
+    reference_pretty_type,
+    reference_tokenize,
+    reference_validate_type,
+)
 
 
 def test_union_binds_tighter_than_arrow_and_app_tightest():
@@ -130,7 +138,7 @@ def reference_sort(t, env, binder_sorts):
 def reference_validate(t):
     binder_sorts = {}
     sort = reference_sort(t, {}, binder_sorts)
-    surface._check_contractive(t, frozenset())
+    reference_check_contractive(t, frozenset())
     return sort, binder_sorts
 
 
@@ -188,7 +196,10 @@ def test_sort_rule_matches_the_retry_based_reference():
         except CapError as err:
             with pytest.raises(CapError) as got:
                 validate_type(t)
+            with pytest.raises(CapError) as two_walks:
+                reference_validate_type(t)
             assert got.value.code == err.code, pretty(t)
+            assert (got.value.message, got.value.actual) == (two_walks.value.message, two_walks.value.actual), pretty(t)
             outcomes[err.code] += 1
             continue
         assert validate_type(t) is t
