@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .conformance import GenConfig, run_conformance
-from .diagnostics import EXIT_CODES, CapError
+from .diagnostics import EXIT_CODES, CapError, as_diagnostic
 from .program import DeclResult, SessionState, check_program, process_decl
 from .reduction import DEFAULT_FUEL
 from .relations import MODE_EQ, MODE_SUB, PairOracle, is_equivalent, is_subtype
@@ -28,12 +28,6 @@ def _print_diagnostic(diag: CapError, as_json: bool) -> None:
     if os.environ.get("CAP_COLOR") != "0" and sys.stderr.isatty():
         text = f"\x1b[31m{text}\x1b[0m"
     print(text, file=sys.stderr)
-
-
-def _to_diagnostic(err: CapError | RecursionError) -> CapError:
-    if isinstance(err, RecursionError):
-        return CapError("resource", "input is nested too deeply to process")
-    return err
 
 
 def _exit_code(results: list[DeclResult]) -> int:
@@ -166,7 +160,7 @@ def cmd_repl(args) -> int:
                 result = process_decl(state, decl, fuel=args.max_steps, trace=args.trace)
                 _report_results([result], args, show_values=False)
         except (CapError, RecursionError) as err:
-            _print_diagnostic(_to_diagnostic(err), as_json=False)
+            _print_diagnostic(as_diagnostic(err), as_json=False)
 
 
 def _positive_int(text: str) -> int:
@@ -242,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (CapError, RecursionError) as err:
-        diag = _to_diagnostic(err)
+        diag = as_diagnostic(err)
         _print_diagnostic(diag, args.json)
         return EXIT_CODES[diag.code]
 

@@ -64,3 +64,8 @@ class CapError(Exception):
         if self.actual is not None:
             text += f"\n  actual:   {self.actual}"
         return text
+
+
+def as_diagnostic(err: CapError | RecursionError) -> CapError:
+    """`err` itself, or a `resource` error for a recursion too deep."""
+    return err if isinstance(err, CapError) else CapError("resource", "input is nested too deeply to process")

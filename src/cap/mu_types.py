@@ -155,12 +155,21 @@ def head_unfold(t: MuType) -> MuType:
 def union_components(t: MuType) -> list[MuType]:
     """Split a type into its maximal union components, in order, duplicates kept.
 
-    Every component has a non-union, non-recursive head.
-    """
+    Every component has a non-union, non-recursive head. The unions are
+    walked on a stack, so their width and depth add no recursion."""
     t = head_unfold(t)
-    if isinstance(t, Union):
-        return union_components(t.left) + union_components(t.right)
-    return [t]
+    if not isinstance(t, Union):
+        return [t]
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Rec):
+            t = head_unfold(t)
+        if isinstance(t, Union):
+            stack += (t.right, t.left)
+        else:
+            out.append(t)
+    return out
 
 
 def same_type(a: MuType, b: MuType) -> bool:
@@ -207,25 +216,25 @@ def canonical(t: MuType) -> MuType:
     Structural equality of canonical forms coincides with alpha-equivalence,
     which makes them usable as memo keys.
     """
+    return _canonical(t, 0, {})
 
-    def go(t: MuType, depth: int, env: dict[str, str]) -> MuType:
-        match t:
-            case TypeConst():
-                return t
-            case TypeVar(n):
-                return TypeVar(env.get(n, n))
-            case AppT(l, r):
-                return AppT(go(l, depth, env), go(r, depth, env))
-            case Arrow(l, r):
-                return Arrow(go(l, depth, env), go(r, depth, env))
-            case Union(l, r):
-                return Union(go(l, depth, env), go(r, depth, env))
-            case Rec(var, body):
-                new = f"#{depth}"
-                return Rec(new, go(body, depth + 1, {**env, var: new}))
-        raise TypeError(f"not a type: {t!r}")
 
-    return go(t, 0, {})
+def _canonical(t: MuType, depth: int, env: dict[str, str]) -> MuType:
+    match t:
+        case TypeConst():
+            return t
+        case TypeVar(n):
+            return TypeVar(env.get(n, n))
+        case AppT(l, r):
+            return AppT(_canonical(l, depth, env), _canonical(r, depth, env))
+        case Arrow(l, r):
+            return Arrow(_canonical(l, depth, env), _canonical(r, depth, env))
+        case Union(l, r):
+            return Union(_canonical(l, depth, env), _canonical(r, depth, env))
+        case Rec(var, body):
+            new = f"#{depth}"
+            return Rec(new, _canonical(body, depth + 1, {**env, var: new}))
+    raise TypeError(f"not a type: {t!r}")
 
 
 def is_datatype(t: MuType, data_vars: frozenset[str] = frozenset()) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .diagnostics import CapError
+from .diagnostics import CapError, as_diagnostic
 from .mu_types import MuType
 from .reduction import DEFAULT_FUEL, EvalResult, evaluate
 from .surface import Assume, Check, Def, Eval, Program, pretty
@@ -65,7 +65,8 @@ def process_decl(state: SessionState, decl, fuel: int = DEFAULT_FUEL, trace: boo
                     diag = CapError("runtime", message, actual=pretty(result.term), span=decl.span, decl=label)
                     return DeclResult(label, diagnostic=diag, inferred=ty, evaluated=result)
                 return DeclResult(label, inferred=ty, evaluated=result)
-    except CapError as err:
+    except (CapError, RecursionError) as err:
+        err = as_diagnostic(err)
         # the result keeps the error, but not the frames its traceback holds
         err.span, err.decl = decl.span, label
         return DeclResult(label, diagnostic=err.with_traceback(None))

@@ -8,22 +8,29 @@ Grammar sketch (see README for the full version):
     term     := branches | app
     branches := branch { "|" branch }
     branch   := "[" [ binding {"," binding} ] "]" pattern "=>" term
-    type     := untype [ "->" type ]            -- arrow is right-associative
-    untype   := apptype { "+" apptype }
-    apptype  := tatom { "@" tatom }
+    type     := name | "rec" lowerIdent "." type | type ("@" | "+" | "->") type
 
-Type application binds tighter than union, union tighter than arrow.
+Type application binds tighter than union, union tighter than the
+right-associative arrow, and a `rec x.` body extends as far right as it can.
 Upper-case identifiers are constants, lower-case ones are variables,
 matchables or recursion binders. Comments run from "--" to end of line.
+
+The lexer runs one `re.findall` per line and keeps the tokens as bare
+strings, with parallel lists of their kinds and line numbers; a column is
+computed only for a span. The parser reads a type by operator precedence
+(Pratt, "Top down operator precedence", POPL 1973) and a term or pattern as
+an application spine, each in one loop over an explicit stack, so no nesting
+depth makes it recurse. Each whole type is validated once it is read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
-from .diagnostics import CapError, Span
+from .diagnostics import CapError, Span, as_diagnostic
 from .mu_types import (
     BULLET_NAME,
     AppT,
@@ -47,7 +54,6 @@ from .syntax import (
     PatternConst,
     Term,
     Var,
-    is_linear,
 )
 
 KEYWORDS = ("assume", "def", "check", "eval", "rec")
@@ -59,231 +65,223 @@ class Token(NamedTuple):
     line: int
     col: int
 
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.col)
 
+PUNCT = frozenset(("(", ")", "[", "]", ",", ";", ":", "=", "|", "+", "@", ".", "->", "=>"))
 
-# The lexemes of one line, each after optional blanks, tried in order: "--"
-# starts a comment before it could start "->". A word starts with a letter and
-# goes on with letters, digits or "_"; `\w` is `str.isalnum` or "_", and the
-# first character is checked with `str.isalpha`, because `[^\W\d_]` also
-# admits numerals such as "²" that are not letters.
-_LEXEME = re.compile(
-    r"[ \t\r]*(?:(?P<comment>--.*)|(?P<punct>[-=]>|[()\[\],;:=|+@.])|(?P<word>[^\W\d_]\w*)|(?P<bad>.))"
-)
+# The lexemes of one line, tried in order at each character that is not a
+# blank: "--" starts a comment before it could start "->". A word starts with
+# a letter and goes on with letters, digits or "_"; `[^\W\d_]` also admits
+# numerals such as "²", so a word's first character is checked with
+# `str.isalpha`. Any other character is a lexeme of its own, and an error.
+_LEXEME = re.compile(r"--.*|[-=]>|[()\[\],;:=|+@.]|[^\W\d_]\w*|[^ \t\r]")
 
-
-def tokenize(text: str) -> list[Token]:
-    """The tokens of `text`, ending in one "eof" token. Columns count
-    characters from 1: a tab or a carriage return is one column, and only a
-    line feed ends a line. The eof token sits at the end of the last line, or
-    where its comment starts if it has one."""
-    tokens: list[Token] = []
-    append = tokens.append
-    for line, src in enumerate(text.split("\n"), 1):
-        end = len(src) + 1
-        # trailing blanks would make every failed match rescan them
-        for m in _LEXEME.finditer(src.rstrip(" \t\r")):
-            kind = m.lastgroup
-            word = m[kind]
-            col = m.end() - len(word) + 1
-            if kind == "comment":
-                end = col
-                break
-            if kind == "punct":
-                append(Token("punct", word, line, col))
-            elif kind == "word" and word[0].isalpha():
-                if word in KEYWORDS:
-                    append(Token("keyword", word, line, col))
-                else:
-                    append(Token("upper" if word[0].isupper() else "lower", word, line, col))
-            else:
-                raise CapError("parse", f"unexpected character {word[0]!r}", span=Span(line, col))
-    append(Token("eof", "", line, end))
-    return tokens
+# Type operators by precedence. "@" and "+" are left-associative, so each
+# reduces the operators of its own level; "->" reduces only tighter ones.
+_PREC = {"@": 3, "+": 2, "->": 1}
+_BUILD = {"@": AppT, "+": Union, "->": Arrow}
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str):
+        self.src = text.split("\n")
+        self.texts: list[str] = []
+        self.lines: list[int] = []
+        self.cols: dict[int, list[int]] = {}
+        self.i = 0
+        for line, src in enumerate(self.src, 1):
+            found = _LEXEME.findall(src)
+            if found and found[-1][:2] == "--":
+                found.pop()
+            self.texts += found
+            self.lines += [line] * len(found)
+        # a distinct lexeme's kind: itself if punctuation or a keyword, "upper" or "lower" if a name, else None
+        kinds = {
+            t: t if t in PUNCT or t in KEYWORDS else None if not t[0].isalpha() else "upper" if t[0].isupper() else "lower"
+            for t in set(self.texts)
+        }
+        if None in kinds.values():
+            i = min(self.texts.index(t) for t, kind in kinds.items() if kind is None)
+            raise CapError("parse", f"unexpected character {self.texts[i][0]!r}", span=self.span(i))
+        kinds[""] = "eof"
+        self.texts.append("")
+        self.lines.append(len(self.src))
+        self.kinds = list(map(kinds.__getitem__, self.texts))
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def span(self, i: int) -> Span:
+        """Where token `i` starts, a tab or a carriage return being one column. The
+        eof token sits at the end of the last line, or where its comment starts."""
+        line = self.lines[i]
+        src = self.src[line - 1]
+        k = i - bisect_left(self.lines, line)
+        if k == 0:  # the first lexeme of a line starts at its first non-blank
+            return Span(line, len(src) - len(src.lstrip(" \t\r")) + 1)
+        if line not in self.cols:
+            self.cols[line] = [m.start() + 1 for m in _LEXEME.finditer(src)] + [len(src) + 1]
+        return Span(line, self.cols[line][k])
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def unexpected(self, i: int, want: str) -> CapError:
+        found = repr(self.texts[i]) if self.texts[i] else "end of input"
+        return CapError("parse", f"expected {want}, found {found}", span=self.span(i))
 
-    def fail(self, message: str) -> CapError:
-        return CapError("parse", message, span=self.peek().span)
+    def expect(self, i: int, kind: str) -> None:
+        if self.kinds[i] != kind:
+            raise self.unexpected(i, repr(kind))
 
-    def unexpected(self, want: str) -> CapError:
-        """`fail` with "expected `want`, found" the next token or end of input."""
-        text = self.peek().text
-        return self.fail(f"expected {want}, found {text!r}" if text else f"expected {want}, found end of input")
+    def eat(self, kind: str) -> None:
+        self.expect(self.i, kind)
+        self.i += 1
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise self.unexpected(repr(text or kind))
-        return self.next()
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
-
-    def eat_punct(self, text: str) -> bool:
-        if self.at_punct(text):
-            self.next()
-            return True
-        return False
-
-    # -- types ---------------------------------------------------------------
-
-    def parse_valid_type(self) -> MuType:
+    def valid_type(self) -> MuType:
         """A whole type, validated once; nested types are checked with it."""
-        start = self.peek().span
-        t = self.parse_type()
+        start, t = self.i, self.raw_type()
         try:
             return validate_type(t)
-        except CapError as err:
-            err.span = start
-            raise
+        except (CapError, RecursionError) as err:  # the walk recurses once per nesting level
+            err = as_diagnostic(err)
+            err.span = self.span(start)
+            raise err
 
-    def parse_type(self) -> MuType:
-        left = self.parse_union_type()
-        if self.eat_punct("->"):
-            return Arrow(left, self.parse_type())
-        return left
+    def raw_type(self) -> MuType:
+        """Operator precedence over `ops`, the operators, open parentheses and `rec`
+        binders not yet reduced; only a ")" or the end of the type reduces a binder."""
+        texts, kinds, i = self.texts, self.kinds, self.i
+        ops: list[str] = []  # "@", "+", "->", "(" or a binder's name
+        out: list[MuType] = []
+        depth = 0
+        while True:
+            kind = kinds[i]
+            if kind == "rec":
+                self.expect(i + 1, "lower")
+                self.expect(i + 2, ".")
+                ops.append(texts[i + 1])
+                i += 3
+                continue
+            if kind == "(":
+                ops.append(kind)
+                depth, i = depth + 1, i + 1
+                continue
+            if kind != "upper" and kind != "lower":
+                raise self.unexpected(i, "a type")
+            out.append(TypeConst(texts[i]) if kind == "upper" else TypeVar(texts[i]))
+            i += 1
+            while True:  # reduce what `kind` ends: all down to the innermost "(" unless it is an operator
+                kind = kinds[i]
+                floor = _PREC[kind] + (kind == "->") if kind in _PREC else 0
+                while ops and ops[-1] != "(" and _PREC.get(ops[-1], 0) >= floor:
+                    op = ops.pop()
+                    if op in _BUILD:
+                        out[-2:] = [_BUILD[op](*out[-2:])]
+                    else:
+                        out[-1] = Rec(op, out[-1])
+                if kind != ")" or not depth:
+                    break
+                ops.pop()
+                depth, i = depth - 1, i + 1
+            if kind in _PREC:
+                ops.append(kind)
+                i += 1
+            elif depth:
+                raise self.unexpected(i, "')'")
+            else:
+                self.i = i
+                return out[0]
 
-    def parse_union_type(self) -> MuType:
-        out = self.parse_app_type()
-        while self.eat_punct("+"):
-            out = Union(out, self.parse_app_type())
-        return out
+    def spine(self, var, const, node, what: str) -> tuple:
+        """A term (Var, Const, App) or a pattern (Matchable, PatternConst,
+        PatternCompound), and the lower-case names in it, on a stack of frames.
+        An open parenthesis holds the spine before it. In a term, an open
+        branch list holds its branches and the head of the branch whose body is
+        read, and a "|" joins the innermost open branch list."""
+        texts, kinds, i = self.texts, self.kinds, self.i
+        frames: list = []
+        names: list[str] = []
+        spine = None
+        while True:
+            kind = kinds[i]
+            if kind == "lower":
+                names.append(texts[i])
+                atom = var(texts[i])
+            elif kind == "upper":
+                atom = const(texts[i])
+            elif kind == "(":
+                frames.append(spine)
+                spine, i = None, i + 1
+                continue
+            elif kind == "[" and spine is None and node is App:
+                frames.append([[], *self.branch_head(i)])
+                i = self.i
+                continue
+            elif kind == "|" and spine is not None and frames and type(frames[-1]) is list:
+                frame = frames[-1]
+                frame[0].append(Branch(frame[1], frame[2], spine))
+                frame[1:] = self.branch_head(i + 1)
+                i, spine = self.i, None
+                continue
+            elif spine is None:
+                raise self.unexpected(i, f"a {what}")
+            else:  # the spine ends, and so do the branch lists it ends
+                while frames and type(frames[-1]) is list:
+                    branches, pattern, bindings = frames.pop()
+                    spine = Abs((*branches, Branch(pattern, bindings, spine)))
+                if not frames:
+                    self.i = i
+                    return spine, names
+                if kind != ")":
+                    raise self.unexpected(i, "')'")
+                spine, atom = frames.pop(), spine
+            i += 1
+            spine = atom if spine is None else node(spine, atom)
 
-    def parse_app_type(self) -> MuType:
-        out = self.parse_type_atom()
-        while self.eat_punct("@"):
-            out = AppT(out, self.parse_type_atom())
-        return out
+    def term(self) -> Term:
+        return self.spine(Var, Const, App, "term")[0]
 
-    def parse_type_atom(self) -> MuType:
-        tok = self.peek()
-        if tok.kind == "upper":
-            self.next()
-            return TypeConst(tok.text)
-        if tok.kind == "lower":
-            self.next()
-            return TypeVar(tok.text)
-        if tok.kind == "keyword" and tok.text == "rec":
-            self.next()
-            var = self.expect("lower")
-            self.expect("punct", ".")
-            return Rec(var.text, self.parse_type())
-        if self.eat_punct("("):
-            inner = self.parse_type()
-            self.expect("punct", ")")
-            return inner
-        raise self.unexpected("a type")
-
-    # -- terms and patterns ----------------------------------------------------
-
-    def parse_term(self) -> Term:
-        if self.at_punct("["):
-            return self.parse_branches()
-        return self.parse_spine(Var, Const, App, self.parse_term, "term")
-
-    def parse_pattern(self) -> Pattern:
-        return self.parse_spine(Matchable, PatternConst, PatternCompound, self.parse_pattern, "pattern")
-
-    def parse_spine(self, var, const, node, inner, what: str):
-        """A left-nested application spine of atoms, joined by `node`: the one
-        grammar of terms (`App`) and patterns (`PatternCompound`)."""
-        out = self.parse_atom(var, const, inner, what)
-        while self.peek().kind in ("lower", "upper") or self.at_punct("("):
-            out = node(out, self.parse_atom(var, const, inner, what))
-        return out
-
-    def parse_atom(self, var, const, inner, what: str):
-        """A lower-case name as `var`, an upper-case one as `const`, or `inner` in parentheses."""
-        tok = self.peek()
-        if tok.kind == "lower":
-            self.next()
-            return var(tok.text)
-        if tok.kind == "upper":
-            self.next()
-            return const(tok.text)
-        if self.eat_punct("("):
-            out = inner()
-            self.expect("punct", ")")
-            return out
-        raise self.unexpected(f"a {what}")
-
-    def parse_branches(self) -> Abs:
-        branches = [self.parse_branch()]
-        while self.eat_punct("|"):
-            branches.append(self.parse_branch())
-        return Abs(tuple(branches))
-
-    def parse_branch(self) -> Branch:
-        opening = self.expect("punct", "[")
+    def branch_head(self, opening: int) -> tuple[Pattern, tuple[tuple[str, MuType], ...]]:
+        """`[ bindings ] pattern =>` from token `opening`; the pattern binds each matchable once."""
+        i = opening
+        self.expect(i, "[")
         bindings: list[tuple[str, MuType]] = []
-        if not self.at_punct("]"):
-            bindings.append(self.parse_binding())
-            while self.eat_punct(","):
-                bindings.append(self.parse_binding())
-        self.expect("punct", "]")
-        pattern = self.parse_pattern()
-        if not is_linear(pattern):
-            raise CapError("parse", "pattern binds a matchable twice", span=opening.span)
-        self.expect("punct", "=>")
-        body = self.parse_term()
-        return Branch(pattern, tuple(bindings), body)
+        if self.kinds[i + 1] == "]":
+            i += 1
+        while i == opening or self.kinds[i] == ",":
+            self.expect(i + 1, "lower")
+            self.expect(i + 2, ":")
+            self.i = i + 3
+            bindings.append((self.texts[i + 1], self.valid_type()))
+            i = self.i
+        self.i = i
+        self.eat("]")
+        pattern, names = self.spine(Matchable, PatternConst, PatternCompound, "pattern")
+        if len(set(names)) < len(names):
+            raise CapError("parse", "pattern binds a matchable twice", span=self.span(opening))
+        self.eat("=>")
+        return pattern, tuple(bindings)
 
-    def parse_binding(self) -> tuple[str, MuType]:
-        name = self.expect("lower")
-        self.expect("punct", ":")
-        return name.text, self.parse_valid_type()
-
-    # -- programs --------------------------------------------------------------
-
-    def parse_program(self) -> "Program":
+    def program(self) -> "Program":
         decls: list[Decl] = []
-        while self.peek().kind != "eof":
-            decls.append(self.parse_decl())
+        while self.kinds[self.i] != "eof":
+            kind, span, name = self.kinds[self.i], self.span(self.i), self.texts[self.i + 1]
+            if kind not in ("assume", "def", "check", "eval"):
+                raise CapError("parse", "expected a declaration (assume, def, check or eval)", span=span)
+            self.i += 1
+            if kind == "assume" or kind == "def":
+                self.eat("lower")
+                self.eat(":" if kind == "assume" else "=")
+                decls.append(Assume(name, self.valid_type(), span) if kind == "assume" else Def(name, self.term(), span))
+            elif kind == "check":
+                term = self.term()
+                self.eat(":")
+                decls.append(Check(term, self.valid_type(), span))
+            else:
+                decls.append(Eval(self.term(), span))
+            self.eat(";")
         return Program(tuple(decls))
 
-    def parse_decl(self) -> "Decl":
-        tok = self.peek()
-        if tok.kind != "keyword" or tok.text == "rec":
-            raise self.fail("expected a declaration (assume, def, check or eval)")
-        self.next()
-        span = tok.span
-        if tok.text == "assume":
-            name = self.expect("lower")
-            self.expect("punct", ":")
-            ty = self.parse_valid_type()
-            self.expect("punct", ";")
-            return Assume(name.text, ty, span)
-        if tok.text == "def":
-            name = self.expect("lower")
-            self.expect("punct", "=")
-            term = self.parse_term()
-            self.expect("punct", ";")
-            return Def(name.text, term, span)
-        if tok.text == "check":
-            term = self.parse_term()
-            self.expect("punct", ":")
-            ty = self.parse_valid_type()
-            self.expect("punct", ";")
-            return Check(term, ty, span)
-        term = self.parse_term()
-        self.expect("punct", ";")
-        return Eval(term, span)
+
+def tokenize(text: str) -> list[Token]:
+    """The parser's tokens of `text`, ending in one "eof" token, with spans."""
+    parser = _Parser(text)
+    kinds = ("keyword" if k in KEYWORDS else "punct" if k in PUNCT else k for k in parser.kinds)
+    return [Token(kind, t, *astuple(parser.span(i))) for i, (kind, t) in enumerate(zip(kinds, parser.texts))]
 
 
 @dataclass(frozen=True)
@@ -335,23 +333,23 @@ class Program:
 
 def _parse_all(text: str, production):
     """Parse all of `text` with `production`, a `_Parser` method."""
-    parser = _Parser(tokenize(text))
+    parser = _Parser(text)
     out = production(parser)
-    if parser.peek().kind != "eof":
-        raise parser.fail(f"trailing input starting at {parser.peek().text!r}")
+    if parser.kinds[parser.i] != "eof":
+        raise CapError("parse", f"trailing input starting at {parser.texts[parser.i]!r}", span=parser.span(parser.i))
     return out
 
 
 def parse_program(text: str) -> Program:
-    return _parse_all(text, _Parser.parse_program)
+    return _parse_all(text, _Parser.program)
 
 
 def parse_term(text: str) -> Term:
-    return _parse_all(text, _Parser.parse_term)
+    return _parse_all(text, _Parser.term)
 
 
 def parse_type(text: str) -> MuType:
-    return _parse_all(text, _Parser.parse_valid_type)
+    return _parse_all(text, _Parser.valid_type)
 
 
 # -- validation ---------------------------------------------------------------

@@ -319,6 +319,37 @@ def test_deep_input_is_a_resource_diagnostic(tmp_path, capsys):
     assert "error[resource]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_a_deep_declaration_is_a_resource_diagnostic_at_its_span(tmp_path, capsys, as_json):
+    # it parses, and its checking recurses too deeply; the other declarations get their verdicts
+    deep = tmp_path / "deep.cap"
+    depth = 10**5
+    deep.write_text("assume n : Nat;\n  eval " + "id (" * depth + "n" + ")" * depth + ";\neval n;\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(deep), *(["--json"] if as_json else []))
+    assert code == 5
+    if as_json:
+        results = json.loads(out)["results"]
+        assert [r["ok"] for r in results] == [True, False, True]
+        assert results[1]["diagnostic"] == {
+            "decl": "eval",
+            "code": "resource",
+            "span": {"line": 2, "col": 3},
+            "message": "input is nested too deeply to process",
+        }
+    else:
+        assert out == "assume n: Nat\neval: n  [0 steps]\n"
+        assert err == "2:3: error[resource] in eval: input is nested too deeply to process\n"
+
+
+def test_a_type_nested_too_deeply_is_a_resource_diagnostic_at_its_start(tmp_path, capsys):
+    # the parser reads it, and its validation recurses too deeply
+    deep = tmp_path / "deep.cap"
+    deep.write_text("assume n : Nat;\nassume f : " + "A -> " * 3000 + "A;\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(deep))
+    assert (code, out) == (5, "")
+    assert err == "2:12: error[resource]: input is nested too deeply to process\n"
+
+
 def flat_union(width):
     return " + ".join(f"C{i}" for i in range(width))
 

@@ -35,6 +35,15 @@ def test_subtype_examples():
     assert is_subtype(parse_type("rec a. Cons@a"), parse_type("rec b. Cons@b + Nil"))
 
 
+def test_two_different_flat_unions_are_related_without_recursion():
+    # union_components walks the spine on a stack; it used to recurse once per component
+    consts = [TypeConst(f"C{i}") for i in range(1200)]
+    left, right = union_of(consts), union_of([*consts, TypeConst("D")])
+    assert is_subtype(left, right) and not is_subtype(right, left)
+    assert not is_equivalent(left, right)
+    assert union_components(right) == [*consts, TypeConst("D")]
+
+
 def test_equivalence_examples():
     assert is_equivalent(parse_type("rec x. Nat -> Nat -> x"), parse_type("rec x. Nat -> x"))
     assert is_equivalent(parse_type("True + False"), parse_type("False + True"))

@@ -1,4 +1,6 @@
 import random
+import timeit
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -182,7 +184,7 @@ SHADOWING = [
 
 
 def raw_type(text):
-    return surface._Parser(tokenize(text)).parse_type()
+    return surface._Parser(text).raw_type()
 
 
 def test_sort_rule_matches_the_retry_based_reference():
@@ -282,6 +284,37 @@ def test_bullet_atom_is_reserved():
     with pytest.raises(CapError) as err:
         validate_type(TypeConst(BULLET_NAME))
     assert err.value.code == "sort"
+
+
+def id_chain(n):
+    return "eval " + "id (" * n + "x" + ")" * n + ";"
+
+
+def cons_list(n):
+    return "eval " + "Cons A (" * n + "Nil" + ")" * n + ";"
+
+
+@pytest.mark.parametrize("deep", [id_chain, cons_list])
+def test_a_deep_term_parses(deep):
+    term = parse_program(deep(10**5)).decls[0].term
+    depth = 0
+    while isinstance(term, App):
+        term, depth = term.arg, depth + 1
+    assert depth == 10**5 and term in (Var("x"), Const("Nil"))
+
+
+@pytest.mark.parametrize("deep", [id_chain, cons_list])
+def test_parse_time_grows_about_linearly(deep):
+    # the best of runs taken in turns, so a slow spell of the machine hits
+    # both sizes; timeit turns the collector off while it times, so a
+    # collection of the whole heap, which a run may or may not cross, is not
+    # charged to it
+    runs = {n: partial(parse_program, deep(n)) for n in (10_000, 40_000)}
+    best = dict.fromkeys(runs, float("inf"))
+    for _ in range(7):
+        for n, run in runs.items():
+            best[n] = min(best[n], timeit.timeit(run, number=1))
+    assert best[40_000] <= 2.5**2 * best[10_000], best  # at most 2.5 times per doubling
 
 
 def test_lexer_rejects_stray_characters():
