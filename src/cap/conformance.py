@@ -22,7 +22,6 @@ from .syntax import (
     PatternCompound,
     PatternConst,
     Term,
-    is_value,
     same_term,
 )
 from .typecheck import check_type, infer_type
@@ -122,9 +121,9 @@ def weak_moves(t: Term) -> list[Term]:
     moves: list[Term] = []
 
     def go(t: Term, rebuild) -> None:
-        if not isinstance(t, App):
+        if t.value:
             return
-        if is_value(t.fun) and is_value(t.arg) and isinstance(t.fun, Abs):
+        if t.fun.value and t.arg.value and isinstance(t.fun, Abs):
             try:
                 moves.append(rebuild(beta(t.fun, t.arg)[1]))
             except StuckMatch:
@@ -142,8 +141,7 @@ def random_order_normalize(rng: random.Random, term: Term, fuel: int) -> tuple[s
     for _ in range(fuel):
         moves = weak_moves(current)
         if not moves:
-            status = "normal" if is_value(current) else "stuck"
-            return status, current
+            return ("normal" if current.value else "stuck"), current
         current = rng.choice(moves)
     return "out-of-fuel", current
 

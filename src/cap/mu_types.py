@@ -324,8 +324,11 @@ def truncations(t: MuType, table: dict | None = None) -> Callable[[int], MuType]
                 out = table.get(leaf) or table.setdefault(leaf, t)
             case AppT(l, r) | Arrow(l, r):
                 out = node(type(t), go(l, k - 1), go(r, k - 1))
-            case Union(l, r):
-                out = node(Union, go(l, k), go(r, k))
+            case Union():
+                operands = union_spine(t)
+                out = go(operands[0], k)
+                for operand in operands[1:]:
+                    out = node(Union, out, go(operand, k))
             case Rec():
                 body = unfolded.get(id(t)) or unfolded.setdefault(id(t), unfold_once(t))
                 out = go(body, k)

@@ -16,7 +16,6 @@ from .syntax import (
     Term,
     apply_substitution,
     is_matchable_form,
-    is_value,
 )
 
 
@@ -122,14 +121,14 @@ def small_step(t: Term) -> tuple[Term, StepInfo | None] | None:
     when a beta attempt is decided against every branch or undecidable. The
     reference semantics that `evaluate` is tested against.
     """
-    if is_value(t):
+    if t.value:
         return None
     assert isinstance(t, App)
-    if not is_value(t.fun):
+    if not t.fun.value:
         stepped = small_step(t.fun)
         assert stepped is not None
         return App(stepped[0], t.arg), stepped[1]
-    if not is_value(t.arg):
+    if not t.arg.value:
         stepped = small_step(t.arg)
         assert stepped is not None
         return App(t.fun, stepped[0]), stepped[1]
@@ -158,8 +157,9 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, trace: bool = False) -> EvalResu
     focus is a stack of frames, `(node, None)` for a hole in the function position
     of `node` and `(node, fun)` for one in its argument position, the function
     evaluated to `fun`. After a step the search for the next redex goes on from
-    the reduct in place, so a step costs time in the size of its reduct, not of
-    the whole term.
+    the reduct in place, and an application whose `value` flag is set is a leaf,
+    never entered, so a step costs time in the part of its reduct that is not
+    yet a value, not in the size of the whole term.
     """
     if fuel <= 0:
         raise ValueError("fuel must be positive")
@@ -168,7 +168,7 @@ def evaluate(t: Term, fuel: int = DEFAULT_FUEL, trace: bool = False) -> EvalResu
     steps = 0
     focus = t
     while True:
-        while isinstance(focus, App):
+        while not focus.value:
             stack.append((focus, None))
             focus = focus.fun
         # The focus is a value: plug it in until an argument is left to evaluate or a redex forms.

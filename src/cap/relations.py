@@ -36,6 +36,7 @@ from .mu_types import (
     same_type,
     truncations,
     union_components,
+    union_spine,
 )
 
 MODE_SUB = "sub"
@@ -117,7 +118,7 @@ def tree_relation(mode: str) -> Callable[[MuType, MuType], bool]:
     def components(t: MuType) -> list[MuType]:
         got = comps.get(id(t))
         if got is None:
-            got = comps[id(t)] = components(t.left) + components(t.right) if isinstance(t, Union) else [t]
+            got = comps[id(t)] = [c for op in union_spine(t) for c in components(op)] if isinstance(t, Union) else [t]
         return got
 
     def rel(x: MuType, y: MuType) -> bool:

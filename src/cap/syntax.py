@@ -1,8 +1,16 @@
-"""Terms and patterns: abstract syntax, free names, substitution."""
+"""Terms and patterns: abstract syntax, free names, substitution.
+
+A term carries two facts, set when it is built from its children's: `free`,
+its free variables, and `value`, whether it is a value (a variable or a
+constant applied to values, or an abstraction). Neither is part of `==`,
+hashing, `repr` or `match` patterns. Sets are shared where one holds the
+other, and per `Var` name, so a deep spine over a few names holds a few sets.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .mu_types import MuType, _fresh_name, same_type
 
@@ -29,24 +37,49 @@ class PatternCompound(Pattern):
     right: Pattern
 
 
+@lru_cache(maxsize=1024)
+def _name_set(name: str) -> frozenset[str]:
+    """`{name}`, one set shared by the `Var`s of each name in recent use."""
+    return frozenset((name,))
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """`a | b`, reusing `a` or `b` when one holds the other."""
+    return a if b <= a else b if a <= b else a | b
+
+
 class Term:
     __slots__ = ()
+    free: frozenset[str]
+    value = True  # an application stores its own flag; every other term is a value
 
 
 @dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
+    free: frozenset[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "free", _name_set(self.name))
 
 
 @dataclass(frozen=True, slots=True)
 class Const(Term):
     name: str
+    free = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
 class App(Term):
     fun: Term
     arg: Term
+    free: frozenset[str] = field(init=False, compare=False, repr=False)
+    value: bool = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        fun, arg = self.fun, self.arg
+        object.__setattr__(self, "free", _union(fun.free, arg.free))
+        object.__setattr__(self, "value", fun.value and arg.value and not isinstance(fun, Abs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,10 +97,16 @@ class Branch:
 @dataclass(frozen=True, slots=True)
 class Abs(Term):
     branches: tuple[Branch, ...]
+    free: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.branches:
             raise ValueError("abstraction needs at least one branch")
+        free = frozenset()
+        for b in self.branches:
+            body, binders = b.body.free, free_matchables(b.pattern)
+            free = _union(free, body if binders.isdisjoint(body) else body - binders)
+        object.__setattr__(self, "free", free)
 
 
 Position = tuple[int, ...]
@@ -137,33 +176,6 @@ def same_term(a: Term, b: Term) -> bool:
     return True
 
 
-def free_vars(t: Term) -> frozenset[str]:
-    return _free_vars(t, {})
-
-
-def _free_vars(t: Term, memo: dict[int, tuple[Term, frozenset[str]]]) -> frozenset[str]:
-    """`free_vars`, computed once per node: `memo` holds each node it has seen,
-    keyed on its id, so the ids stay valid for as long as the memo lives."""
-    got = memo.get(id(t))
-    if got is not None:
-        return got[1]
-    match t:
-        case Var(name):
-            out = frozenset((name,))
-        case Const():
-            out = frozenset()
-        case App(f, a):
-            out = _free_vars(f, memo) | _free_vars(a, memo)
-        case Abs(branches):
-            out = frozenset()
-            for b in branches:
-                out |= _free_vars(b.body, memo) - free_matchables(b.pattern)
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-    memo[id(t)] = (t, out)
-    return out
-
-
 def rename_matchable(p: Pattern, old: str, new: str) -> Pattern:
     match p:
         case Matchable(name):
@@ -176,49 +188,43 @@ def rename_matchable(p: Pattern, old: str, new: str) -> Pattern:
 
 
 def apply_substitution(sub: Substitution, t: Term) -> Term:
-    """Simultaneous capture-avoiding replacement of free variables.
-
-    Free variables are computed once per node for the whole call, so the
-    cost is linear in the size of `t`, however deeply its abstractions nest.
-    """
-    return _substitute(sub, t, {})
+    """Simultaneous capture-avoiding replacement of free variables. A subterm
+    in which none of them is free is kept as it is, so closed subterms are shared."""
+    return _substitute(sub, t)
 
 
-def _substitute(sub: Substitution, t: Term, fv: dict) -> Term:
-    if not sub:
+def _substitute(sub: Substitution, t: Term) -> Term:
+    if sub.keys().isdisjoint(t.free):
         return t
     match t:
         case Var(name):
-            return sub.get(name, t)
-        case Const():
-            return t
+            return sub[name]
         case App(f, a):
-            return App(_substitute(sub, f, fv), _substitute(sub, a, fv))
+            return App(_substitute(sub, f), _substitute(sub, a))
         case Abs(branches):
-            return Abs(tuple(_subst_branch(sub, b, fv) for b in branches))
+            return Abs(tuple(_subst_branch(sub, b) for b in branches))
     raise TypeError(f"not a term: {t!r}")
 
 
-def _subst_branch(sub: Substitution, b: Branch, fv: dict) -> Branch:
+def _subst_branch(sub: Substitution, b: Branch) -> Branch:
     binders = free_matchables(b.pattern)
-    body_vars = _free_vars(b.body, fv)
-    live = {x: u for x, u in sub.items() if x not in binders and x in body_vars}
+    live = {x: u for x, u in sub.items() if x not in binders and x in b.body.free}
     if not live:
         return b
     range_vars: set[str] = set()
     for u in live.values():
-        range_vars |= _free_vars(u, fv)
+        range_vars |= u.free
     captured = sorted(binders & range_vars)
     pattern, bindings, body = b.pattern, b.bindings, b.body
     if captured:
-        avoid = set(range_vars) | set(body_vars) | set(binders) | set(live)
+        avoid = range_vars | b.body.free | binders | set(live)
         for old in captured:
             new = _fresh_name(old, avoid)
             avoid.add(new)
             pattern = rename_matchable(pattern, old, new)
             bindings = tuple((new if n == old else n, ty) for n, ty in bindings)
-            body = _substitute({old: Var(new)}, body, fv)
-    return Branch(pattern, bindings, _substitute(live, body, fv))
+            body = _substitute({old: Var(new)}, body)
+    return Branch(pattern, bindings, _substitute(live, body))
 
 
 # --- Classification ---------------------------------------------------------
@@ -229,16 +235,6 @@ def is_data_structure(t: Term) -> bool:
     while isinstance(t, App):
         t = t.fun
     return isinstance(t, Const)
-
-
-def is_value(t: Term) -> bool:
-    """Variable or constant applied to values, or an abstraction."""
-    match t:
-        case Var() | Const() | Abs():
-            return True
-        case App(f, a):
-            return not isinstance(f, Abs) and is_value(f) and is_value(a)
-    raise TypeError(f"not a term: {t!r}")
 
 
 def is_matchable_form(t: Term) -> bool:

@@ -274,6 +274,15 @@ def test_max_steps_below_one_is_a_usage_error(capsys, command, value):
     assert "--max-steps" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_a_bad_integer_option_names_the_expected_value(capsys, value):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["conform", "--cases", value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --cases: expected a positive integer, got '{value}'\n")
+
+
 @pytest.mark.parametrize("value", ["+5", "1_000"])
 def test_max_steps_takes_what_int_takes(capsys, value):
     code, out, _ = run(capsys, "eval", str(CORPUS / "bool_flip.cap"), "--max-steps", value)
@@ -324,21 +333,32 @@ def test_a_deep_declaration_is_a_resource_diagnostic_at_its_span(tmp_path, capsy
     # it parses, and its checking recurses too deeply; the other declarations get their verdicts
     deep = tmp_path / "deep.cap"
     depth = 10**5
-    deep.write_text("assume n : Nat;\n  eval " + "id (" * depth + "n" + ")" * depth + ";\neval n;\n", encoding="utf-8")
+    chain = "id (" * depth + "n" + ")" * depth
+    deep.write_text(f"assume n : Nat; assume id : Nat -> Nat;\n  eval {chain};\neval n;\n", encoding="utf-8")
     code, out, err = run(capsys, "check", str(deep), *(["--json"] if as_json else []))
     assert code == 5
     if as_json:
         results = json.loads(out)["results"]
-        assert [r["ok"] for r in results] == [True, False, True]
-        assert results[1]["diagnostic"] == {
+        assert [r["ok"] for r in results] == [True, True, False, True]
+        assert results[2]["diagnostic"] == {
             "decl": "eval",
             "code": "resource",
             "span": {"line": 2, "col": 3},
             "message": "input is nested too deeply to process",
         }
     else:
-        assert out == "assume n: Nat\neval: n  [0 steps]\n"
+        assert out == "assume n: Nat\nassume id: Nat -> Nat\neval: n  [0 steps]\n"
         assert err == "2:3: error[resource] in eval: input is nested too deeply to process\n"
+
+
+def test_a_deep_declaration_reports_an_unbound_head_before_any_deep_walk(tmp_path, capsys):
+    # typing meets the unbound `id` at the head of the chain before it descends
+    deep = tmp_path / "deep.cap"
+    depth = 10**5
+    deep.write_text("assume n : Nat;\n  eval " + "id (" * depth + "n" + ")" * depth + ";\neval n;\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(deep))
+    assert (code, out) == (1, "assume n: Nat\neval: n  [0 steps]\n")
+    assert err == "2:3: error[type] in eval: unbound variable 'id'\n"
 
 
 def test_a_type_nested_too_deeply_is_a_resource_diagnostic_at_its_start(tmp_path, capsys):
@@ -367,6 +387,24 @@ def test_a_flat_union_is_related_to_itself(capsys, width, command, mode, wrap, a
         assert json.loads(out) == {"left": t, "right": t, "mode": mode, "verdict": True}
     else:
         assert out == "true\n"
+
+
+def test_the_oracle_relates_two_wide_flat_unions(capsys):
+    # truncation and the oracle's union components walk a union's spine in a loop
+    left = flat_union(1200)
+    code, out, err = run(capsys, "oracle", left, left + " + D", "--kmax", "2", "--json")
+    assert (code, err) == (0, "")
+    sub, eq = json.loads(out)["reports"]
+    assert sub == {
+        "mode": "sub",
+        "engine": True,
+        "per_depth": [True, True, True],
+        "agree": True,
+        "refuting_depth": None,
+        "inconclusive": False,
+        "searched_to": 2,
+    }
+    assert (eq["mode"], eq["engine"], eq["agree"], eq["refuting_depth"]) == ("eq", False, True, 1)
 
 
 @pytest.mark.parametrize("as_json", [False, True])

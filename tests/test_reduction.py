@@ -26,7 +26,6 @@ from cap.syntax import (
     Var,
     apply_substitution,
     is_matchable_form,
-    is_value,
 )
 
 

@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from cap import syntax
 from cap.generators import GenConfig, gen_typed_term
+from cap.reduction import small_step
 from cap.syntax import (
     Abs,
     App,
@@ -14,16 +16,14 @@ from cap.syntax import (
     Var,
     apply_substitution,
     free_matchables,
-    free_vars,
     is_linear,
     is_matchable_form,
-    is_value,
     same_term,
 )
 from cap.mu_types import TypeConst
 from cap.surface import parse_term, pretty
 
-from conftest import InvalidPositionError, positions, subterm_at
+from conftest import InvalidPositionError, positions, reference_free_vars, reference_is_value, subterm_at
 
 
 def abs1(pattern, bindings, body):
@@ -39,8 +39,8 @@ def test_free_matchables():
 
 
 def test_free_vars_binder_removes():
-    assert free_vars(IDENTITY) == frozenset()
-    assert free_vars(App(Var("f"), Const("C"))) == {"f"}
+    assert IDENTITY.free == frozenset()
+    assert App(Var("f"), Const("C")).free == {"f"}
 
 
 def test_linearity():
@@ -86,7 +86,7 @@ def test_substitution_avoids_capture():
     renamed = out.branches[0]
     assert renamed.pattern != Matchable("y")
     binder = renamed.bindings[0][0]
-    assert free_vars(out) == {"y"}
+    assert out.free == {"y"}
     assert renamed.body == App(Var("y"), Var(binder))
 
 
@@ -98,7 +98,7 @@ def test_substitution_renames_a_binder_inside_a_compound_pattern():
 
 def test_classify_examples():
     def classify(t):
-        return is_value(t), is_matchable_form(t)
+        return t.value, is_matchable_form(t)
 
     assert classify(Const("Nil")) == (True, True)
     redex = App(IDENTITY, Const("C"))
@@ -109,6 +109,52 @@ def test_classify_examples():
     assert classify(IDENTITY) == (True, True)
     # variable-headed spines of values are values but not matchable forms
     assert classify(App(Var("x"), Const("C"))) == (True, False)
+
+
+def _subterms(t):
+    """Every term node of `t`, branch bodies included."""
+    stack, out = [t], []
+    while stack:
+        t = stack.pop()
+        out.append(t)
+        match t:
+            case App(f, a):
+                stack += (f, a)
+            case Abs(branches):
+                stack += (b.body for b in branches)
+    return out
+
+
+SHADOWING = [
+    "[x:A] x => y x",
+    "[x:A] x => x | [ ] C => x",
+    "[x:A] x => ([x:B] x => x) x",
+    "[y:A] y => ([x:B] x => y) x",
+    "[x:A, y:B] x y => ([y:A] y => x y z) y",
+    "([x:A] x => x) (f y)",
+]
+
+
+def test_term_facts_agree_with_their_recursive_definitions():
+    terms = [parse_term(text) for text in SHADOWING]
+    for seed in range(3000):
+        term, _ = gen_typed_term(GenConfig(seed=seed))
+        for _ in range(50):
+            terms.append(term)
+            stepped = small_step(term)
+            if stepped is None:
+                break
+            term = stepped[0]
+    for term in terms:
+        for t in _subterms(term):
+            assert (t.free, t.value) == (reference_free_vars(t), reference_is_value(t)), pretty(t)
+
+
+def test_a_spine_over_two_names_holds_three_sets():
+    # {id}, {n} and {id, n}: every Var of a name shares one set, and an
+    # application reuses its argument's set when that holds its function's
+    term = parse_term("id (" * 1000 + "n" + ")" * 1000)
+    assert len({id(t.free) for t in _subterms(term)}) == 3
 
 
 @given(st.integers(min_value=0, max_value=500))
@@ -131,15 +177,23 @@ def _nested_abstractions(n: int, t=Var("f")):
     return t
 
 
-def test_substitution_is_linear_in_the_nesting_depth(monkeypatch):
-    visits = []
-    original = syntax._free_vars
-    monkeypatch.setattr(syntax, "_free_vars", lambda t, memo: visits.append(t) or original(t, memo))
+def test_substitution_is_linear_in_the_nesting_depth():
+    # every Python function call the substitution makes, node construction
+    # included, counted by a profile hook, which adds no frame to the recursion
     counts = []
     for n in (100, 200):
-        visits.clear()
-        out = apply_substitution({"f": Const("C")}, _nested_abstractions(n))
-        counts.append(len(visits))
+        term, calls = _nested_abstractions(n), 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(count)
+        try:
+            out = apply_substitution({"f": Const("C")}, term)
+        finally:
+            sys.setprofile(None)
+        counts.append(calls)
         assert pretty(out) == pretty(_nested_abstractions(n, Const("C")))
     assert counts[1] <= 2.2 * counts[0]
 

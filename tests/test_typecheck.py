@@ -353,9 +353,8 @@ def test_substitution_preserves_types(seed):
             current = stepped[0]
             continue
         from cap.reduction import StuckMatch, beta
-        from cap.syntax import is_value
 
-        if not (is_value(current.fun) and is_value(current.arg)):
+        if not (current.fun.value and current.arg.value):
             stepped = small_step(current)
             if stepped is None:
                 return
