@@ -8,7 +8,7 @@ from .diagnostics import CapError, as_diagnostic
 from .mu_types import MuType
 from .reduction import DEFAULT_FUEL, EvalResult, evaluate
 from .surface import Assume, Check, Def, Eval, Program, pretty
-from .syntax import Term, apply_substitution
+from .syntax import Term, apply_substitution, free_vars
 from .typecheck import TypeEnv, check_type, infer_type
 
 
@@ -33,7 +33,9 @@ class SessionState:
     definitions: dict[str, Term] = field(default_factory=dict)
 
     def resolve(self, term: Term) -> Term:
-        return apply_substitution({n: self.definitions[n] for n in term.free if n in self.definitions}, term)
+        free = free_vars(term)
+        live = {n: self.definitions[n] for n in free if n in self.definitions}
+        return apply_substitution(live, term) if live else term
 
 
 def process_decl(state: SessionState, decl, fuel: int = DEFAULT_FUEL, trace: bool = False) -> DeclResult:

@@ -118,7 +118,11 @@ def tree_relation(mode: str) -> Callable[[MuType, MuType], bool]:
     def components(t: MuType) -> list[MuType]:
         got = comps.get(id(t))
         if got is None:
-            got = comps[id(t)] = [c for op in union_spine(t) for c in components(op)] if isinstance(t, Union) else [t]
+            if isinstance(t, Union):
+                got = [c for op in union_spine(t) for c in components(op)]
+            else:
+                got = [t]
+            comps[id(t)] = got
         return got
 
     def rel(x: MuType, y: MuType) -> bool:
@@ -133,10 +137,13 @@ def tree_relation(mode: str) -> Callable[[MuType, MuType], bool]:
         ys = components(y)
         if len(xs) == 1 and len(ys) == 1:
             return structural(xs[0], ys[0])
-        forward = all(any(rel(xi, yj) for yj in ys) for xi in xs)
-        if mode == MODE_SUB or not forward:
-            return forward
-        return all(any(rel(xi, yj) for xi in xs) for yj in ys)
+        # equivalence is symmetric, so its backward half is `covers` with the sides swapped
+        return covers(xs, ys) and (mode == MODE_SUB or covers(ys, xs))
+
+    def covers(xs: list[MuType], ys: list[MuType]) -> bool:
+        """Each of `xs` is related to one of `ys`: an atom exactly when it is among them."""
+        atoms = {y for y in ys if isinstance(y, _ATOMS)}
+        return all(x in atoms if isinstance(x, _ATOMS) else any(rel(x, y) for y in ys) for x in xs)
 
     def structural(x: MuType, y: MuType) -> bool:
         match x, y:

@@ -1,16 +1,14 @@
 """Terms and patterns: abstract syntax, free names, substitution.
 
-A term carries two facts, set when it is built from its children's: `free`,
-its free variables, and `value`, whether it is a value (a variable or a
-constant applied to values, or an abstraction). Neither is part of `==`,
-hashing, `repr` or `match` patterns. Sets are shared where one holds the
-other, and per `Var` name, so a deep spine over a few names holds a few sets.
+An application stores whether it is a value, set from its children when it is
+built and left out of `==`, hashing and `repr`. Free variables are not stored,
+since a spine over n distinct names would hold n²/2 of them; a substitution
+computes them once per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .mu_types import MuType, _fresh_name, same_type
 
@@ -37,49 +35,30 @@ class PatternCompound(Pattern):
     right: Pattern
 
 
-@lru_cache(maxsize=1024)
-def _name_set(name: str) -> frozenset[str]:
-    """`{name}`, one set shared by the `Var`s of each name in recent use."""
-    return frozenset((name,))
-
-
-def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
-    """`a | b`, reusing `a` or `b` when one holds the other."""
-    return a if b <= a else b if a <= b else a | b
-
-
 class Term:
     __slots__ = ()
-    free: frozenset[str]
     value = True  # an application stores its own flag; every other term is a value
 
 
 @dataclass(frozen=True, slots=True)
 class Var(Term):
     name: str
-    free: frozenset[str] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "free", _name_set(self.name))
 
 
 @dataclass(frozen=True, slots=True)
 class Const(Term):
     name: str
-    free = frozenset()
 
 
 @dataclass(frozen=True, slots=True)
 class App(Term):
     fun: Term
     arg: Term
-    free: frozenset[str] = field(init=False, compare=False, repr=False)
     value: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        fun, arg = self.fun, self.arg
-        object.__setattr__(self, "free", _union(fun.free, arg.free))
-        object.__setattr__(self, "value", fun.value and arg.value and not isinstance(fun, Abs))
+        fun = self.fun
+        object.__setattr__(self, "value", fun.value and self.arg.value and not isinstance(fun, Abs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,16 +76,10 @@ class Branch:
 @dataclass(frozen=True, slots=True)
 class Abs(Term):
     branches: tuple[Branch, ...]
-    free: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.branches:
             raise ValueError("abstraction needs at least one branch")
-        free = frozenset()
-        for b in self.branches:
-            body, binders = b.body.free, free_matchables(b.pattern)
-            free = _union(free, body if binders.isdisjoint(body) else body - binders)
-        object.__setattr__(self, "free", free)
 
 
 Position = tuple[int, ...]
@@ -176,6 +149,33 @@ def same_term(a: Term, b: Term) -> bool:
     return True
 
 
+def free_vars(t: Term) -> frozenset[str]:
+    return _free_vars(t, {})
+
+
+def _free_vars(t: Term, memo: dict[int, tuple[Term, frozenset[str]]]) -> frozenset[str]:
+    """`free_vars`, computed once per node: `memo` holds each node it has seen,
+    keyed on its id, so the ids stay valid for as long as the memo lives."""
+    got = memo.get(id(t))
+    if got is not None:
+        return got[1]
+    match t:
+        case Var(name):
+            out = frozenset((name,))
+        case Const():
+            out = frozenset()
+        case App(f, a):
+            out = _free_vars(f, memo) | _free_vars(a, memo)
+        case Abs(branches):
+            out = frozenset()
+            for b in branches:
+                out |= _free_vars(b.body, memo) - free_matchables(b.pattern)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    memo[id(t)] = (t, out)
+    return out
+
+
 def rename_matchable(p: Pattern, old: str, new: str) -> Pattern:
     match p:
         case Matchable(name):
@@ -188,43 +188,53 @@ def rename_matchable(p: Pattern, old: str, new: str) -> Pattern:
 
 
 def apply_substitution(sub: Substitution, t: Term) -> Term:
-    """Simultaneous capture-avoiding replacement of free variables. A subterm
-    in which none of them is free is kept as it is, so closed subterms are shared."""
-    return _substitute(sub, t)
+    """Simultaneous capture-avoiding replacement of free variables.
+
+    Free variables are computed once per node for the whole call, so the
+    cost is linear in the size of `t`, however deeply its abstractions nest.
+    A subterm that comes out unchanged is kept as it is, so closed subterms
+    are shared rather than copied.
+    """
+    return _substitute(sub, t, {})
 
 
-def _substitute(sub: Substitution, t: Term) -> Term:
-    if sub.keys().isdisjoint(t.free):
+def _substitute(sub: Substitution, t: Term, fv: dict) -> Term:
+    if not sub:
         return t
     match t:
         case Var(name):
-            return sub[name]
+            return sub.get(name, t)
+        case Const():
+            return t
         case App(f, a):
-            return App(_substitute(sub, f), _substitute(sub, a))
+            fun, arg = _substitute(sub, f, fv), _substitute(sub, a, fv)
+            return t if fun is f and arg is a else App(fun, arg)
         case Abs(branches):
-            return Abs(tuple(_subst_branch(sub, b) for b in branches))
+            new = tuple(_subst_branch(sub, b, fv) for b in branches)
+            return t if all(n is b for n, b in zip(new, branches)) else Abs(new)
     raise TypeError(f"not a term: {t!r}")
 
 
-def _subst_branch(sub: Substitution, b: Branch) -> Branch:
+def _subst_branch(sub: Substitution, b: Branch, fv: dict) -> Branch:
     binders = free_matchables(b.pattern)
-    live = {x: u for x, u in sub.items() if x not in binders and x in b.body.free}
+    body_vars = _free_vars(b.body, fv)
+    live = {x: u for x, u in sub.items() if x not in binders and x in body_vars}
     if not live:
         return b
     range_vars: set[str] = set()
     for u in live.values():
-        range_vars |= u.free
+        range_vars |= _free_vars(u, fv)
     captured = sorted(binders & range_vars)
     pattern, bindings, body = b.pattern, b.bindings, b.body
     if captured:
-        avoid = range_vars | b.body.free | binders | set(live)
+        avoid = set(range_vars) | set(body_vars) | set(binders) | set(live)
         for old in captured:
             new = _fresh_name(old, avoid)
             avoid.add(new)
             pattern = rename_matchable(pattern, old, new)
             bindings = tuple((new if n == old else n, ty) for n, ty in bindings)
-            body = _substitute({old: Var(new)}, body)
-    return Branch(pattern, bindings, _substitute(live, body))
+            body = _substitute({old: Var(new)}, body, fv)
+    return Branch(pattern, bindings, _substitute(live, body, fv))
 
 
 # --- Classification ---------------------------------------------------------

@@ -21,7 +21,7 @@ from cap.mu_types import (
 )
 from cap.relations import MODE_EQ, MODE_SUB, is_subtype
 from cap.surface import KEYWORDS, Token, parse_term, parse_type
-from cap.syntax import Abs, App, Const, Pattern, PatternCompound, Position, Term, Var, free_matchables
+from cap.syntax import Abs, App, Const, Pattern, PatternCompound, Position, Term, Var
 from cap.typecheck import TypeEnv, abs_type, apply_arrow, branch_bindings, type_pattern
 
 
@@ -235,23 +235,9 @@ def reference_check_contractive(t: MuType, unguarded: frozenset[str]) -> None:
             reference_check_contractive(body, unguarded | {var})
 
 
-def reference_free_vars(t: Term) -> frozenset[str]:
-    """Reference for `Term.free`: the free variables, by recursion on the term."""
-    match t:
-        case Var(name):
-            return frozenset((name,))
-        case Const():
-            return frozenset()
-        case App(f, a):
-            return reference_free_vars(f) | reference_free_vars(a)
-        case Abs(branches):
-            return frozenset().union(*(reference_free_vars(b.body) - free_matchables(b.pattern) for b in branches))
-    raise TypeError(f"not a term: {t!r}")
-
-
 def reference_is_value(t: Term) -> bool:
-    """Reference for `Term.value`: a variable or constant applied to values, or
-    an abstraction."""
+    """Reference for the `value` flag: a variable or constant applied to values,
+    or an abstraction."""
     match t:
         case Var() | Const() | Abs():
             return True

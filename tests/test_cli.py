@@ -329,36 +329,39 @@ def test_deep_input_is_a_resource_diagnostic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("as_json", [False, True])
-def test_a_deep_declaration_is_a_resource_diagnostic_at_its_span(tmp_path, capsys, as_json):
+@pytest.mark.parametrize("assumed", ["", " assume id : Nat -> Nat;"])
+def test_a_deep_declaration_is_a_resource_diagnostic_at_its_span(tmp_path, capsys, assumed, as_json):
     # it parses, and its checking recurses too deeply; the other declarations get their verdicts
     deep = tmp_path / "deep.cap"
     depth = 10**5
     chain = "id (" * depth + "n" + ")" * depth
-    deep.write_text(f"assume n : Nat; assume id : Nat -> Nat;\n  eval {chain};\neval n;\n", encoding="utf-8")
+    deep.write_text(f"assume n : Nat;{assumed}\n  eval {chain};\neval n;\n", encoding="utf-8")
     code, out, err = run(capsys, "check", str(deep), *(["--json"] if as_json else []))
     assert code == 5
+    before = ["assume n: Nat"] + (["assume id: Nat -> Nat"] if assumed else [])
     if as_json:
         results = json.loads(out)["results"]
-        assert [r["ok"] for r in results] == [True, True, False, True]
-        assert results[2]["diagnostic"] == {
+        assert [r["ok"] for r in results] == [True] * len(before) + [False, True]
+        assert results[len(before)]["diagnostic"] == {
             "decl": "eval",
             "code": "resource",
             "span": {"line": 2, "col": 3},
             "message": "input is nested too deeply to process",
         }
     else:
-        assert out == "assume n: Nat\nassume id: Nat -> Nat\neval: n  [0 steps]\n"
+        assert out == "".join(line + "\n" for line in before) + "eval: n  [0 steps]\n"
         assert err == "2:3: error[resource] in eval: input is nested too deeply to process\n"
 
 
-def test_a_deep_declaration_reports_an_unbound_head_before_any_deep_walk(tmp_path, capsys):
-    # typing meets the unbound `id` at the head of the chain before it descends
+def test_a_deep_pattern_is_a_resource_diagnostic_at_its_span(tmp_path, capsys):
+    # the parser and the abstraction it builds take any pattern depth; checking it recurses too deeply
     deep = tmp_path / "deep.cap"
-    depth = 10**5
-    deep.write_text("assume n : Nat;\n  eval " + "id (" * depth + "n" + ")" * depth + ";\neval n;\n", encoding="utf-8")
+    pattern = "C " * 10**4 + "x"
+    deep.write_text(f"assume n : Nat;\n  eval ([x:Nat] {pattern} => x) n;\neval n;\n", encoding="utf-8")
     code, out, err = run(capsys, "check", str(deep))
-    assert (code, out) == (1, "assume n: Nat\neval: n  [0 steps]\n")
-    assert err == "2:3: error[type] in eval: unbound variable 'id'\n"
+    assert code == 5
+    assert out == "assume n: Nat\neval: n  [0 steps]\n"
+    assert err == "2:3: error[resource] in eval: input is nested too deeply to process\n"
 
 
 def test_a_type_nested_too_deeply_is_a_resource_diagnostic_at_its_start(tmp_path, capsys):

@@ -130,7 +130,7 @@ class WatchedApp(App):
     __slots__ = ()
 
     def __getattribute__(self, name):
-        if name in ("fun", "arg", "free", "value"):
+        if name in ("fun", "arg", "value"):
             READS.append(name)
         return object.__getattribute__(self, name)
 

@@ -1,8 +1,9 @@
-import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cap import syntax
 from cap.generators import GenConfig, gen_typed_term
 from cap.reduction import small_step
 from cap.syntax import (
@@ -16,6 +17,7 @@ from cap.syntax import (
     Var,
     apply_substitution,
     free_matchables,
+    free_vars,
     is_linear,
     is_matchable_form,
     same_term,
@@ -23,7 +25,7 @@ from cap.syntax import (
 from cap.mu_types import TypeConst
 from cap.surface import parse_term, pretty
 
-from conftest import InvalidPositionError, positions, reference_free_vars, reference_is_value, subterm_at
+from conftest import InvalidPositionError, positions, reference_is_value, subterm_at
 
 
 def abs1(pattern, bindings, body):
@@ -39,8 +41,8 @@ def test_free_matchables():
 
 
 def test_free_vars_binder_removes():
-    assert IDENTITY.free == frozenset()
-    assert App(Var("f"), Const("C")).free == {"f"}
+    assert free_vars(IDENTITY) == frozenset()
+    assert free_vars(App(Var("f"), Const("C"))) == {"f"}
 
 
 def test_linearity():
@@ -86,7 +88,7 @@ def test_substitution_avoids_capture():
     renamed = out.branches[0]
     assert renamed.pattern != Matchable("y")
     binder = renamed.bindings[0][0]
-    assert out.free == {"y"}
+    assert free_vars(out) == {"y"}
     assert renamed.body == App(Var("y"), Var(binder))
 
 
@@ -125,18 +127,8 @@ def _subterms(t):
     return out
 
 
-SHADOWING = [
-    "[x:A] x => y x",
-    "[x:A] x => x | [ ] C => x",
-    "[x:A] x => ([x:B] x => x) x",
-    "[y:A] y => ([x:B] x => y) x",
-    "[x:A, y:B] x y => ([y:A] y => x y z) y",
-    "([x:A] x => x) (f y)",
-]
-
-
-def test_term_facts_agree_with_their_recursive_definitions():
-    terms = [parse_term(text) for text in SHADOWING]
+def test_the_value_flag_agrees_with_its_recursive_definition():
+    terms = []
     for seed in range(3000):
         term, _ = gen_typed_term(GenConfig(seed=seed))
         for _ in range(50):
@@ -147,14 +139,34 @@ def test_term_facts_agree_with_their_recursive_definitions():
             term = stepped[0]
     for term in terms:
         for t in _subterms(term):
-            assert (t.free, t.value) == (reference_free_vars(t), reference_is_value(t)), pretty(t)
+            assert t.value == reference_is_value(t), pretty(t)
 
 
-def test_a_spine_over_two_names_holds_three_sets():
-    # {id}, {n} and {id, n}: every Var of a name shares one set, and an
-    # application reuses its argument's set when that holds its function's
-    term = parse_term("id (" * 1000 + "n" + ")" * 1000)
-    assert len({id(t.free) for t in _subterms(term)}) == 3
+@pytest.mark.parametrize(
+    "text",
+    [
+        "C " + " ".join(f"x{i}" for i in range(10**4)),
+        "".join(f"Cons x{i} (" for i in range(10**4)) + "Nil" + ")" * 10**4,
+    ],
+    ids=["spine", "list"],
+)
+def test_a_term_over_many_distinct_names_holds_memory_linear_in_its_size(text):
+    # no node keeps a set of the names below it, which would hold n²/2 names
+    tracemalloc.start()
+    try:
+        term = parse_term(text)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 400 * 10**4
+
+
+def test_substitution_keeps_a_subterm_it_leaves_unchanged():
+    closed, open_ = parse_term("Cons A Nil"), parse_term("f y")
+    out = apply_substitution({"x": Const("B")}, App(App(Var("x"), closed), open_))
+    assert out == App(App(Const("B"), closed), open_)
+    assert out.fun.arg is closed and out.arg is open_
+    assert apply_substitution({"x": Const("B")}, open_) is open_
 
 
 @given(st.integers(min_value=0, max_value=500))
@@ -177,23 +189,15 @@ def _nested_abstractions(n: int, t=Var("f")):
     return t
 
 
-def test_substitution_is_linear_in_the_nesting_depth():
-    # every Python function call the substitution makes, node construction
-    # included, counted by a profile hook, which adds no frame to the recursion
+def test_substitution_is_linear_in_the_nesting_depth(monkeypatch):
+    visits = []
+    original = syntax._free_vars
+    monkeypatch.setattr(syntax, "_free_vars", lambda t, memo: visits.append(t) or original(t, memo))
     counts = []
     for n in (100, 200):
-        term, calls = _nested_abstractions(n), 0
-
-        def count(frame, event, arg):
-            nonlocal calls
-            calls += event == "call"
-
-        sys.setprofile(count)
-        try:
-            out = apply_substitution({"f": Const("C")}, term)
-        finally:
-            sys.setprofile(None)
-        counts.append(calls)
+        visits.clear()
+        out = apply_substitution({"f": Const("C")}, _nested_abstractions(n))
+        counts.append(len(visits))
         assert pretty(out) == pretty(_nested_abstractions(n, Const("C")))
     assert counts[1] <= 2.2 * counts[0]
 
