@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .diagnostics import CapError
 from .generators import GenConfig, gen_type, gen_typed_term, mutate_type
-from .mu_types import AppT, MuType, TypeConst
+from .mu_types import AppT, MuType, TypeConst, same_structure
 from .reduction import StuckMatch, Success, beta, evaluate, match_pattern, small_step
 from .relations import MODE_EQ, MODE_SUB, PairOracle, is_subtype
 from .surface import pretty
@@ -22,7 +22,6 @@ from .syntax import (
     PatternCompound,
     PatternConst,
     Term,
-    same_term,
 )
 from .typecheck import check_type, infer_type
 
@@ -197,7 +196,7 @@ def confluence_suite(cfg: GenConfig, cases: int, fuel: int = 2000) -> SuiteRepor
             report.failures.append(
                 Counterexample("confluence", seed, pretty(term), pretty(ty), f"random order got stuck at {pretty(random_nf)}")
             )
-        elif not same_term(random_nf, cbv.term):
+        elif not same_structure(random_nf, cbv.term):
             report.failures.append(
                 Counterexample(
                     "confluence",

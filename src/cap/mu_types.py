@@ -111,26 +111,28 @@ def _fresh_name(base: str, avoid: frozenset[str]) -> str:
 
 
 def subst_type(t: MuType, name: str, replacement: MuType) -> MuType:
-    """Capture-avoiding substitution of a recursion variable by a type."""
+    """Capture-avoiding substitution of a recursion variable by a type. A
+    subterm without `name` free comes back as the same object, and so does
+    `replacement` at every place it is put: they are shared, not copied."""
     match t:
         case TypeConst():
             return t
         case TypeVar(n):
             return replacement if n == name else t
-        case AppT(l, r):
-            return AppT(subst_type(l, name, replacement), subst_type(r, name, replacement))
-        case Arrow(l, r):
-            return Arrow(subst_type(l, name, replacement), subst_type(r, name, replacement))
-        case Union(l, r):
-            return Union(subst_type(l, name, replacement), subst_type(r, name, replacement))
+        case AppT(l, r) | Arrow(l, r) | Union(l, r):
+            left, right = subst_type(l, name, replacement), subst_type(r, name, replacement)
+            return t if left is l and right is r else type(t)(left, right)
         case Rec(var, body):
             if var == name:
                 return t
-            if var in free_type_vars(replacement) and name in free_type_vars(body):
+            new = subst_type(body, name, replacement)
+            if new is body:
+                return t
+            if var in free_type_vars(replacement):
                 fresh = _fresh_name(var, free_type_vars(replacement) | free_type_vars(body) | {name})
-                body = subst_type(body, var, TypeVar(fresh))
+                new = subst_type(subst_type(body, var, TypeVar(fresh)), name, replacement)
                 var = fresh
-            return Rec(var, subst_type(body, name, replacement))
+            return Rec(var, new)
     raise TypeError(f"not a type: {t!r}")
 
 
@@ -172,41 +174,43 @@ def union_components(t: MuType) -> list[MuType]:
     return out
 
 
-def same_type(a: MuType, b: MuType) -> bool:
-    """Structural equality, `a == b`, in time linear in the shared size.
+def same_structure(a: object, b: object) -> bool:
+    """Structural equality of types, terms or patterns, `a == b`, in time
+    linear in the shared size.
 
-    It walks an explicit stack, so no nesting depth raises `RecursionError`.
-    Identical objects are equal at once, and each pair of compound nodes is
-    compared once, so a DAG is not walked as a tree. Binder names count:
-    alpha-equivalent types that name a binder differently are not the same.
-    """
+    A node is compared by the fields of its class's `__match_args__`, the
+    fields `==` compares; names by value, tuples element by element, and any
+    other object raises `TypeError`. The walk keeps an explicit stack, so no
+    depth raises `RecursionError`, and compares each pair of compound nodes
+    once, so a DAG is not walked as a tree. Binder names count."""
     seen: set[tuple[int, int]] = set()
     stack = [(a, b)]
     while stack:
         x, y = stack.pop()
         if x is y:
             continue
-        if type(x) is not type(y):
+        cls = type(x)
+        if cls is not type(y):
             return False
-        if isinstance(x, (TypeConst, TypeVar)):
-            if x.name != y.name:
+        if cls is str:
+            if x != y:
                 return False
             continue
         key = (id(x), id(y))
         if key in seen:
             continue
         seen.add(key)
-        match x:
-            case AppT(l, r) | Union(l, r):
-                stack += ((r, y.right), (l, y.left))
-            case Arrow(l, r):
-                stack += ((r, y.cod), (l, y.dom))
-            case Rec(var, body):
-                if var != y.var:
-                    return False
-                stack.append((body, y.body))
-            case _:
-                raise TypeError(f"not a type: {x!r}")
+        if cls is tuple:
+            if len(x) != len(y):
+                return False
+            stack += zip(x, y)
+            continue
+        try:
+            fields = cls.__match_args__
+        except AttributeError:
+            raise TypeError(f"not a type, term or pattern: {x!r}") from None
+        for f in fields:
+            stack.append((getattr(x, f), getattr(y, f)))
     return True
 
 
@@ -262,12 +266,12 @@ def is_datatype(t: MuType, data_vars: frozenset[str] = frozenset()) -> bool:
 def admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:
     """Head symbols the type exhibits at a pattern position.
 
-    Unions contribute both sides, recursive types are unfolded, and a branch
-    that bottoms out in an atom before the position is consumed contributes
-    nothing. The type must be validated, as `parse_*` and the generators
-    produce it: contractiveness puts an `@` or `->` between every binder and
-    its recurrences, and each of those ends the walk or consumes a step of
-    the position, so the recursion terminates.
+    Unions contribute every operand, along their spine in a loop, recursive
+    types are unfolded, and a branch that bottoms out in an atom before the
+    position is consumed contributes nothing. The type must be validated, as
+    `parse_*` and the generators produce it: contractiveness puts an `@` or
+    `->` between every binder and its recurrences, and each of those ends the
+    walk or consumes a step of the position, so the recursion terminates.
     """
     match t:
         case TypeConst(name) | TypeVar(name):
@@ -280,8 +284,8 @@ def admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:
             if pos == ():
                 return frozenset((SYM_ARROW,))
             return admitted_symbols((l, r)[pos[0] - 1], pos[1:])
-        case Union(l, r):
-            return admitted_symbols(l, pos) | admitted_symbols(r, pos)
+        case Union():
+            return frozenset().union(*(admitted_symbols(part, pos) for part in union_spine(t)))
         case Rec():
             return admitted_symbols(unfold_once(t), pos)
     raise TypeError(f"not a type: {t!r}")

@@ -11,8 +11,8 @@ depth.
 Two questions are answered before that search, and both answers are exact:
 
 - `is_subtype` and `is_equivalent` hold at once when the two types are equal
-  as structures (`same_type`, linear in their shared size): equal types have
-  equal canonical forms, which the engine relates at its first step.
+  as structures (`same_structure`, linear in their shared size): equal types
+  have equal canonical forms, which the engine relates at its first step.
 - In the union clause, an atomic component (a constant or a rigid variable)
   is related exactly when it is among the other side's components. The
   engine relates an atom only to the same atom, by its reflexive step, and
@@ -33,7 +33,7 @@ from .mu_types import (
     TypeVar,
     Union,
     canonical,
-    same_type,
+    same_structure,
     truncations,
     union_components,
     union_spine,
@@ -95,11 +95,11 @@ class _Engine:
 
 
 def is_subtype(a: MuType, b: MuType) -> bool:
-    return same_type(a, b) or _Engine(MODE_SUB).rel(a, b)
+    return same_structure(a, b) or _Engine(MODE_SUB).rel(a, b)
 
 
 def is_equivalent(a: MuType, b: MuType) -> bool:
-    return same_type(a, b) or _Engine(MODE_EQ).rel(a, b)
+    return same_structure(a, b) or _Engine(MODE_EQ).rel(a, b)
 
 
 def tree_relation(mode: str) -> Callable[[MuType, MuType], bool]:

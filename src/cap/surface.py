@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import astuple, dataclass
-from typing import NamedTuple
+from dataclasses import dataclass
 
 from .diagnostics import CapError, Span, as_diagnostic
 from .mu_types import (
@@ -57,13 +56,6 @@ from .syntax import (
 )
 
 KEYWORDS = ("assume", "def", "check", "eval", "rec")
-
-
-class Token(NamedTuple):
-    kind: str  # "lower", "upper", "punct", "keyword", "eof"
-    text: str
-    line: int
-    col: int
 
 
 PUNCT = frozenset(("(", ")", "[", "]", ",", ";", ":", "=", "|", "+", "@", ".", "->", "=>"))
@@ -275,13 +267,6 @@ class _Parser:
                 decls.append(Eval(self.term(), span))
             self.eat(";")
         return Program(tuple(decls))
-
-
-def tokenize(text: str) -> list[Token]:
-    """The parser's tokens of `text`, ending in one "eof" token, with spans."""
-    parser = _Parser(text)
-    kinds = ("keyword" if k in KEYWORDS else "punct" if k in PUNCT else k for k in parser.kinds)
-    return [Token(kind, t, *astuple(parser.span(i))) for i, (kind, t) in enumerate(zip(kinds, parser.texts))]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .mu_types import MuType, _fresh_name, same_type
+from .mu_types import MuType, _fresh_name
 
 
 class Pattern:
@@ -107,46 +107,6 @@ def is_linear(p: Pattern) -> bool:
     """No matchable name occurs twice."""
     names = matchables(p)
     return len(names) == len(set(names))
-
-
-def same_term(a: Term, b: Term) -> bool:
-    """Structural equality of terms and their patterns, `a == b`, with
-    annotations compared by `same_type`. It walks an explicit stack, so no
-    nesting depth raises `RecursionError`, and compares each pair of compound
-    nodes once."""
-    seen: set[tuple[int, int]] = set()
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x is y:
-            continue
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, (Var, Const, Matchable, PatternConst)):
-            if x.name != y.name:
-                return False
-            continue
-        key = (id(x), id(y))
-        if key in seen:
-            continue
-        seen.add(key)
-        match x:
-            case App(f, arg):
-                stack += ((arg, y.arg), (f, y.fun))
-            case PatternCompound(l, r):
-                stack += ((r, y.right), (l, y.left))
-            case Abs(branches):
-                if len(branches) != len(y.branches):
-                    return False
-                for bx, by in zip(branches, y.branches):
-                    if len(bx.bindings) != len(by.bindings) or any(
-                        n1 != n2 or not same_type(t1, t2) for (n1, t1), (n2, t2) in zip(bx.bindings, by.bindings)
-                    ):
-                        return False
-                    stack += ((bx.body, by.body), (bx.pattern, by.pattern))
-            case _:
-                raise TypeError(f"not a term: {x!r}")
-    return True
 
 
 def free_vars(t: Term) -> frozenset[str]:

@@ -1,19 +1,21 @@
 """Pattern typing, term type synthesis with subsumption, and type checking.
 
 `infer_type` synthesizes a term's type; subsumption is applied only at
-application arguments and at checking boundaries. `check_type` is the
-checking direction. A constructed term (a constant, or an application spine
-headed by a constant or by a variable whose type is a datatype) synthesizes
-a single `TypeConst` or `AppT`, and for such a left side the fixpoint
-clauses of the subtype relation are: it is a subtype of a union exactly when
-it is a subtype of one of the union's components, a constant is a subtype
-of a component only when that is the same constant, and `D@A <= D'@A'`
-holds exactly when `D <= D'` and `A <= A'`. `check_type` applies those
-clauses to the term itself, pushing each component's sides into the
-function and the argument, so it reaches the verdict of
-`is_subtype(infer_type(env, t), expected)` without building or walking the
-whole inferred type. Every other subterm, and every other term, is inferred
-and compared with `is_subtype`.
+application arguments and at checking boundaries, and both go through one
+walk, `_checks`: `check_type` is the checking direction, and an argument is
+checked against its function's domain the same way. A constructed term (a
+constant, or an application spine headed by a constant or by a variable
+whose type is a datatype) synthesizes a single `TypeConst` or `AppT`, and
+for such a left side the fixpoint clauses of the subtype relation are: it is
+a subtype of a union exactly when it is a subtype of one of the union's
+components, a constant is a subtype of a component only when that is the
+same constant, and `D@A <= D'@A'` holds exactly when `D <= D'` and
+`A <= A'`. `check_type` applies those clauses to the term itself, pushing each
+component's sides into the function and the argument, so it reaches the
+verdict of `is_subtype(infer_type(env, t), expected)` without building or
+walking the whole inferred type. Every other subterm, and every other term,
+is inferred and compared with `is_subtype`. An argument that fails its
+domain is inferred whole, only to report its type.
 
 Terms are DAGs: `SessionState.resolve` puts one definition body at every
 place its name occurs, so `def d_i = Cons d_{i-1} d_{i-1}` holds `d_{i-1}`
@@ -24,9 +26,9 @@ that lives for one top-level call and keeps the nodes it is keyed on alive:
   environment: each branch body, typed under `{**env, **bindings}`, starts a
   fresh one, so one `Var` object can be a bound matchable inside a body and
   an assumed name outside it.
-- `check_type` keys `_checks`'s verdicts on the pair (term node, expected
-  type), and shares one inference memo among every subterm it infers and
-  the `actual` type it reports.
+- `_checks` keys its verdicts on the pair (term node, expected type), in a
+  memo for one `check_type` call or one application's argument, and shares
+  the inference memo of its environment.
 - `surface.pretty_type`, which prints `actual`, keys its memo on the pair
   (type node, precedence level).
 
@@ -129,7 +131,10 @@ def _infer_app(env: TypeEnv, fun: Term, arg: Term, memo: dict) -> MuType:
         return AppT(fun_ty, _infer(env, arg, memo))
     components = union_components(fun_ty)
     if len(components) == 1 and isinstance(components[0], Arrow):
-        return apply_arrow(components[0], _infer(env, arg, memo))
+        arrow = components[0]
+        if _checks(env, arg, arrow.dom, memo, {}):
+            return arrow.cod
+        return apply_arrow(arrow, _infer(env, arg, memo))
     raise CapError(
         "type",
         "function position is neither a datatype nor a single arrow",

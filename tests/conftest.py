@@ -20,7 +20,7 @@ from cap.mu_types import (
     union_components,
 )
 from cap.relations import MODE_EQ, MODE_SUB, is_subtype
-from cap.surface import KEYWORDS, Token, parse_term, parse_type
+from cap.surface import KEYWORDS, parse_term, parse_type
 from cap.syntax import Abs, App, Const, Pattern, PatternCompound, Position, Term, Var
 from cap.typecheck import TypeEnv, abs_type, apply_arrow, branch_bindings, type_pattern
 
@@ -40,9 +40,11 @@ LIST_A = "rec a. Nil + Cons@A@a"
 TREE_A = "rec a. Nil + Node@A@a@a"
 
 
-def reference_tokenize(text: str) -> list[Token]:
-    """Reference: the lexer as a loop over characters."""
-    tokens: list[Token] = []
+def reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """Reference: the lexer as a loop over characters, giving each token as
+    (kind, text, line, col) with kind "lower", "upper", "punct", "keyword" or
+    "eof"."""
+    tokens: list[tuple[str, str, int, int]] = []
     line, col = 1, 1
     i = 0
     n = len(text)
@@ -62,12 +64,12 @@ def reference_tokenize(text: str) -> list[Token]:
                 i += 1
             continue
         if text.startswith("->", i) or text.startswith("=>", i):
-            tokens.append(Token("punct", text[i : i + 2], line, col))
+            tokens.append(("punct", text[i : i + 2], line, col))
             i += 2
             col += 2
             continue
         if ch in "()[],;:=|+@.":
-            tokens.append(Token("punct", ch, line, col))
+            tokens.append(("punct", ch, line, col))
             i += 1
             col += 1
             continue
@@ -78,15 +80,15 @@ def reference_tokenize(text: str) -> list[Token]:
             word = text[start:i]
             width = i - start
             if word in KEYWORDS:
-                tokens.append(Token("keyword", word, line, col))
+                tokens.append(("keyword", word, line, col))
             elif word[0].isupper():
-                tokens.append(Token("upper", word, line, col))
+                tokens.append(("upper", word, line, col))
             else:
-                tokens.append(Token("lower", word, line, col))
+                tokens.append(("lower", word, line, col))
             col += width
             continue
         raise CapError("parse", f"unexpected character {ch!r}", span=Span(line, col))
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(("eof", "", line, col))
     return tokens
 
 

@@ -410,6 +410,18 @@ def test_the_oracle_relates_two_wide_flat_unions(capsys):
     assert (eq["mode"], eq["engine"], eq["agree"], eq["refuting_depth"]) == ("eq", False, True, 1)
 
 
+def test_a_wide_union_annotation_checks_beside_another_branch(tmp_path, capsys):
+    # the compatibility check asks for the admitted symbols of the wide
+    # annotation, which walk a union's spine in a loop
+    wide = flat_union(3000)
+    arrow = f"D + ({wide}) -> D + ({wide})"
+    src = tmp_path / "wide.cap"
+    src.write_text(f"check [ ] D => D | [x: {wide}] x => x : {arrow};\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(src))
+    assert (code, err) == (0, "")
+    assert out == f"check: {arrow}\n"
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
 def test_an_unreadable_file_is_a_parse_diagnostic(tmp_path, capsys, kind, as_json):

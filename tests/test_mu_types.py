@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cap.mu_types as mu_types
+import cap.syntax as syntax
 from cap.generators import GenConfig, gen_type
 from cap.mu_types import (
     BULLET,
@@ -19,7 +21,7 @@ from cap.mu_types import (
     admitted_symbols,
     canonical,
     head_unfold,
-    same_type,
+    same_structure,
     truncate,
     truncations,
     unfold_once,
@@ -32,14 +34,56 @@ from cap.surface import parse_type, pretty
 from conftest import F_NAT, LIST_A, positions, reference_admitted_symbols, reference_truncate
 
 
+def _copying_subst_type(t: MuType, name: str, replacement: MuType) -> MuType:
+    """Capture-avoiding substitution that rebuilds every node it passes."""
+    match t:
+        case TypeConst():
+            return t
+        case TypeVar(n):
+            return replacement if n == name else t
+        case AppT(l, r) | Arrow(l, r) | Union(l, r):
+            return type(t)(_copying_subst_type(l, name, replacement), _copying_subst_type(r, name, replacement))
+        case Rec(var, body):
+            if var == name:
+                return t
+            if var in mu_types.free_type_vars(replacement) and name in mu_types.free_type_vars(body):
+                fresh = mu_types._fresh_name(var, mu_types.free_type_vars(replacement) | mu_types.free_type_vars(body) | {name})
+                body = _copying_subst_type(body, var, TypeVar(fresh))
+                var = fresh
+            return Rec(var, _copying_subst_type(body, name, replacement))
+    raise TypeError(f"not a type: {t!r}")
+
+
 def test_unfolding_renames_a_binder_that_would_capture():
     # the inner `rec x` would capture the free `x` of the type substituted for `a`
     t = parse_type("rec a. Cons@x@(rec x. a@x)")
     unfolded = unfold_once(t)
     assert pretty(unfolded) == "Cons@x@(rec x_1. (rec a. Cons@x@(rec x. a@x))@x_1)"
+    assert unfolded == _copying_subst_type(t.body, t.var, t)
     for mode in (MODE_SUB, MODE_EQ):
         report = oracle_compare(t, unfolded, 8, mode)
         assert report.engine and report.agree
+
+
+def test_unfolding_shares_what_does_not_mention_the_binder():
+    t = parse_type("rec t. (A -> B@(rec u. Nil + Cons@u)) + Cons@t")
+    unfolded = unfold_once(t)
+    assert unfolded.left is t.body.left
+    assert unfolded.right.left is t.body.right.left and unfolded.right.right is t
+    inner = parse_type("rec u. Nil + Cons@u")
+    assert mu_types.subst_type(inner, "t", t) is inner
+
+
+def test_unfolding_equals_the_copying_substitution():
+    for seed in range(3000):
+        stack = [gen_type(GenConfig(seed=seed))]
+        while stack:
+            match stack.pop():
+                case Rec(var, body) as t:
+                    assert unfold_once(t) == _copying_subst_type(body, var, t), pretty(t)
+                    stack.append(body)
+                case AppT(l, r) | Arrow(l, r) | Union(l, r):
+                    stack += (l, r)
 
 
 def test_head_unfold_one_step():
@@ -278,16 +322,35 @@ def test_pretty_of_tree_debug_forms():
     assert pretty(truncate(parse_type("Nat -> Nat"), 1)) == "• -> •"
 
 
+def test_every_node_class_matches_on_the_fields_it_compares():
+    # `same_structure` walks `__match_args__`, so for every node class those
+    # must be the fields `==` compares, in order
+    classes = [
+        cls
+        for module in (mu_types, syntax)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+    ]
+    assert {cls.__name__ for cls in classes} == {
+        *("TypeConst", "TypeVar", "AppT", "Arrow", "Union", "Rec"),
+        *("Matchable", "PatternConst", "PatternCompound", "Var", "Const", "App", "Branch", "Abs"),
+    }
+    for cls in classes:
+        assert cls.__match_args__ == tuple(f.name for f in dataclasses.fields(cls) if f.compare), cls.__name__
+
+
 def test_same_type_is_structural_equality():
     types = [gen_type(GenConfig(seed=seed)) for seed in range(300)]
     types += [parse_type("rec a. A + Cons@a"), parse_type("rec b. A + Cons@b"), TypeVar("x"), TypeConst("X")]
     for t in types:
         copy = parse_type(pretty(t))
-        assert same_type(t, copy) and same_type(copy, t)
+        assert same_structure(t, copy) and same_structure(copy, t)
     for s, t in zip(types, types[1:]):
-        assert same_type(s, t) is (s == t)
+        assert same_structure(s, t) is (s == t)
     # the binder names count: here a free `b` against a bound one
-    assert not same_type(parse_type("rec a. Cons@b"), parse_type("rec b. Cons@b"))
+    assert not same_structure(parse_type("rec a. Cons@b"), parse_type("rec b. Cons@b"))
+    with pytest.raises(TypeError):
+        same_structure(AppT(TypeConst("A"), 1), AppT(TypeConst("A"), 2))
 
 
 def test_same_type_relates_deep_unions_without_recursion():
@@ -296,7 +359,7 @@ def test_same_type_relates_deep_unions_without_recursion():
     b = union_of([TypeConst(f"C{i}") for i in range(n)])
     c = union_of([TypeConst(f"C{i}") for i in range(n - 1)] + [TypeConst("D")])
     assert a is not b
-    assert same_type(a, b) and not same_type(a, c) and not same_type(c, b)
+    assert same_structure(a, b) and not same_structure(a, c) and not same_structure(c, b)
 
 
 class _CountedApp(AppT):
@@ -327,8 +390,8 @@ def test_same_type_compares_each_pair_of_shared_nodes_once():
     for n in (20, 40):
         a, b = _doubling_dag(n), _doubling_dag(n)
         _CountedApp.reads = 0
-        assert same_type(a, b)
+        assert same_structure(a, b)
         reads.append(_CountedApp.reads)
     assert reads[1] <= 4 * 40 + 4
     assert reads[1] <= 2.2 * reads[0]
-    assert not same_type(_doubling_dag(40), _CountedApp(_doubling_dag(39), TypeConst("B")))
+    assert not same_structure(_doubling_dag(40), _CountedApp(_doubling_dag(39), TypeConst("B")))

@@ -1,5 +1,6 @@
 import random
 import timeit
+from dataclasses import astuple
 from functools import partial
 from pathlib import Path
 
@@ -21,12 +22,13 @@ from cap.mu_types import (
     is_datatype,
 )
 from cap.surface import (
+    KEYWORDS,
+    PUNCT,
     parse_program,
     parse_term,
     parse_type,
     pretty,
     pretty_type,
-    tokenize,
     validate_type,
 )
 from cap.syntax import Abs, App, Const, Var
@@ -315,6 +317,14 @@ def test_parse_time_grows_about_linearly(deep):
         for n, run in runs.items():
             best[n] = min(best[n], timeit.timeit(run, number=1))
     assert best[40_000] <= 2.5**2 * best[10_000], best  # at most 2.5 times per doubling
+
+
+def tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The parser's tokens of `text`, ending in one "eof" token, in the
+    reference's form: (kind, text, line, col)."""
+    parser = surface._Parser(text)
+    kinds = ("keyword" if k in KEYWORDS else "punct" if k in PUNCT else k for k in parser.kinds)
+    return [(kind, t, *astuple(parser.span(i))) for i, (kind, t) in enumerate(zip(kinds, parser.texts))]
 
 
 def test_lexer_rejects_stray_characters():

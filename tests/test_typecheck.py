@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cap import typecheck
+from cap import mu_types, typecheck
 from cap.diagnostics import CapError
 from cap.generators import GenConfig, gen_type, gen_typed_term, mutate_type
 from cap.mu_types import AppT, Arrow, TypeConst, is_datatype, union_components
@@ -484,6 +484,26 @@ def test_chained_defs_type_and_check_in_linear_time(monkeypatch):
         assert process_decl(state, decl).ok
     # the definitions split no type, and the check infers nothing
     assert counts["splits"][-1] > 0
+
+
+def test_an_argument_checks_against_the_domain_in_linear_time(monkeypatch):
+    # `id d_n` checks `d_n` against the domain component by component, as
+    # `check` does; relating its inferred DAG type to the domain would walk
+    # the tree of 2**(n+1) - 1 nodes in `canonical`, so a count of that
+    # walk's steps past its bound fails at once
+    n = 48
+    text = f"def id = [x: rec t. A + Cons@t@t] x => x;\n{_chain(n)}\ncheck id d{n} : rec t. A + Cons@t@t;"
+    steps = [0]
+    real = mu_types._canonical
+
+    def counted(*args):
+        steps[0] += 1
+        assert steps[0] <= 100
+        return real(*args)
+
+    monkeypatch.setattr(mu_types, "_canonical", counted)
+    state = SessionState()
+    assert all(process_decl(state, decl).ok for decl in parse_program(text).decls)
 
 
 def test_a_rejected_chained_def_prints_its_whole_type():
