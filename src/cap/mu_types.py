@@ -13,27 +13,54 @@ SYM_ARROW = "->"
 BULLET_NAME = "•"
 
 
+REPR_LIMIT = 400
+
+
+def node_repr(node: object) -> str:
+    """The dataclass `repr` of a type, term, pattern or branch, cut with `...`
+    past `REPR_LIMIT` characters. Like `same_structure`, it reads fields from
+    `__match_args__` on a stack, which stops at the limit: a DAG is never printed as a tree."""
+    text = ""
+    stack = [node]  # nodes and tuples to write out, and text written as it is
+    while stack and len(text) <= REPR_LIMIT:
+        x = stack.pop()
+        if type(x) is not str:
+            if type(x) is tuple:
+                fields = [("", value) for value in x]
+            else:
+                fields = [(f"{name}=", getattr(x, name)) for name in type(x).__match_args__]
+            stack.append(",)" if type(x) is tuple and len(x) == 1 else ")")
+            for i in reversed(range(len(fields))):
+                label, value = fields[i]
+                shown = value if type(value) is tuple or hasattr(type(value), "__match_args__") else repr(value)
+                stack += (shown, (", " if i else "") + label)
+            x = "(" if type(x) is tuple else f"{type(x).__qualname__}("
+        text += x
+    return text if len(text) <= REPR_LIMIT else text[:REPR_LIMIT] + "..."
+
+
 class MuType:
     """Base class for type expressions."""
 
     __slots__ = ()
+    __repr__ = node_repr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class TypeConst(MuType):
     """Atomic type constant, shared namespace with term constants."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class TypeVar(MuType):
     """Recursion variable, or a free rigid variable; its sort is computed."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class AppT(MuType):
     """Type application D @ A; the left side must be datatype-sorted."""
 
@@ -41,7 +68,7 @@ class AppT(MuType):
     right: MuType
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Arrow(MuType):
     """Function type A -> B."""
 
@@ -49,7 +76,7 @@ class Arrow(MuType):
     cod: MuType
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Union(MuType):
     """Binary union A + B."""
 
@@ -57,7 +84,7 @@ class Union(MuType):
     right: MuType
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Rec(MuType):
     """Recursive type binding `var` in `body`; see `is_datatype` for its sort."""
 
@@ -229,12 +256,8 @@ def _canonical(t: MuType, depth: int, env: dict[str, str]) -> MuType:
             return t
         case TypeVar(n):
             return TypeVar(env.get(n, n))
-        case AppT(l, r):
-            return AppT(_canonical(l, depth, env), _canonical(r, depth, env))
-        case Arrow(l, r):
-            return Arrow(_canonical(l, depth, env), _canonical(r, depth, env))
-        case Union(l, r):
-            return Union(_canonical(l, depth, env), _canonical(r, depth, env))
+        case AppT(l, r) | Arrow(l, r) | Union(l, r):
+            return type(t)(_canonical(l, depth, env), _canonical(r, depth, env))
         case Rec(var, body):
             new = f"#{depth}"
             return Rec(new, _canonical(body, depth + 1, {**env, var: new}))

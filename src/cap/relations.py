@@ -8,11 +8,17 @@ memoized: an assumption is discarded when its check returns, so sibling goals
 prove the same pairs again, and nested unions take time exponential in their
 depth.
 
-Two questions are answered before that search, and both answers are exact:
+Three questions are answered before that search, and each answer is exact:
 
 - `is_subtype` and `is_equivalent` hold at once when the two types are equal
   as structures (`same_structure`, linear in their shared size): equal types
   have equal canonical forms, which the engine relates at its first step.
+- A constructed left side (a constant, a rigid variable or an `@`) is related
+  by clauses the greatest fixpoint satisfies as equations: it fits some union
+  component of the right side (`sub`) or every one (`eq`), where an atom fits
+  an equal component and `D@A` fits `D'@A'` when `D` and `A` are related to
+  `D'` and `A'`. The clauses descend only the left side's finite `@` spine, so
+  they need no assumptions; a query memoizes them on the identity of the pair.
 - In the union clause, an atomic component (a constant or a rigid variable)
   is related exactly when it is among the other side's components. The
   engine relates an atom only to the same atom, by its reflexive step, and
@@ -43,16 +49,40 @@ MODE_SUB = "sub"
 MODE_EQ = "eq"
 
 _ATOMS = (TypeConst, TypeVar)
+_CONSTRUCTED = (TypeConst, TypeVar, AppT)
 
 
 class _Engine:
-    """One relation query; owns its assumption set."""
+    """One relation query; owns its assumption set and the memos of `query`."""
 
     def __init__(self, mode: str):
         if mode not in (MODE_SUB, MODE_EQ):
             raise ValueError(f"bad mode {mode!r}")
         self.mode = mode
         self.assumed: set[tuple[MuType, MuType]] = set()
+        self.fitted: dict[tuple[int, int], tuple[MuType, MuType, bool]] = {}
+        self.split: dict[int, tuple[MuType, list[MuType]]] = {}
+
+    def query(self, a: MuType, b: MuType) -> bool:
+        """The verdict on `a` and `b`: by the clauses (see the module docstring)
+        when `a` is constructed, else by the search. Its memos keep their keys alive."""
+        if not isinstance(a, _CONSTRUCTED):
+            return self.rel(a, b)
+        got = self.fitted.get((id(a), id(b)))
+        if got is None:
+            # `sub` stops at the first component that fits, `eq` at the first miss; unlike `any`, a loop adds no frame
+            verdict = self.mode == MODE_EQ
+            split = self.split.get(id(b)) or self.split.setdefault(id(b), (b, union_components(b)))
+            for c in split[1]:
+                if isinstance(a, AppT):
+                    fits = isinstance(c, AppT) and self.query(a.left, c.left) and self.query(a.right, c.right)
+                else:
+                    fits = a == c
+                if fits != verdict:
+                    verdict = fits
+                    break
+            got = self.fitted[id(a), id(b)] = (a, b, verdict)
+        return got[2]
 
     def rel(self, a: MuType, b: MuType) -> bool:
         lefts = union_components(a)
@@ -95,11 +125,11 @@ class _Engine:
 
 
 def is_subtype(a: MuType, b: MuType) -> bool:
-    return same_structure(a, b) or _Engine(MODE_SUB).rel(a, b)
+    return same_structure(a, b) or _Engine(MODE_SUB).query(a, b)
 
 
 def is_equivalent(a: MuType, b: MuType) -> bool:
-    return same_structure(a, b) or _Engine(MODE_EQ).rel(a, b)
+    return same_structure(a, b) or _Engine(MODE_EQ).query(a, b)
 
 
 def tree_relation(mode: str) -> Callable[[MuType, MuType], bool]:

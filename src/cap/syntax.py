@@ -10,26 +10,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .mu_types import MuType, _fresh_name
+from .mu_types import MuType, _fresh_name, node_repr
 
 
 class Pattern:
     __slots__ = ()
+    __repr__ = node_repr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Matchable(Pattern):
     """Pattern variable, bound by the enclosing branch."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class PatternConst(Pattern):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class PatternCompound(Pattern):
     left: Pattern
     right: Pattern
@@ -37,20 +38,21 @@ class PatternCompound(Pattern):
 
 class Term:
     __slots__ = ()
+    __repr__ = node_repr
     value = True  # an application stores its own flag; every other term is a value
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Const(Term):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class App(Term):
     fun: Term
     arg: Term
@@ -61,7 +63,7 @@ class App(Term):
         object.__setattr__(self, "value", fun.value and self.arg.value and not isinstance(fun, Abs))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Branch:
     """One alternative of an abstraction: pattern, matchable annotations, body."""
 
@@ -69,11 +71,13 @@ class Branch:
     bindings: tuple[tuple[str, MuType], ...]
     body: Term
 
+    __repr__ = node_repr
+
     def binding_map(self) -> dict[str, MuType]:
         return dict(self.bindings)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Abs(Term):
     branches: tuple[Branch, ...]
 

@@ -1,41 +1,15 @@
 """Pattern typing, term type synthesis with subsumption, and type checking.
 
-`infer_type` synthesizes a term's type; subsumption is applied only at
-application arguments and at checking boundaries, and both go through one
-walk, `_checks`: `check_type` is the checking direction, and an argument is
-checked against its function's domain the same way. A constructed term (a
-constant, or an application spine headed by a constant or by a variable
-whose type is a datatype) synthesizes a single `TypeConst` or `AppT`, and
-for such a left side the fixpoint clauses of the subtype relation are: it is
-a subtype of a union exactly when it is a subtype of one of the union's
-components, a constant is a subtype of a component only when that is the
-same constant, and `D@A <= D'@A'` holds exactly when `D <= D'` and
-`A <= A'`. `check_type` applies those clauses to the term itself, pushing each
-component's sides into the function and the argument, so it reaches the
-verdict of `is_subtype(infer_type(env, t), expected)` without building or
-walking the whole inferred type. Every other subterm, and every other term,
-is inferred and compared with `is_subtype`. An argument that fails its
-domain is inferred whole, only to report its type.
+`infer_type` synthesizes a term's type. Subsumption is one `is_subtype`
+question at each application (the argument's type against the function's
+domain) and in `check_type` (the term's type against the expected one);
+every subtype clause lives in `relations`.
 
 Terms are DAGs: `SessionState.resolve` puts one definition body at every
 place its name occurs, so `def d_i = Cons d_{i-1} d_{i-1}` holds `d_{i-1}`
-twice as the same object. Each walk memoizes on node identity, in a memo
-that lives for one top-level call and keeps the nodes it is keyed on alive:
-
-- `infer_type` keys its memo on the term node. A memo serves one typing
-  environment: each branch body, typed under `{**env, **bindings}`, starts a
-  fresh one, so one `Var` object can be a bound matchable inside a body and
-  an assumed name outside it.
-- `_checks` keys its verdicts on the pair (term node, expected type), in a
-  memo for one `check_type` call or one application's argument, and shares
-  the inference memo of its environment.
-- `surface.pretty_type`, which prints `actual`, keys its memo on the pair
-  (type node, precedence level).
-
-Each memo is looked up inside the recursive function itself, so the memo
-adds no Python frame per level of the term, and the traversal order is the
-one of a tree walk: the verdicts and the first error are those of walking
-every occurrence.
+twice as the same object. Typing meets each node once per environment (see
+`_infer`), and `relations` and `surface.pretty_type` walk the inferred type,
+a DAG as well, once per node.
 """
 
 from __future__ import annotations
@@ -93,18 +67,21 @@ def type_pattern(bindings: TypeEnv, p: Pattern) -> MuType:
 
 
 def infer_type(env: TypeEnv, t: Term) -> MuType:
-    """Synthesize a minimal-intent type; subsumption is applied only at
-    application arguments and explicit checking boundaries.
-
-    Branch annotations must already be validated types, as `parse_*` and the
-    generators produce them; they are not checked again here.
-    """
+    """Synthesize a minimal-intent type. Branch annotations must already be
+    validated types, as `parse_*` and the generators produce them; they are
+    not checked again here."""
     return _infer(env, t, {})
 
 
 def _infer(env: TypeEnv, t: Term, memo: dict) -> MuType:
-    """`infer_type` with the memo of `env`: a node met again, as a shared
-    subterm is, returns the type it got the first time."""
+    """`infer_type` with the memo of `env`, keyed on node identity for one
+    top-level call and keeping its nodes alive: a node met again, as a shared
+    subterm is, returns the type it got the first time. Each branch body,
+    typed under `{**env, **bindings}`, starts a fresh memo, so one `Var`
+    object can be a bound matchable inside a body and an assumed name outside
+    it. The memo is looked up here, in the recursive function, so it adds no
+    frame per level of the term, and the type and the first error are those
+    of walking every occurrence."""
     got = memo.get(id(t))
     if got is not None:
         return got[1]
@@ -131,10 +108,7 @@ def _infer_app(env: TypeEnv, fun: Term, arg: Term, memo: dict) -> MuType:
         return AppT(fun_ty, _infer(env, arg, memo))
     components = union_components(fun_ty)
     if len(components) == 1 and isinstance(components[0], Arrow):
-        arrow = components[0]
-        if _checks(env, arg, arrow.dom, memo, {}):
-            return arrow.cod
-        return apply_arrow(arrow, _infer(env, arg, memo))
+        return apply_arrow(components[0], _infer(env, arg, memo))
     raise CapError(
         "type",
         "function position is neither a datatype nor a single arrow",
@@ -207,68 +181,12 @@ def abs_type(judgements: list[PatternJudgement], body_types: list[MuType]) -> Ar
 
 def check_type(env: TypeEnv, t: Term, expected: MuType) -> None:
     """Require `t` to infer a subtype of `expected`; both carry validated
-    types, as for `infer_type`.
-
-    A constructed term (see `_is_constructed`) is checked against the union
-    components of `expected` one by one, by the fixpoint clauses in the
-    module docstring, without inferring its whole type; any other term
-    infers its type and asks `is_subtype`. Both ways give the same verdict
-    and raise the same first inference error. A failure reports the whole
-    inferred type as `actual`, which a constructed term infers only then.
-    """
-    inferred: dict = {}
-    if _checks(env, t, expected, inferred, {}):
-        return
-    actual = _infer(env, t, inferred)
-    raise CapError(
-        "type",
-        "term does not have the expected type",
-        expected=pretty(expected),
-        actual=pretty(actual),
-    )
-
-
-def _is_constructed(env: TypeEnv, t: Term) -> bool:
-    """Whether `t` is a constant, or an application spine headed by a
-    constant or by a variable whose type is a datatype: the terms
-    `infer_type` types as a `TypeConst` or as an `AppT` down their spine."""
-    head = t
-    while isinstance(head, App):
-        head = head.fun
-    if isinstance(head, Const):
-        return True
-    return head is not t and isinstance(head, Var) and head.name in env and is_datatype(env[head.name])
-
-
-def _checks(env: TypeEnv, t: Term, expected: MuType, inferred: dict, checked: dict) -> bool:
-    """The verdict of `is_subtype(infer_type(env, t), expected)`, raising the
-    first inference error of `t` that it reaches. `inferred` is the memo of
-    `_infer` for `env`, and `checked` holds the verdicts already reached."""
-    key = (id(t), id(expected))
-    got = checked.get(key)
-    if got is not None:
-        return got[2]
-    if _is_constructed(env, t):
-        for component in union_components(expected):
-            if _fits(env, t, component, inferred, checked):
-                verdict = True
-                break
-        else:
-            verdict = False
-    else:
-        verdict = is_subtype(_infer(env, t, inferred), expected)
-    checked[key] = (t, expected, verdict)
-    return verdict
-
-
-def _fits(env: TypeEnv, t: Term, component: MuType, inferred: dict, checked: dict) -> bool:
-    """Whether a constructed term's type is a subtype of one union component,
-    by the fixpoint clauses in the module docstring. The function is checked
-    before the argument, so the first inference error reached is the one
-    `infer_type` raises first."""
-    match t, component:
-        case Const(name), TypeConst(expected_name):
-            return name == expected_name
-        case App(fun, arg), AppT(left, right):
-            return _checks(env, fun, left, inferred, checked) and _checks(env, arg, right, inferred, checked)
-    return False
+    types, as for `infer_type`."""
+    actual = infer_type(env, t)
+    if not is_subtype(actual, expected):
+        raise CapError(
+            "type",
+            "term does not have the expected type",
+            expected=pretty(expected),
+            actual=pretty(actual),
+        )

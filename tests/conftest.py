@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import pytest
 
 from cap.compatibility import PatternJudgement, subsumes
@@ -19,10 +21,37 @@ from cap.mu_types import (
     unfold_once,
     union_components,
 )
-from cap.relations import MODE_EQ, MODE_SUB, is_subtype
+from cap.relations import MODE_EQ, MODE_SUB
 from cap.surface import KEYWORDS, parse_term, parse_type
 from cap.syntax import Abs, App, Const, Pattern, PatternCompound, Position, Term, Var
-from cap.typecheck import TypeEnv, abs_type, apply_arrow, branch_bindings, type_pattern
+from cap.typecheck import TypeEnv, abs_type, branch_bindings, type_pattern
+
+
+@contextmanager
+def counting(owner, name: str, bound: int):
+    """Patch `owner.name` inside the block to count its calls. A call past
+    `bound` fails the test at once with a plain message that shows no
+    argument, so an exponential walk neither hangs nor prints its DAG. At the
+    end of the block the test fails if the name was never called, since a
+    patch that counts nothing passes vacuously; a bound of 0 asserts that it
+    is not reached at all."""
+    real = getattr(owner, name)
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > bound:
+            pytest.fail(f"{owner.__name__}.{name} was called more than {bound} times", pytrace=False)
+        return real(*args)
+
+    setattr(owner, name, counted)
+    try:
+        yield
+    finally:
+        setattr(owner, name, real)
+    if bound and not calls:
+        pytest.fail(f"{owner.__name__}.{name} was never called, so its bound shows nothing", pytrace=False)
 
 
 @pytest.fixture
@@ -250,7 +279,8 @@ def reference_is_value(t: Term) -> bool:
 
 def reference_infer_type(env: TypeEnv, t: Term) -> MuType:
     """Reference: the typing walk over the term as a tree, with no memo, so a
-    shared subterm is typed once per occurrence."""
+    shared subterm is typed once per occurrence, and subsumption asks the
+    reference engine."""
     match t:
         case Var(name):
             ty = env.get(name)
@@ -265,7 +295,15 @@ def reference_infer_type(env: TypeEnv, t: Term) -> MuType:
                 return AppT(fun_ty, reference_infer_type(env, arg))
             components = union_components(fun_ty)
             if len(components) == 1 and isinstance(components[0], Arrow):
-                return apply_arrow(components[0], reference_infer_type(env, arg))
+                arg_ty = reference_infer_type(env, arg)
+                if reference_is_subtype(arg_ty, components[0].dom):
+                    return components[0].cod
+                raise CapError(
+                    "type",
+                    "argument type fits no part of the function domain",
+                    expected=reference_pretty_type(components[0].dom),
+                    actual=reference_pretty_type(arg_ty),
+                )
             raise CapError(
                 "type",
                 "function position is neither a datatype nor a single arrow",
@@ -285,7 +323,7 @@ def reference_infer_type(env: TypeEnv, t: Term) -> MuType:
 def reference_check_type(env: TypeEnv, t: Term, expected: MuType) -> None:
     """Reference: infer the whole type of `t`, then one subtype query against `expected`."""
     actual = reference_infer_type(env, t)
-    if not is_subtype(actual, expected):
+    if not reference_is_subtype(actual, expected):
         raise CapError(
             "type",
             "term does not have the expected type",

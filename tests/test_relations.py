@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cap import relations
-from cap.generators import GenConfig, gen_type, mutate_type
+from cap.generators import GenConfig, gen_type, gen_typed_term, mutate_type
 from cap.mu_types import (
     BULLET,
     AppT,
@@ -24,7 +24,10 @@ from cap.relations import (
     is_subtype,
     oracle_compare,
 )
-from cap.surface import parse_type, pretty
+from cap.program import SessionState, process_decl
+from cap.reduction import StuckMatch, small_step
+from cap.surface import parse_program, parse_type, pretty
+from cap.typecheck import infer_type
 
 from conftest import F_NAT, reference_is_equivalent, reference_is_subtype
 
@@ -177,6 +180,53 @@ def test_the_engine_agrees_with_the_reference_engine():
     for a, b in pairs:
         assert is_subtype(a, b) is reference_is_subtype(a, b), (pretty(a), pretty(b))
         assert is_equivalent(a, b) is reference_is_equivalent(a, b), (pretty(a), pretty(b))
+
+
+def _assert_agrees_both_ways(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert is_subtype(x, y) is reference_is_subtype(x, y), (pretty(x), pretty(y))
+        assert is_equivalent(x, y) is reference_is_equivalent(x, y), (pretty(x), pretty(y))
+
+
+def test_the_clauses_agree_with_the_reference_on_typing_queries():
+    # the inferred types of generated terms and of up to five reducts each,
+    # against the term's type, two mutations of it and an unrelated type
+    queries = 0
+    for seed in range(600):
+        term, ty = gen_typed_term(GenConfig(seed=seed))
+        terms = [term]
+        try:
+            while len(terms) < 6 and (stepped := small_step(terms[-1])) is not None:
+                terms.append(stepped[0])
+        except StuckMatch:
+            pass
+        rng = random.Random(seed)
+        types = [ty, mutate_type(rng, ty), mutate_type(rng, ty), gen_type(GenConfig(seed=seed + 1))]
+        for t in terms:
+            actual = infer_type({}, t)
+            for expected in types:
+                _assert_agrees_both_ways(actual, expected)
+                queries += 1
+    assert queries > 4800
+
+
+def test_the_clauses_agree_with_the_reference_on_chained_def_types():
+    # DAG types: `d_i` over `A + B` and `e_i` over `B + A` are equivalent but
+    # not equal as structures, and `c_i` over `A` is a subtype of both
+    n = 10
+    chains = "\n".join(f"def {x}{i} = Cons {x}{i - 1} {x}{i - 1};" for i in range(1, n + 1) for x in "dec")
+    state = SessionState()
+    text = f"assume a : A + B; assume b : B + A; def d0 = a; def e0 = b; def c0 = A;\n{chains}"
+    assert all(process_decl(state, decl).ok for decl in parse_program(text).decls)
+    targets = [parse_type(t) for t in ("rec t. A + B + Cons@t@t", "rec t. A + Cons@t@t", "rec t. B + Cons@t@t + Cons@t@A")]
+    for i in range(n + 1):
+        d, e, c = (state.env[f"{x}{i}"] for x in "dec")
+        # the reference walks each DAG as a tree, so past i = 7 only `d_i` against `e_i`
+        pairs = [(d, e)] if i > 7 else [(d, e), (d, c), (c, e), *((x, t) for x in (d, e, c) for t in targets)]
+        if 0 < i <= 7:
+            pairs.append((d, AppT(AppT(TypeConst("Cons"), state.env[f"d{i - 1}"]), state.env[f"e{i - 1}"])))
+        for a, b in pairs:
+            _assert_agrees_both_ways(a, b)
 
 
 @settings(max_examples=80, deadline=None)

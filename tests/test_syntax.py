@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -21,7 +22,7 @@ from cap.syntax import (
     is_linear,
     is_matchable_form,
 )
-from cap.mu_types import TypeConst, same_structure
+from cap.mu_types import REPR_LIMIT, TypeConst, same_structure
 from cap.surface import parse_term, pretty
 
 from conftest import InvalidPositionError, positions, reference_is_value, subterm_at
@@ -222,3 +223,41 @@ def test_same_term_is_structural_equality():
         assert same_structure(t, copy) and same_structure(copy, t)
     for s, t in zip(terms, terms[1:]):
         assert same_structure(s, t) is (s == t)
+
+
+def _dataclass_repr(x) -> str:
+    """Reference: the repr `dataclass` writes, from the fields it shows."""
+    if isinstance(x, tuple):
+        inner = ", ".join(map(_dataclass_repr, x))
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
+    if dataclasses.is_dataclass(x):
+        shown = ", ".join(f"{f.name}={_dataclass_repr(getattr(x, f.name))}" for f in dataclasses.fields(x) if f.repr)
+        return f"{type(x).__qualname__}({shown})"
+    return repr(x)
+
+
+def _nodes(t):
+    """`t`, and each branch, pattern and subterm under it."""
+    yield t
+    match t:
+        case App(fun, arg):
+            yield from _nodes(fun)
+            yield from _nodes(arg)
+        case Abs(branches):
+            for b in branches:
+                yield from (b, b.pattern)
+                yield from _nodes(b.body)
+
+
+def test_a_node_prints_its_dataclass_repr_up_to_the_limit():
+    whole = 0
+    for seed in range(200):
+        term, ty = gen_typed_term(GenConfig(seed=seed))
+        for node in [ty, *_nodes(term)]:
+            want = _dataclass_repr(node)
+            if len(want) <= REPR_LIMIT:
+                assert repr(node) == want
+                whole += 1
+            else:
+                assert repr(node) == want[:REPR_LIMIT] + "..."
+    assert whole > 1000

@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cap import mu_types, typecheck
+from cap import mu_types, relations, typecheck
 from cap.diagnostics import CapError
 from cap.generators import GenConfig, gen_type, gen_typed_term, mutate_type
-from cap.mu_types import AppT, Arrow, TypeConst, is_datatype, union_components
+from cap.mu_types import AppT, Arrow, TypeConst, Union, is_datatype, same_structure, union_components
 from cap.program import SessionState, process_decl
 from cap.reduction import StuckMatch, evaluate, small_step
 from cap.relations import is_equivalent, is_subtype
@@ -24,7 +24,7 @@ from cap.syntax import (
 )
 from cap.typecheck import check_type, infer_type, type_pattern
 
-from conftest import F_NAT, reference_check_type, reference_infer_type, reference_pretty_type
+from conftest import F_NAT, counting, reference_check_type, reference_infer_type, reference_pretty_type
 
 
 def test_type_pattern_examples():
@@ -160,24 +160,20 @@ def test_check_type_examples():
     assert err.value.code == "compatibility"
 
 
-def test_a_constructed_term_is_never_asked_about_as_a_whole(monkeypatch):
-    # d8 resolves to a tree of 2**9 - 1 nodes; it checks component by
-    # component, so no subtype query sees its whole inferred type
-    defs = ["def d0 = A;"] + [f"def d{i} = Cons d{i - 1} d{i - 1};" for i in range(1, 9)]
-    *chain, check = parse_program("\n".join(defs + ["check d8 : rec t. A + Cons@t@t;"])).decls
-    state = SessionState()
-    for decl in chain:
-        process_decl(state, decl)
-    whole = state.env["d8"]
+def test_a_chained_def_is_checked_by_one_query_that_makes_no_canonical_step(monkeypatch):
+    # d8's type is a DAG whose tree has 2**9 - 1 nodes; the one subtype
+    # question on it is answered by the clauses of `relations`, on the DAG
+    state, _ = _resolved_chain(8)
     asked = []
 
-    def counting(sub, sup):
+    def asking(sub, sup):
         asked.append(sub)
         return is_subtype(sub, sup)
 
-    monkeypatch.setattr(typecheck, "is_subtype", counting)
-    assert process_decl(state, check).ok
-    assert sum(sub == whole for sub in asked) == 0
+    monkeypatch.setattr(typecheck, "is_subtype", asking)
+    with counting(mu_types, "_canonical", 0):
+        assert process_decl(state, parse_program("check d8 : rec t. A + Cons@t@t;").decls[0]).ok
+    assert len(asked) == 1 and same_structure(asked[0], state.env["d8"])
 
 
 def test_a_constructed_term_reports_its_first_inference_error():
@@ -459,51 +455,48 @@ def test_one_variable_object_typed_under_two_environments():
         assert outcomes.count(None) == 1
 
 
-def test_chained_defs_type_and_check_in_linear_time(monkeypatch):
+def test_chained_defs_type_and_check_in_linear_time():
     # `d_i` is a DAG of 2i applications whose tree has 2**(i+1) - 2; a count
     # past its bound fails at once, so an exponential walk does not hang
     n = 48
     decls = parse_program(_chain(n) + f"\ncheck d{n} : rec t. A + Cons@t@t;").decls
-    bounds = {"visits": [2 * i for i in range(n + 1)] + [0], "splits": [0] * (n + 1) + [3 * n + 1]}
-    counts = {"visits": [], "splits": []}
-
-    def counting(what, real):
-        def counted(*args):
-            counts[what][-1] += 1
-            assert counts[what][-1] <= bounds[what][len(counts[what]) - 1]
-            return real(*args)
-
-        return counted
-
-    monkeypatch.setattr(typecheck, "_infer_app", counting("visits", typecheck._infer_app))
-    monkeypatch.setattr(typecheck, "union_components", counting("splits", union_components))
     state = SessionState()
-    for decl in decls:
-        counts["visits"].append(0)
-        counts["splits"].append(0)
-        assert process_decl(state, decl).ok
-    # the definitions split no type, and the check infers nothing
-    assert counts["splits"][-1] > 0
+    for i, decl in enumerate(decls):
+        # a definition relates no type; the check infers `d_n` once and
+        # relates its type by the clauses, which split each right side once:
+        # the `rec`, `Cons@rec` and `Cons`
+        visits, splits = (2 * i, 0) if i <= n else (2 * n, 3)
+        with counting(typecheck, "_infer_app", visits), counting(relations, "union_components", splits):
+            assert process_decl(state, decl).ok
 
 
-def test_an_argument_checks_against_the_domain_in_linear_time(monkeypatch):
-    # `id d_n` checks `d_n` against the domain component by component, as
-    # `check` does; relating its inferred DAG type to the domain would walk
-    # the tree of 2**(n+1) - 1 nodes in `canonical`, so a count of that
-    # walk's steps past its bound fails at once
+def test_an_argument_checks_against_the_domain_in_linear_time():
+    # the type of `d_n` is related to the domain by the clauses, on the DAG;
+    # the search would walk its tree of 2**(n+1) - 1 nodes in `canonical`
     n = 48
     text = f"def id = [x: rec t. A + Cons@t@t] x => x;\n{_chain(n)}\ncheck id d{n} : rec t. A + Cons@t@t;"
-    steps = [0]
-    real = mu_types._canonical
-
-    def counted(*args):
-        steps[0] += 1
-        assert steps[0] <= 100
-        return real(*args)
-
-    monkeypatch.setattr(mu_types, "_canonical", counted)
     state = SessionState()
-    assert all(process_decl(state, decl).ok for decl in parse_program(text).decls)
+    with counting(mu_types, "_canonical", 0):
+        assert all(process_decl(state, decl).ok for decl in parse_program(text).decls)
+
+
+def test_merging_equivalent_chained_def_codomains_is_linear():
+    # `d_n` and `e_n` have equivalent types that are not equal as structures:
+    # the codomain merge asks `is_equivalent` on two DAGs, whose trees the
+    # search would walk in `canonical`
+    n = 48
+    chains = "\n".join(f"def {x}{i} = Cons {x}{i - 1} {x}{i - 1};" for i in range(1, n + 1) for x in "de")
+    state = SessionState()
+    setup = f"assume a : A + B; assume b : B + A; def d0 = a; def e0 = b;\n{chains}"
+    assert all(process_decl(state, decl).ok for decl in parse_program(setup).decls)
+    merges = (
+        f"def f = [ ] C => d{n} | [ ] D => e{n};"
+        f"def g = [ ] C => d{n} | [ ] D => Cons d{n} e{n};"
+        "check f C : rec t. A + B + Cons@t@t;"
+    )
+    with counting(mu_types, "_canonical", 0):
+        assert all(process_decl(state, decl).ok for decl in parse_program(merges).decls)
+    assert isinstance(state.env["f"].cod, AppT) and isinstance(state.env["g"].cod, Union)
 
 
 def test_a_rejected_chained_def_prints_its_whole_type():
@@ -518,22 +511,15 @@ def test_a_rejected_chained_def_prints_its_whole_type():
     assert diag.actual == actual == reference_pretty_type(reference_infer_type(state.env, state.resolve(Var(f"d{n}"))))
 
 
-def test_checking_a_left_nested_term_against_two_components_is_linear(monkeypatch):
+def test_checking_a_left_nested_term_against_two_components_is_linear():
     # both `Cons` components fit the left argument; the second one must not
-    # check it again, which would cost 2**n
+    # relate it again, which would cost 2**n
     n = 12
-    calls = []
-
-    def counting(t):
-        calls.append(t)
-        assert len(calls) <= 8 * n
-        return union_components(t)
-
-    monkeypatch.setattr(typecheck, "union_components", counting)
     term = Const("Nil")
     for _ in range(n):
         term = App(App(Const("Cons"), term), Const("B"))
-    check_type({}, term, parse_type("rec t. Nil + Cons@t@A + Cons@t@B"))
+    with counting(relations, "union_components", 8 * n):
+        check_type({}, term, parse_type("rec t. Nil + Cons@t@A + Cons@t@B"))
 
 
 def _deep_list(depth: int):
@@ -554,9 +540,16 @@ def test_a_deep_right_nested_list_types():
 
 
 def test_a_deep_right_nested_list_checks():
-    # two frames per level, `_checks` and `_fits`
+    # inference, and then the clauses of `relations`, take two frames per level
     term = _deep_list(450)
     check_type({}, term, parse_type("rec t. Nil + Cons@A@t"))
     with pytest.raises(CapError) as err:
         check_type({}, term, parse_type("rec t. Nil + Cons@B@t"))
     assert err.value.actual.count("Cons@A@") == 450
+
+
+def test_a_chained_def_has_a_bounded_repr():
+    # a failing assertion reprs its operands; a repr that walked the DAG as
+    # a tree of 2**17 - 1 nodes held megabytes
+    state, terms = _resolved_chain(16)
+    assert len(repr(state.env["d16"])) < 1000 and len(repr(terms[16])) < 1000
