@@ -13,12 +13,21 @@ Three questions are answered before that search, and each answer is exact:
 - `is_subtype` and `is_equivalent` hold at once when the two types are equal
   as structures (`same_structure`, linear in their shared size): equal types
   have equal canonical forms, which the engine relates at its first step.
-- A constructed left side (a constant, a rigid variable or an `@`) is related
-  by clauses the greatest fixpoint satisfies as equations: it fits some union
-  component of the right side (`sub`) or every one (`eq`), where an atom fits
-  an equal component and `D@A` fits `D'@A'` when `D` and `A` are related to
-  `D'` and `A'`. The clauses descend only the left side's finite `@` spine, so
-  they need no assumptions; a query memoizes them on the identity of the pair.
+- A constructed left side (a constant, a rigid variable, an `@` or a `->`) is
+  related by clauses the greatest fixpoint satisfies as equations: it fits
+  some union component of the right side (`sub`) or every one (`eq`), where an
+  atom fits an equal component, `D@A` fits `D'@A'` when `D` and `A` are
+  related to `D'` and `A'`, and `D -> A` fits `D' -> A'` when `A` is related
+  to `A'` and, with the domain contravariant, `D'` to `D` (`D` to `D'` under
+  `eq`). The clauses add no assumption and never run inside the search, which
+  relates every other left side from an empty assumption set, so each verdict
+  is exact. The `@` clause descends only the left side's finite spine, but
+  under `sub` a domain moves part of the right side to the left, where a
+  `rec` was unfolded, so a constructed pair can be met again while its own
+  clause runs (`(rec p. (p -> A) -> A) -> A` against
+  `((rec q. (q -> A) -> A) -> A) -> A`); the search answers it there. A query
+  memoizes the clauses, and each right side's unfolding, on identity, so the
+  pairs it meets are finitely many and each runs its clause once.
 - In the union clause, an atomic component (a constant or a rigid variable)
   is related exactly when it is among the other side's components. The
   engine relates an atom only to the same atom, by its reflexive step, and
@@ -49,7 +58,7 @@ MODE_SUB = "sub"
 MODE_EQ = "eq"
 
 _ATOMS = (TypeConst, TypeVar)
-_CONSTRUCTED = (TypeConst, TypeVar, AppT)
+_CONSTRUCTED = (TypeConst, TypeVar, AppT, Arrow)
 
 
 class _Engine:
@@ -60,7 +69,7 @@ class _Engine:
             raise ValueError(f"bad mode {mode!r}")
         self.mode = mode
         self.assumed: set[tuple[MuType, MuType]] = set()
-        self.fitted: dict[tuple[int, int], tuple[MuType, MuType, bool]] = {}
+        self.fitted: dict[tuple[int, int], tuple[MuType, MuType, bool | None]] = {}
         self.split: dict[int, tuple[MuType, list[MuType]]] = {}
 
     def query(self, a: MuType, b: MuType) -> bool:
@@ -69,20 +78,28 @@ class _Engine:
         if not isinstance(a, _CONSTRUCTED):
             return self.rel(a, b)
         got = self.fitted.get((id(a), id(b)))
-        if got is None:
-            # `sub` stops at the first component that fits, `eq` at the first miss; unlike `any`, a loop adds no frame
-            verdict = self.mode == MODE_EQ
-            split = self.split.get(id(b)) or self.split.setdefault(id(b), (b, union_components(b)))
-            for c in split[1]:
-                if isinstance(a, AppT):
-                    fits = isinstance(c, AppT) and self.query(a.left, c.left) and self.query(a.right, c.right)
-                else:
-                    fits = a == c
-                if fits != verdict:
-                    verdict = fits
-                    break
-            got = self.fitted[id(a), id(b)] = (a, b, verdict)
-        return got[2]
+        if got is not None:
+            # `None` while the pair's clause runs: met again, it is on a cycle (see the module docstring)
+            return self.rel(a, b) if got[2] is None else got[2]
+        self.fitted[id(a), id(b)] = (a, b, None)
+        # `sub` stops at the first component that fits, `eq` at the first miss; unlike `any`, a loop adds no frame
+        verdict = self.mode == MODE_EQ
+        split = self.split.get(id(b)) or self.split.setdefault(id(b), (b, union_components(b)))
+        for c in split[1]:
+            if isinstance(a, AppT):
+                fits = isinstance(c, AppT) and self.query(a.left, c.left) and self.query(a.right, c.right)
+            elif isinstance(a, Arrow):
+                # the domain is contravariant under `sub`
+                fits = isinstance(c, Arrow) and (
+                    self.query(c.dom, a.dom) if self.mode == MODE_SUB else self.query(a.dom, c.dom)
+                ) and self.query(a.cod, c.cod)
+            else:
+                fits = a == c
+            if fits != verdict:
+                verdict = fits
+                break
+        self.fitted[id(a), id(b)] = (a, b, verdict)
+        return verdict
 
     def rel(self, a: MuType, b: MuType) -> bool:
         lefts = union_components(a)

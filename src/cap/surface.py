@@ -26,6 +26,7 @@ depth makes it recurse. Each whole type is validated once it is read.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -389,13 +390,17 @@ def _validate(t: MuType, data_vars: frozenset[str], unguarded: frozenset[str]) -
 # Precedence levels: arrow 0, union 1, application 2, atom 3.
 
 
-def pretty_type(t: MuType, level: int = 0) -> str:
-    return _pretty_type(t, level, {})
+def pretty_type(t: MuType, level: int = 0, limit: int = sys.maxsize) -> str:
+    """The text of `t`, cut with `...` past `limit` characters."""
+    text = _pretty_type(t, level, {}, limit + 1)
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
-def _pretty_type(t: MuType, level: int, memo: dict) -> str:
-    """`pretty_type` with a memo of the text of each (node, level) pair, so a
-    shared subterm is rendered once."""
+def _pretty_type(t: MuType, level: int, memo: dict, budget: int) -> str:
+    """The first `budget` characters of `pretty_type`, with a memo of the text
+    of each (node, level) pair, so a shared subterm is rendered once. A text's
+    first `budget` characters depend only on those of its parts, so a DAG whose
+    text doubles per level is never written out whole."""
     if isinstance(t, (TypeConst, TypeVar)):
         return t.name
     key = (id(t), level)
@@ -404,20 +409,21 @@ def _pretty_type(t: MuType, level: int, memo: dict) -> str:
         return got[1]
     match t:
         case Rec(var, body):
-            text = f"rec {var}. {_pretty_type(body, 0, memo)}"
+            text = f"rec {var}. {_pretty_type(body, 0, memo, budget)}"
             text = f"({text})" if level > 0 else text
         case Arrow(dom, cod):
-            text = f"{_pretty_type(dom, 1, memo)} -> {_pretty_type(cod, 0, memo)}"
+            text = f"{_pretty_type(dom, 1, memo, budget)} -> {_pretty_type(cod, 0, memo, budget)}"
             text = f"({text})" if level > 0 else text
         case Union():
             first, *rest = union_spine(t)
-            text = " + ".join([_pretty_type(first, 1, memo), *(_pretty_type(part, 2, memo) for part in rest)])
+            text = " + ".join([_pretty_type(first, 1, memo, budget), *(_pretty_type(part, 2, memo, budget) for part in rest)])
             text = f"({text})" if level > 1 else text
         case AppT(left, right):
-            text = f"{_pretty_type(left, 2, memo)}@{_pretty_type(right, 3, memo)}"
+            text = f"{_pretty_type(left, 2, memo, budget)}@{_pretty_type(right, 3, memo, budget)}"
             text = f"({text})" if level > 2 else text
         case _:
             raise TypeError(f"not a type: {t!r}")
+    text = text[:budget]  # the same object when it is shorter
     memo[key] = (t, text)
     return text
 

@@ -26,7 +26,7 @@ from .mu_types import (
     union_of,
 )
 from .relations import is_equivalent, is_subtype
-from .surface import pretty
+from .surface import pretty, pretty_type
 from .syntax import (
     Abs,
     App,
@@ -42,6 +42,9 @@ from .syntax import (
 )
 
 TypeEnv = dict[str, MuType]
+
+# a diagnostic's type is shown up to this many characters: a DAG's text can double per level
+SHOWN = 10_000
 
 
 def type_pattern(bindings: TypeEnv, p: Pattern) -> MuType:
@@ -60,7 +63,7 @@ def type_pattern(bindings: TypeEnv, p: Pattern) -> MuType:
                 raise CapError(
                     "sort",
                     f"pattern '{pretty(left)}' heads a compound but its type is not a datatype",
-                    actual=pretty(fun_ty),
+                    actual=pretty_type(fun_ty, limit=SHOWN),
                 )
             return AppT(fun_ty, type_pattern(bindings, right))
     raise TypeError(f"not a pattern: {p!r}")
@@ -112,7 +115,7 @@ def _infer_app(env: TypeEnv, fun: Term, arg: Term, memo: dict) -> MuType:
     raise CapError(
         "type",
         "function position is neither a datatype nor a single arrow",
-        actual=pretty(fun_ty),
+        actual=pretty_type(fun_ty, limit=SHOWN),
     )
 
 
@@ -124,8 +127,8 @@ def apply_arrow(arrow: Arrow, arg_ty: MuType) -> MuType:
     raise CapError(
         "type",
         "argument type fits no part of the function domain",
-        expected=pretty(arrow.dom),
-        actual=pretty(arg_ty),
+        expected=pretty_type(arrow.dom, limit=SHOWN),
+        actual=pretty_type(arg_ty, limit=SHOWN),
     )
 
 
@@ -187,6 +190,6 @@ def check_type(env: TypeEnv, t: Term, expected: MuType) -> None:
         raise CapError(
             "type",
             "term does not have the expected type",
-            expected=pretty(expected),
-            actual=pretty(actual),
+            expected=pretty_type(expected, limit=SHOWN),
+            actual=pretty_type(actual, limit=SHOWN),
         )

@@ -392,6 +392,22 @@ def test_a_flat_union_is_related_to_itself(capsys, width, command, mode, wrap, a
         assert out == "true\n"
 
 
+def arrow_chain(levels, innermost, left_nested):
+    t = innermost
+    for _ in range(levels - 1):
+        t = f"({t}) -> A" if left_nested else f"A -> {t}"
+    return t
+
+
+@pytest.mark.parametrize("left_nested, verdicts", [(False, ("true", "false", "false")), (True, ("false", "true", "false"))])
+def test_a_deep_arrow_chain_is_related(capsys, left_nested, verdicts):
+    # the clauses take one frame per `->`; the innermost type sits under 599
+    # arrows, in a codomain (right-nested) or in a contravariant domain (left-nested)
+    narrow, wide = arrow_chain(600, "A", left_nested), arrow_chain(600, "A + B", left_nested)
+    for (command, a, b), verdict in zip((("sub", narrow, wide), ("sub", wide, narrow), ("equiv", narrow, wide)), verdicts):
+        assert run(capsys, command, a, b) == (0, verdict + "\n", "")
+
+
 def test_the_oracle_relates_two_wide_flat_unions(capsys):
     # truncation and the oracle's union components walk a union's spine in a loop
     left = flat_union(1200)

@@ -229,6 +229,42 @@ def test_the_clauses_agree_with_the_reference_on_chained_def_types():
             _assert_agrees_both_ways(a, b)
 
 
+def test_the_clauses_agree_with_the_reference_on_arrow_left_sides():
+    # arrow-headed generated types against their mutations and unrelated arrows, both ways
+    arrows = [t for t in map(gen_type, map(GenConfig, range(4000))) if isinstance(t, Arrow)]
+    pairs = []
+    for i, a in enumerate(arrows):
+        rng = random.Random(i)
+        pairs += [(a, mutate_type(rng, a)), (a, mutate_type(rng, a)), (a, arrows[(i * 7 + 1) % len(arrows)])]
+    assert sum(isinstance(x, Arrow) for a, b in pairs for x in (a, b)) >= 1500
+    for a, b in pairs:
+        _assert_agrees_both_ways(a, b)
+    stream, unfolded = parse_type("rec t. A -> t"), parse_type("A -> rec t. A -> t")
+    assert is_equivalent(stream, unfolded) and is_subtype(unfolded, stream)
+    wide, narrow = parse_type("A + B -> C"), parse_type("A -> C")
+    assert is_subtype(wide, narrow) and not is_subtype(narrow, wide) and not is_equivalent(wide, narrow)
+    rigid = parse_type("x -> x")
+    assert is_subtype(rigid, parse_type("x -> x + A")) and not is_subtype(rigid, parse_type("x + A -> x"))
+    assert not is_subtype(rigid, parse_type("X -> X"))
+    hand = [(stream, unfolded), (wide, narrow), (rigid, parse_type("x -> x + A")), (rigid, parse_type("x + A -> x"))]
+    for a, b in hand:
+        _assert_agrees_both_ways(a, b)
+
+
+def test_the_clauses_agree_with_the_reference_where_a_domain_swaps_the_sides():
+    # under `sub` a domain puts the right side's part on the left, and a `rec`
+    # there is unfolded: `(rec p. (p -> A) -> A) -> A` against
+    # `((rec q. (q -> A) -> A) -> A) -> A` meets one constructed pair again
+    # while its clause runs, which the search then answers
+    recs = ["rec p. (p -> A) -> A", "rec q. (q -> A) -> A", "rec q. (q -> B) -> A", "rec q. (q -> A + B) -> A"]
+    wrappers = ["{}", "({}) -> A", "(({}) -> A) -> A", "((({}) -> A) -> A) -> A"]
+    types = [parse_type(w.format(r)) for r in recs for w in wrappers]
+    for a in types:
+        for b in types:
+            _assert_agrees_both_ways(a, b)
+    assert is_subtype(types[1], types[6]) and is_equivalent(types[1], types[6])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000))
 def test_equivalence_implies_mutual_subtyping(seed):

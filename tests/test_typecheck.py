@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -493,13 +495,22 @@ def test_merging_equivalent_chained_def_codomains_is_linear():
         f"def f = [ ] C => d{n} | [ ] D => e{n};"
         f"def g = [ ] C => d{n} | [ ] D => Cons d{n} e{n};"
         "check f C : rec t. A + B + Cons@t@t;"
+        # an arrow left side is related by the clauses too, its DAG codomain included
+        "check f : C + D -> rec t. A + B + Cons@t@t;"
     )
     with counting(mu_types, "_canonical", 0):
         assert all(process_decl(state, decl).ok for decl in parse_program(merges).decls)
     assert isinstance(state.env["f"].cod, AppT) and isinstance(state.env["g"].cod, Union)
 
 
-def test_a_rejected_chained_def_prints_its_whole_type():
+def test_an_arrow_is_checked_against_an_arrow_by_the_clauses():
+    # the domains are related contravariantly and the codomains covariantly, each by the clauses
+    decl = parse_program("check ([x:A + B] x => x | [y:A] y => y) : A + B -> A + B;").decls[0]
+    with counting(mu_types, "_canonical", 0):
+        assert process_decl(SessionState(), decl).ok
+
+
+def test_a_rejected_chained_def_prints_its_type_up_to_the_bound():
     n = 12
     state, _ = _resolved_chain(n)
     actual = "A"
@@ -508,7 +519,30 @@ def test_a_rejected_chained_def_prints_its_whole_type():
     result = process_decl(state, parse_program(f"check d{n} : rec t. B + Cons@t@t;").decls[0])
     diag = result.diagnostic
     assert (diag.code, diag.message, diag.expected) == ("type", "term does not have the expected type", "rec t. B + Cons@t@t")
-    assert diag.actual == actual == reference_pretty_type(reference_infer_type(state.env, state.resolve(Var(f"d{n}"))))
+    assert actual == reference_pretty_type(reference_infer_type(state.env, state.resolve(Var(f"d{n}"))))
+    assert len(actual) == 36_854 and diag.actual == actual[: typecheck.SHOWN] + "..."
+
+
+def test_a_deep_rejected_chained_def_is_shown_without_writing_its_whole_type():
+    # the text of `d_n`'s type doubles per level: 61 430 characters at n = 12,
+    # 15.7 MB at n = 20 and past any memory at n = 40. n = 20 comes first, so
+    # a printer that wrote the whole text and cut it after fails there on the
+    # memory it held instead of exhausting it at n = 40
+    for n in (20, 40):
+        chains = "\n".join(f"def d{i} = Cons d{i - 1} d{i - 1};" for i in range(1, n + 1))
+        text = f"assume a : A + B; def d0 = a;\n{chains}\ncheck d{n} : rec t. A + Cons@t@t;"
+        state = SessionState()
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            *defined, checked = (process_decl(state, decl) for decl in parse_program(text).decls)
+            elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000 and elapsed < 1.0
+        assert all(r.ok for r in defined) and checked.diagnostic.code == "type"
+        actual = checked.diagnostic.actual
+        assert len(actual) == typecheck.SHOWN + 3 and actual.startswith("Cons@(Cons@(") and actual.endswith("...")
 
 
 def test_checking_a_left_nested_term_against_two_components_is_linear():
