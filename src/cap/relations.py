@@ -26,13 +26,19 @@ Three questions are answered before that search, and each answer is exact:
   `rec` was unfolded, so a constructed pair can be met again while its own
   clause runs (`(rec p. (p -> A) -> A) -> A` against
   `((rec q. (q -> A) -> A) -> A) -> A`); the search answers it there. A query
-  memoizes the clauses, and each right side's unfolding, on identity, so the
-  pairs it meets are finitely many and each runs its clause once.
+  memoizes the clauses on identity, so the pairs it meets are finitely many
+  and each runs its clause once.
 - In the union clause, an atomic component (a constant or a rigid variable)
   is related exactly when it is among the other side's components. The
   engine relates an atom only to the same atom, by its reflexive step, and
   no pair holding an atom is ever among the assumptions while another check
   runs, because `_structural` answers it without descending.
+
+A query splits each type, on either side, into its union components once per
+object (`components`), so each `rec` is unfolded once, and an unfolding keeps
+the `rec` object where its variable was. Two components with one constructor
+(`@` or `->`) over the same objects or equal atoms have equal canonical forms,
+so the search relates them by identity, before it builds those forms.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .mu_types import (
     AppT,
     Arrow,
     MuType,
+    Rec,
     TypeConst,
     TypeVar,
     Union,
@@ -72,6 +79,15 @@ class _Engine:
         self.fitted: dict[tuple[int, int], tuple[MuType, MuType, bool | None]] = {}
         self.split: dict[int, tuple[MuType, list[MuType]]] = {}
 
+    def components(self, t: MuType) -> list[MuType]:
+        """`union_components(t)`, once per union or `rec` object; the memo keeps `t` alive."""
+        if not isinstance(t, (Union, Rec)):
+            return [t]
+        got = self.split.get(id(t))
+        if got is None:
+            got = self.split[id(t)] = (t, union_components(t))
+        return got[1]
+
     def query(self, a: MuType, b: MuType) -> bool:
         """The verdict on `a` and `b`: by the clauses (see the module docstring)
         when `a` is constructed, else by the search. Its memos keep their keys alive."""
@@ -84,8 +100,7 @@ class _Engine:
         self.fitted[id(a), id(b)] = (a, b, None)
         # `sub` stops at the first component that fits, `eq` at the first miss; unlike `any`, a loop adds no frame
         verdict = self.mode == MODE_EQ
-        split = self.split.get(id(b)) or self.split.setdefault(id(b), (b, union_components(b)))
-        for c in split[1]:
+        for c in self.components(b):
             if isinstance(a, AppT):
                 fits = isinstance(c, AppT) and self.query(a.left, c.left) and self.query(a.right, c.right)
             elif isinstance(a, Arrow):
@@ -102,8 +117,8 @@ class _Engine:
         return verdict
 
     def rel(self, a: MuType, b: MuType) -> bool:
-        lefts = union_components(a)
-        rights = union_components(b)
+        lefts = self.components(a)
+        rights = self.components(b)
         if len(lefts) == 1 and len(rights) == 1:
             return self.component(lefts[0], rights[0])
         # an atom is related only to itself: look it up (see the module docstring)
@@ -117,6 +132,10 @@ class _Engine:
         )
 
     def component(self, a: MuType, b: MuType) -> bool:
+        match a, b:
+            case (AppT(l1, r1), AppT(l2, r2)) | (Arrow(l1, r1), Arrow(l2, r2)):
+                if _same(l1, l2) and _same(r1, r2):
+                    return True
         key = (canonical(a), canonical(b))
         if key[0] == key[1]:
             return True
@@ -139,6 +158,10 @@ class _Engine:
                     return self.rel(d2, d1) and self.rel(c1, c2)
                 return self.rel(d1, d2) and self.rel(c1, c2)
         return False
+
+
+def _same(a: MuType, b: MuType) -> bool:
+    return a is b or (isinstance(a, _ATOMS) and a == b)
 
 
 def is_subtype(a: MuType, b: MuType) -> bool:

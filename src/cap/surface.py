@@ -20,7 +20,8 @@ strings, with parallel lists of their kinds and line numbers; a column is
 computed only for a span. The parser reads a type by operator precedence
 (Pratt, "Top down operator precedence", POPL 1973) and a term or pattern as
 an application spine, each in one loop over an explicit stack, so no nesting
-depth makes it recurse. Each whole type is validated once it is read.
+depth makes it recurse. A type text met again in a program is the object read
+first, so each distinct type text of a program is validated once.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ class _Parser:
         self.texts: list[str] = []
         self.lines: list[int] = []
         self.cols: dict[int, list[int]] = {}
+        self.types: dict[tuple[str, ...], MuType] = {}  # each valid type by its tokens
         self.i = 0
         for line, src in enumerate(self.src, 1):
             found = _LEXEME.findall(src)
@@ -125,14 +127,19 @@ class _Parser:
         self.i += 1
 
     def valid_type(self) -> MuType:
-        """A whole type, validated once; nested types are checked with it."""
+        """A whole type, validated with its nested types; a text read before gives the same object."""
         start, t = self.i, self.raw_type()
+        key = tuple(self.texts[start : self.i])
+        got = self.types.get(key)
+        if got is not None:
+            return got
         try:
-            return validate_type(t)
+            self.types[key] = validate_type(t)
         except (CapError, RecursionError) as err:  # the walk recurses once per nesting level
             err = as_diagnostic(err)
             err.span = self.span(start)
             raise err
+        return t
 
     def raw_type(self) -> MuType:
         """Operator precedence over `ops`, the operators, open parentheses and `rec`

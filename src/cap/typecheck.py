@@ -73,45 +73,46 @@ def infer_type(env: TypeEnv, t: Term) -> MuType:
     """Synthesize a minimal-intent type. Branch annotations must already be
     validated types, as `parse_*` and the generators produce them; they are
     not checked again here."""
-    return _infer(env, t, {})
+    return _infer(env, {}, t, {})
 
 
-def _infer(env: TypeEnv, t: Term, memo: dict) -> MuType:
-    """`infer_type` with the memo of `env`, keyed on node identity for one
+def _infer(env: TypeEnv, local: TypeEnv, t: Term, memo: dict) -> MuType:
+    """`infer_type` under `local`, the matchables of the enclosing branches,
+    over `env`, with the memo of that scope, keyed on node identity for one
     top-level call and keeping its nodes alive: a node met again, as a shared
-    subterm is, returns the type it got the first time. Each branch body,
-    typed under `{**env, **bindings}`, starts a fresh memo, so one `Var`
-    object can be a bound matchable inside a body and an assumed name outside
-    it. The memo is looked up here, in the recursive function, so it adds no
-    frame per level of the term, and the type and the first error are those
-    of walking every occurrence."""
+    subterm is, returns the type it got the first time. Each branch body is
+    typed with its bindings put into `local`, not into a copy, and starts a
+    fresh memo, so one `Var` object can be a bound matchable inside a body and
+    an assumed name outside it. The memo is looked up here, in the recursive
+    function, so it adds no frame per level of the term, and the type and the
+    first error are those of walking every occurrence."""
     got = memo.get(id(t))
     if got is not None:
         return got[1]
     match t:
         case Var(name):
-            ty = env.get(name)
+            ty = local.get(name) or env.get(name)
             if ty is None:
                 raise CapError("type", f"unbound variable '{name}'")
         case Const(name):
             ty = TypeConst(name)
         case App(fun, arg):
-            ty = _infer_app(env, fun, arg, memo)
+            ty = _infer_app(env, local, fun, arg, memo)
         case Abs(branches):
-            ty = _infer_abs(env, branches)
+            ty = _infer_abs(env, local, branches)
         case _:
             raise TypeError(f"not a term: {t!r}")
     memo[id(t)] = (t, ty)
     return ty
 
 
-def _infer_app(env: TypeEnv, fun: Term, arg: Term, memo: dict) -> MuType:
-    fun_ty = _infer(env, fun, memo)
+def _infer_app(env: TypeEnv, local: TypeEnv, fun: Term, arg: Term, memo: dict) -> MuType:
+    fun_ty = _infer(env, local, fun, memo)
     if is_datatype(fun_ty):
-        return AppT(fun_ty, _infer(env, arg, memo))
+        return AppT(fun_ty, _infer(env, local, arg, memo))
     components = union_components(fun_ty)
     if len(components) == 1 and isinstance(components[0], Arrow):
-        return apply_arrow(components[0], _infer(env, arg, memo))
+        return apply_arrow(components[0], _infer(env, local, arg, memo))
     raise CapError(
         "type",
         "function position is neither a datatype nor a single arrow",
@@ -132,13 +133,22 @@ def apply_arrow(arrow: Arrow, arg_ty: MuType) -> MuType:
     )
 
 
-def _infer_abs(env: TypeEnv, branches) -> MuType:
+def _infer_abs(env: TypeEnv, local: TypeEnv, branches) -> MuType:
     judgements: list[PatternJudgement] = []
     body_types: list[MuType] = []
     for i, branch in enumerate(branches):
         bindings = branch_bindings(i, branch)
         judgements.append(PatternJudgement(branch.pattern, type_pattern(bindings, branch.pattern)))
-        body_types.append(_infer({**env, **bindings}, branch.body, {}))
+        if not local:  # `bindings` is a fresh dict, so it can be the scope
+            body_types.append(_infer(env, bindings, branch.body, {}))
+            continue
+        # an error ends the whole call, so only a typed body gives its names back
+        shadowed = {name: local[name] for name in bindings if name in local}
+        local.update(bindings)
+        body_types.append(_infer(env, local, branch.body, {}))
+        for name in bindings:
+            del local[name]
+        local.update(shadowed)
     return abs_type(judgements, body_types)
 
 

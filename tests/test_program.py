@@ -1,3 +1,5 @@
+import timeit
+from functools import partial
 from pathlib import Path
 
 from cap import compatibility, conformance, program, reduction, relations, surface, typecheck
@@ -154,6 +156,23 @@ def test_types_are_validated_only_by_the_parser(monkeypatch):
         monkeypatch.setattr(module, "validate_type", validate_after_parsing, raising=False)
     after = [check_program(p) for p in programs], [r.to_dict() for r in term_suites(cfg, 80)]
     assert after == before
+
+
+def declaration_pairs(n):
+    return "".join(f"def x{i} = [ ] A{i} => B{i}; check x{i} : A{i} -> B{i};\n" for i in range(n))
+
+
+def test_check_time_grows_about_linearly_in_the_declarations():
+    # the best of runs taken in turns, with the collector off, as in
+    # test_surface's parse-time test; a branch must cost no time in the size
+    # of the session environment, which holds every earlier declaration
+    runs = {n: partial(check_program, parse_program(declaration_pairs(n))) for n in (3000, 12_000)}
+    assert all(r.ok for r in runs[3000]())
+    best = dict.fromkeys(runs, float("inf"))
+    for _ in range(5):
+        for n, run in runs.items():
+            best[n] = min(best[n], timeit.timeit(run, number=1))
+    assert best[12_000] <= 2.5**2 * best[3000], best  # at most 2.5 times per doubling
 
 
 class _DefinitionsThatMustNotBeScanned(dict):

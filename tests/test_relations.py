@@ -3,15 +3,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cap import relations
+from cap import mu_types, relations
 from cap.generators import GenConfig, gen_type, gen_typed_term, mutate_type
 from cap.mu_types import (
     BULLET,
     AppT,
     Arrow,
+    Rec,
     TypeConst,
     TypeVar,
     Union,
+    head_unfold,
     truncate,
     union_components,
     union_of,
@@ -19,6 +21,7 @@ from cap.mu_types import (
 from cap.relations import (
     MODE_EQ,
     MODE_SUB,
+    PairOracle,
     finite_tree_rel,
     is_equivalent,
     is_subtype,
@@ -29,7 +32,7 @@ from cap.reduction import StuckMatch, small_step
 from cap.surface import parse_program, parse_type, pretty
 from cap.typecheck import infer_type
 
-from conftest import F_NAT, reference_is_equivalent, reference_is_subtype
+from conftest import F_NAT, counting, reference_is_equivalent, reference_is_subtype
 
 
 def test_subtype_examples():
@@ -263,6 +266,54 @@ def test_the_clauses_agree_with_the_reference_where_a_domain_swaps_the_sides():
         for b in types:
             _assert_agrees_both_ways(a, b)
     assert is_subtype(types[1], types[6]) and is_equivalent(types[1], types[6])
+
+
+@pytest.mark.parametrize("build", [AppT, Arrow])
+def test_one_constructor_over_the_same_parts_is_related_without_canonical(build):
+    left, right = parse_type("Cons@(rec a. Vl@Nat + a@a)"), parse_type("rec a. Vl@Nat + a@a + Leaf")
+    a, b = build(left, right), build(left, right)
+    assert a is not b
+    with counting(mu_types, "_canonical", 0):
+        for mode in (MODE_SUB, MODE_EQ):
+            assert relations._Engine(mode).rel(a, b)
+            # an atom part may be another object with the same name
+            assert relations._Engine(mode).rel(build(TypeConst("K"), right), build(TypeConst("K"), right))
+
+
+def test_each_object_is_split_once_per_query(monkeypatch):
+    split = []
+    monkeypatch.setattr(relations, "union_components", lambda t: split.append(t) or union_components(t))
+    t = parse_type("rec a. Vl@Nat + a@a + Leaf + Nil")
+    queries = [(t, head_unfold(t)), (head_unfold(t), t), (t, parse_type("rec b. Vl@Nat + b@b + Nil + Leaf"))]
+    for a, b in queries:
+        for mode in (MODE_SUB, MODE_EQ):
+            split.clear()
+            relations._Engine(mode).query(a, b)
+            assert split and len({id(x) for x in split}) == len(split)
+
+
+def _shared_pairs(seeds):
+    """Generated types against a mutation that reuses their parts and against their head unfolding."""
+    for seed in seeds:
+        rng = random.Random(seed)
+        a = gen_type(GenConfig(seed=seed, rec_probability=0.6))
+        for b in (mutate_type(rng, a), mutate_type(rng, a), head_unfold(a)):
+            yield a, b
+            yield b, a
+
+
+def test_the_engine_agrees_with_the_references_on_shared_parts():
+    pairs = list(_shared_pairs(range(500)))
+    assert sum(isinstance(a, Rec) for a, _ in pairs) >= 300
+    for a, b in pairs:
+        sub, eq = reference_is_subtype(a, b), reference_is_equivalent(a, b)
+        assert is_subtype(a, b) is sub and is_equivalent(a, b) is eq, (pretty(a), pretty(b))
+        # the search alone, with no structural-equality answer and no clauses
+        assert relations._Engine(MODE_SUB).rel(a, b) is sub and relations._Engine(MODE_EQ).rel(a, b) is eq
+    for a, b in pairs[::10]:
+        oracle = PairOracle(a, b)
+        for mode in (MODE_SUB, MODE_EQ):
+            assert oracle.compare(4, mode).agree, (pretty(a), pretty(b), mode)
 
 
 @settings(max_examples=80, deadline=None)

@@ -100,6 +100,47 @@ def test_validate_type_returns_its_argument():
     assert parse_type(pretty(t)) == t
 
 
+MAP_TREE = "rec a. Vl@Nat + a@a + Leaf"
+
+
+def test_a_repeated_type_text_is_one_object_validated_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(surface, "validate_type", lambda t: calls.append(t) or validate_type(t))
+    text = f"""assume f : Nat -> Nat;
+    def g = [x : Nat] x => f x;
+    check g : Nat->Nat;
+    assume l : {MAP_TREE};
+    assume m : {MAP_TREE};
+    assume n : ({MAP_TREE});"""
+    f, g, check, l, m, n = parse_program(text).decls
+    # the texts are `Nat -> Nat` (its tokens, however spaced), `Nat`, the tree and the tree in parentheses
+    assert len(calls) == 4
+    assert check.type is f.type and l.type is m.type
+    assert n.type == l.type and n.type is not l.type
+    assert g.term.branches[0].bindings[0][1] == TypeConst("Nat")
+    # each program reads its own types
+    assert parse_program(f"assume l : {MAP_TREE};").decls[0].type is not l.type
+
+
+@pytest.mark.parametrize(
+    "text,code,message,span",
+    [
+        # a valid prefix read before does not hide the error after it
+        ("assume f : B -> C;\nassume g : (B -> C)@D;", "sort", "left argument of @ must be a datatype", (2, 12)),
+        ("assume f : Vl@Nat;\nassume g : Vl@Nat@;", "parse", "expected a type, found ';'", (2, 19)),
+        ("assume f : A;\ncheck f : A B;", "parse", "expected ';', found 'B'", (2, 13)),
+        # a type that fails is never kept, so it fails where it first occurs
+        ("assume f : rec x. x;\nassume g : rec x. x;", "contractiveness", None, (1, 12)),
+    ],
+)
+def test_a_malformed_repeat_of_a_type_raises_at_its_own_span(text, code, message, span):
+    with pytest.raises(CapError) as err:
+        parse_program(text)
+    assert err.value.code == code
+    assert message is None or err.value.message == message
+    assert astuple(err.value.span) == span
+
+
 # The retry-based sort resolution that validation used before sorts were
 # computed by `is_datatype`: each `rec` is tried as a datatype first and, when
 # its body is not one (or is ill-sorted under that assumption), as a type.
