@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .diagnostics import CapError
 from .mu_types import MuType, admitted_symbols
 from .relations import is_subtype
-from .surface import pretty
+from .surface import SHOWN, pretty
 from .syntax import Matchable, Pattern, PatternCompound, PatternConst, Position
 
 
@@ -103,7 +103,7 @@ class IncompatiblePair(CapError):
         self.verdict = verdict
         i, j = first_index + 1, second_index + 1
         later, earlier = verdict.obligation
-        obligation = f"'{pretty(later)}' must be a subtype of '{pretty(earlier)}'"
+        obligation = f"'{pretty(later, SHOWN)}' must be a subtype of '{pretty(earlier, SHOWN)}'"
         if verdict.reason == "subsumed":
             message = f"branch {i} subsumes branch {j}, so {obligation}; it does not hold"
         else:

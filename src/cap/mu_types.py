@@ -116,12 +116,15 @@ def union_spine(t: Union) -> list[MuType]:
 
 
 def free_type_vars(t: MuType) -> frozenset[str]:
+    """The free names of `t`; a union's spine is walked in a loop."""
     match t:
         case TypeConst():
             return frozenset()
         case TypeVar(name):
             return frozenset((name,))
-        case AppT(l, r) | Arrow(l, r) | Union(l, r):
+        case Union():
+            return frozenset().union(*map(free_type_vars, union_spine(t)))
+        case AppT(l, r) | Arrow(l, r):
             return free_type_vars(l) | free_type_vars(r)
         case Rec(var, body):
             return free_type_vars(body) - {var}
@@ -140,13 +143,24 @@ def _fresh_name(base: str, avoid: frozenset[str]) -> str:
 def subst_type(t: MuType, name: str, replacement: MuType) -> MuType:
     """Capture-avoiding substitution of a recursion variable by a type. A
     subterm without `name` free comes back as the same object, and so does
-    `replacement` at every place it is put: they are shared, not copied."""
+    `replacement` at every place it is put: they are shared, not copied. A
+    union's spine is walked in a loop, keeping each unchanged prefix union."""
     match t:
         case TypeConst():
             return t
         case TypeVar(n):
             return replacement if n == name else t
-        case AppT(l, r) | Arrow(l, r) | Union(l, r):
+        case Union():
+            unions = []
+            while isinstance(t, Union):
+                unions.append(t)
+                t = t.left
+            out = subst_type(t, name, replacement)
+            for u in reversed(unions):
+                right = subst_type(u.right, name, replacement)
+                out = u if out is u.left and right is u.right else Union(out, right)
+            return out
+        case AppT(l, r) | Arrow(l, r):
             left, right = subst_type(l, name, replacement), subst_type(r, name, replacement)
             return t if left is l and right is r else type(t)(left, right)
         case Rec(var, body):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from .diagnostics import CapError, as_diagnostic
 from .mu_types import MuType
 from .reduction import DEFAULT_FUEL, EvalResult, evaluate
-from .surface import Assume, Check, Def, Eval, Program, pretty
+from .surface import SHOWN, Assume, Check, Def, Eval, Program, pretty
 from .syntax import Term, apply_substitution, free_vars
 from .typecheck import TypeEnv, check_type, infer_type
 
@@ -62,7 +62,7 @@ def process_decl(state: SessionState, decl, fuel: int = DEFAULT_FUEL, trace: boo
                 if result.status != "normal":
                     detail = str(result.stuck) if result.stuck else "step budget exhausted"
                     message = f"evaluation did not reach a value: {detail}"
-                    diag = CapError("runtime", message, actual=pretty(result.term), span=decl.span, decl=label)
+                    diag = CapError("runtime", message, actual=pretty(result.term, SHOWN), span=decl.span, decl=label)
                     return DeclResult(label, diagnostic=diag, inferred=ty, evaluated=result)
                 return DeclResult(label, inferred=ty, evaluated=result)
     except (CapError, RecursionError) as err:

@@ -22,6 +22,10 @@ computed only for a span. The parser reads a type by operator precedence
 an application spine, each in one loop over an explicit stack, so no nesting
 depth makes it recurse. A type text met again in a program is the object read
 first, so each distinct type text of a program is validated once.
+
+`pretty`, the one printer of types, terms and patterns, lays out each node
+class as text pieces (Wadler, "A prettier printer", 1998) and writes them in
+one loop; a diagnostic's text stops at `SHOWN` characters.
 """
 
 from __future__ import annotations
@@ -378,7 +382,7 @@ def _validate(t: MuType, data_vars: frozenset[str], unguarded: frozenset[str]) -
         case AppT(left, right):
             found = [_validate(left, data_vars, frozenset())]
             if not is_datatype(left, data_vars):
-                raise CapError("sort", "left argument of @ must be a datatype", actual=pretty(left))
+                raise CapError("sort", "left argument of @ must be a datatype", actual=pretty(left, SHOWN))
             found.append(_validate(right, data_vars, frozenset()))
         case Arrow(dom, cod):
             found = [_validate(dom, data_vars, frozenset()), _validate(cod, data_vars, frozenset())]
@@ -394,69 +398,90 @@ def _validate(t: MuType, data_vars: frozenset[str], unguarded: frozenset[str]) -
 
 # -- pretty printing ------------------------------------------------------------
 
-# Precedence levels: arrow 0, union 1, application 2, atom 3.
+# a diagnostic shows a type, term or pattern up to this many characters: a DAG's text can double per level
+SHOWN = 10_000
+
+_ATOMS = frozenset((TypeConst, TypeVar, Var, Const, Matchable, PatternConst))  # each written as its name
 
 
-def pretty_type(t: MuType, level: int = 0, limit: int = sys.maxsize) -> str:
-    """The text of `t`, cut with `...` past `limit` characters."""
-    text = _pretty_type(t, level, {}, limit + 1)
-    return text if len(text) <= limit else text[:limit] + "..."
+def _union(t: Union) -> list:
+    pieces: list = []
+    for part in union_spine(t):  # no part is a union, so each sits at level 2
+        pieces += (" + ", (part, 2))
+    del pieces[0]
+    return pieces
 
 
-def _pretty_type(t: MuType, level: int, memo: dict, budget: int) -> str:
-    """The first `budget` characters of `pretty_type`, with a memo of the text
-    of each (node, level) pair, so a shared subterm is rendered once. A text's
-    first `budget` characters depend only on those of its parts, so a DAG whose
-    text doubles per level is never written out whole."""
-    if isinstance(t, (TypeConst, TypeVar)):
-        return t.name
-    key = (id(t), level)
-    got = memo.get(key)
-    if got is not None:
-        return got[1]
-    match t:
-        case Rec(var, body):
-            text = f"rec {var}. {_pretty_type(body, 0, memo, budget)}"
-            text = f"({text})" if level > 0 else text
-        case Arrow(dom, cod):
-            text = f"{_pretty_type(dom, 1, memo, budget)} -> {_pretty_type(cod, 0, memo, budget)}"
-            text = f"({text})" if level > 0 else text
-        case Union():
-            first, *rest = union_spine(t)
-            text = " + ".join([_pretty_type(first, 1, memo, budget), *(_pretty_type(part, 2, memo, budget) for part in rest)])
-            text = f"({text})" if level > 1 else text
-        case AppT(left, right):
-            text = f"{_pretty_type(left, 2, memo, budget)}@{_pretty_type(right, 3, memo, budget)}"
-            text = f"({text})" if level > 2 else text
-        case _:
-            raise TypeError(f"not a type: {t!r}")
-    text = text[:budget]  # the same object when it is shorter
-    memo[key] = (t, text)
-    return text
+def _abs(t: Abs) -> list:
+    pieces: list = []
+    for b in t.branches:
+        pieces.append(" | [" if pieces else "[")
+        for k, (name, ty) in enumerate(b.bindings):
+            pieces += (f", {name}:" if k else f"{name}:", (ty, 0))
+        pieces += ("] ", (b.pattern, 0), " => ", (b.body, 1))
+    return pieces
 
 
-def _pretty_syntax(x: Term | Pattern, atom: bool = False) -> str:
-    """A term or a pattern. Both are application spines (`App` or
-    `PatternCompound`) over names; only a term has abstractions."""
-    match x:
-        case Var(name) | Const(name) | Matchable(name) | PatternConst(name):
-            return name
-        case App(left, right) | PatternCompound(left, right):
-            text = f"{_pretty_syntax(left, atom=isinstance(left, Abs))} {_pretty_syntax(right, atom=True)}"
-        case Abs(branches):
-            parts = []
-            for b in branches:
-                bindings = ", ".join(f"{n}:{pretty_type(ty)}" for n, ty in b.bindings)
-                # parenthesize abstraction bodies, else a following "|" would
-                # attach to the innermost branch list when re-parsed
-                body = _pretty_syntax(b.body, atom=isinstance(b.body, Abs))
-                parts.append(f"[{bindings}] {_pretty_syntax(b.pattern)} => {body}")
-            text = " | ".join(parts)
-        case _:
-            raise TypeError(f"cannot pretty-print {x!r}")
-    return f"({text})" if atom else text
+# Each compound node class: the highest precedence level it is written at
+# without parentheses, and its text as strings and the (child, level) pairs
+# between them. Type levels: arrow and `rec` 0, union 1, @ 2, atom 3. Term and
+# pattern levels: abstraction 0, application 1, atom 2; a branch body sits at
+# 1, else a "|" after it would join its innermost branch list when re-read.
+_LAYOUTS = {
+    AppT: (2, lambda t: [(t.left, 2), "@", (t.right, 3)]),
+    Union: (1, _union),
+    Arrow: (0, lambda t: [(t.dom, 1), " -> ", (t.cod, 0)]),
+    Rec: (0, lambda t: [f"rec {t.var}. ", (t.body, 0)]),
+    App: (1, lambda t: [(t.fun, 1), " ", (t.arg, 2)]),
+    PatternCompound: (1, lambda p: [(p.left, 1), " ", (p.right, 2)]),
+    Abs: (0, _abs),
+}
 
 
-def pretty(x) -> str:
-    """Render a term, pattern or type back to concrete syntax."""
-    return pretty_type(x) if isinstance(x, MuType) else _pretty_syntax(x)
+def _layout(node, level: int) -> list:
+    """The pieces of `node` at precedence `level`."""
+    try:
+        top, layout = _LAYOUTS[type(node)]
+    except KeyError:
+        raise TypeError(f"cannot pretty-print {node!r}") from None
+    pieces = layout(node)
+    return ["(", *pieces, ")"] if level > top else pieces
+
+
+def pretty(x, limit: int | None = None) -> str:
+    """A type, term or pattern in concrete syntax, cut with `...` past `limit`
+    characters. One loop writes the pieces left to right from a stack, so no
+    depth adds a Python frame. A (node, level) met again, as a shared subterm
+    is, copies the text its first visit wrote instead of walking it again, and
+    writing stops at `limit + 1` characters, so a DAG whose text doubles per
+    level is never written out whole."""
+    cut = sys.maxsize if limit is None else limit + 1
+    # by (node id, level): where its first text starts in `out`, (start, end)
+    # once it ends, and the text once it is met again; `x` keeps the nodes alive
+    spans: dict[tuple[int, int], int | tuple[int, int] | str] = {}
+    out: list[str] = []
+    # `x` itself is met once, so it needs no span
+    size, stack = 0, [x.name] if type(x) in _ATOMS else [*reversed(_layout(x, 0))]
+    while stack and size < cut:
+        item = stack.pop()
+        if type(item) is str:
+            text = item
+        elif item[0] is None:  # the first text of the key `item[1]` ends
+            spans[item[1]] = (spans[item[1]], len(out))
+            continue
+        elif type(item[0]) in _ATOMS:
+            text = item[0].name
+        else:
+            key = (id(item[0]), item[1])
+            text = spans.get(key)
+            if text is None:
+                spans[key] = len(out)
+                stack.append((None, key))
+                stack += reversed(_layout(*item))
+                continue
+            if type(text) is tuple:
+                text = spans[key] = "".join(out[text[0] : text[1]])[:cut]
+        out.append(text)
+        size += len(text)
+    text = "".join(out)
+    return text if len(text) < cut else text[: cut - 1] + "..."

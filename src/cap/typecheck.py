@@ -8,8 +8,9 @@ every subtype clause lives in `relations`.
 Terms are DAGs: `SessionState.resolve` puts one definition body at every
 place its name occurs, so `def d_i = Cons d_{i-1} d_{i-1}` holds `d_{i-1}`
 twice as the same object. Typing meets each node once per environment (see
-`_infer`), and `relations` and `surface.pretty_type` walk the inferred type,
-a DAG as well, once per node.
+`_infer`), and `relations` and `surface.pretty` walk the inferred type, a
+DAG as well, once per node. Every type, term or pattern a diagnostic shows
+is printed by `pretty(x, SHOWN)`, cut past `SHOWN` characters.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .mu_types import (
     union_of,
 )
 from .relations import is_equivalent, is_subtype
-from .surface import pretty, pretty_type
+from .surface import SHOWN, pretty
 from .syntax import (
     Abs,
     App,
@@ -42,9 +43,6 @@ from .syntax import (
 )
 
 TypeEnv = dict[str, MuType]
-
-# a diagnostic's type is shown up to this many characters: a DAG's text can double per level
-SHOWN = 10_000
 
 
 def type_pattern(bindings: TypeEnv, p: Pattern) -> MuType:
@@ -62,8 +60,8 @@ def type_pattern(bindings: TypeEnv, p: Pattern) -> MuType:
             if not is_datatype(fun_ty):
                 raise CapError(
                     "sort",
-                    f"pattern '{pretty(left)}' heads a compound but its type is not a datatype",
-                    actual=pretty_type(fun_ty, limit=SHOWN),
+                    f"pattern '{pretty(left, SHOWN)}' heads a compound but its type is not a datatype",
+                    actual=pretty(fun_ty, SHOWN),
                 )
             return AppT(fun_ty, type_pattern(bindings, right))
     raise TypeError(f"not a pattern: {p!r}")
@@ -116,7 +114,7 @@ def _infer_app(env: TypeEnv, local: TypeEnv, fun: Term, arg: Term, memo: dict) -
     raise CapError(
         "type",
         "function position is neither a datatype nor a single arrow",
-        actual=pretty_type(fun_ty, limit=SHOWN),
+        actual=pretty(fun_ty, SHOWN),
     )
 
 
@@ -128,8 +126,8 @@ def apply_arrow(arrow: Arrow, arg_ty: MuType) -> MuType:
     raise CapError(
         "type",
         "argument type fits no part of the function domain",
-        expected=pretty_type(arrow.dom, limit=SHOWN),
-        actual=pretty_type(arg_ty, limit=SHOWN),
+        expected=pretty(arrow.dom, SHOWN),
+        actual=pretty(arg_ty, SHOWN),
     )
 
 
@@ -139,9 +137,6 @@ def _infer_abs(env: TypeEnv, local: TypeEnv, branches) -> MuType:
     for i, branch in enumerate(branches):
         bindings = branch_bindings(i, branch)
         judgements.append(PatternJudgement(branch.pattern, type_pattern(bindings, branch.pattern)))
-        if not local:  # `bindings` is a fresh dict, so it can be the scope
-            body_types.append(_infer(env, bindings, branch.body, {}))
-            continue
         # an error ends the whole call, so only a typed body gives its names back
         shadowed = {name: local[name] for name in bindings if name in local}
         local.update(bindings)
@@ -200,6 +195,6 @@ def check_type(env: TypeEnv, t: Term, expected: MuType) -> None:
         raise CapError(
             "type",
             "term does not have the expected type",
-            expected=pretty_type(expected, limit=SHOWN),
-            actual=pretty_type(actual, limit=SHOWN),
+            expected=pretty(expected, SHOWN),
+            actual=pretty(actual, SHOWN),
         )

@@ -23,7 +23,18 @@ from cap.mu_types import (
 )
 from cap.relations import MODE_EQ, MODE_SUB
 from cap.surface import KEYWORDS, parse_term, parse_type
-from cap.syntax import Abs, App, Const, Pattern, PatternCompound, Position, Term, Var
+from cap.syntax import (
+    Abs,
+    App,
+    Const,
+    Matchable,
+    Pattern,
+    PatternCompound,
+    PatternConst,
+    Position,
+    Term,
+    Var,
+)
 from cap.typecheck import TypeEnv, abs_type, branch_bindings, type_pattern
 
 
@@ -217,6 +228,29 @@ def reference_pretty_type(t: MuType, level: int = 0) -> str:
             text = f"{reference_pretty_type(left, 2)}@{reference_pretty_type(right, 3)}"
             return f"({text})" if level > 2 else text
     raise TypeError(f"not a type: {t!r}")
+
+
+def reference_pretty_term(x: Term | Pattern, atom: bool = False) -> str:
+    """Reference: a term or a pattern printed as a tree, with no memo. Both
+    are application spines (`App` or `PatternCompound`) over names; only a
+    term has abstractions."""
+    match x:
+        case Var(name) | Const(name) | Matchable(name) | PatternConst(name):
+            return name
+        case App(left, right) | PatternCompound(left, right):
+            text = f"{reference_pretty_term(left, atom=isinstance(left, Abs))} {reference_pretty_term(right, atom=True)}"
+        case Abs(branches):
+            parts = []
+            for b in branches:
+                bindings = ", ".join(f"{n}:{reference_pretty_type(ty)}" for n, ty in b.bindings)
+                # parenthesize abstraction bodies, else a following "|" would
+                # attach to the innermost branch list when re-parsed
+                body = reference_pretty_term(b.body, atom=isinstance(b.body, Abs))
+                parts.append(f"[{bindings}] {reference_pretty_term(b.pattern)} => {body}")
+            text = " | ".join(parts)
+        case _:
+            raise TypeError(f"cannot pretty-print {x!r}")
+    return f"({text})" if atom else text
 
 
 def reference_validate_type(t: MuType) -> MuType:

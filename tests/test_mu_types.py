@@ -74,6 +74,16 @@ def test_unfolding_shares_what_does_not_mention_the_binder():
     assert mu_types.subst_type(inner, "t", t) is inner
 
 
+def test_unfolding_walks_a_wide_union_in_a_loop():
+    # 1500 union levels are past the recursion limit: the spine is a loop,
+    # and its unchanged prefix unions come back as the same objects
+    t = parse_type("rec t. " + " + ".join(f"C{i}" for i in range(1500)) + " + Cons@t")
+    unfolded = unfold_once(t)
+    assert unfolded.left is t.body.left and unfolded.right.right is t
+    assert mu_types.free_type_vars(t.body) == {"t"} and mu_types.free_type_vars(t) == frozenset()
+    assert mu_types.subst_type(t.body, "u", t) is t.body
+
+
 def test_unfolding_equals_the_copying_substitution():
     for seed in range(3000):
         stack = [gen_type(GenConfig(seed=seed))]

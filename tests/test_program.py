@@ -1,3 +1,4 @@
+import time
 import timeit
 from functools import partial
 from pathlib import Path
@@ -110,6 +111,22 @@ def test_runtime_diagnostics_for_fuel():
     assert not result.ok
     assert result.diagnostic.code == "runtime"
     assert result.evaluated.status == "out-of-fuel"
+
+
+def test_a_runtime_diagnostic_shows_a_shared_value_up_to_the_bound():
+    # the value of `d_n` doubles its text per level: written whole, the
+    # `actual` is 2 359 321 characters at n = 18, and at n = 40 it never ends
+    for n in (18, 40):
+        chains = "".join(f"def d{i} = Cons d{i - 1} d{i - 1};" for i in range(1, n + 1))
+        eval_ = f"eval ([x: rec t. A + Cons@t@t] x => x) (([y: rec t. A + Cons@t@t] y => y) d{n});"
+        start = time.perf_counter()
+        *defined, result = check_program(parse_program(f"def d0 = A;{chains}{eval_}"), fuel=1)
+        elapsed = time.perf_counter() - start
+        assert all(r.ok for r in defined) and result.diagnostic.code == "runtime"
+        actual = result.diagnostic.actual
+        assert len(actual) == surface.SHOWN + 3 and actual.endswith("...")
+        assert actual.startswith("([x:rec t. A + Cons@t@t] x => x) (Cons (Cons (")
+        assert elapsed < 1.0
 
 
 def test_session_state_accumulates():

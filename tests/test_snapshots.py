@@ -1,8 +1,10 @@
 """Replay the recorded stdout, stderr and exit code of `cap` on a fixed battery.
 
 The battery is `check` and `eval` on every corpus file, plain, `--json`,
-`--trace` and `--json --trace`; `type` on inline terms, plain and `--json`;
-and two small `conform` runs as text and as JSON. The second, at `--kmax 1`,
+`--trace` and `--json --trace`; `eval` out of fuel, which gives a `runtime`
+diagnostic; `type` on inline terms, and `sub`, `equiv` and `oracle` on inline
+type pairs, each plain and `--json`; and two small `conform` runs as text and
+as JSON. The second, at `--kmax 1`,
 reaches the oracle's deep paths: pairs refuted beyond kmax, the 4·kmax
 re-check and an inconclusive pair. Run this file as a script to record the
 outputs again after a change that alters them on purpose.
@@ -35,12 +37,25 @@ TYPE_TERMS = [
     "[g: (rec t. Nil + Cons@A@t) -> A + B] Go (Pair g (Cons Nil)) => ([h: A + rec u. Nil + Box@u] Wrap h => g)",
     "[x:A -> A] Box (x Nil) => x",
 ]
+# Type pairs over `rec` and unions, each printed back by `--json`: the first
+# is an equivalence by one unfolding, the second a strict subtype.
+TYPE_PAIRS = [
+    ("rec t. Nil + Cons@A@t", "Nil + Cons@A@(rec u. Nil + Cons@A@u)"),
+    ("rec t. A + Box@t", "rec u. A + B + Box@u"),
+]
 
 
 def battery() -> list[list[str]]:
     files = sorted(p.name for p in (ROOT / "corpus").glob("*.cap"))
     runs = [[command, f"corpus/{name}", *flags] for name in files for command in ("check", "eval") for flags in FLAGS]
+    runs += [["eval", "corpus/bool_flip.cap", "--max-steps", "1", *flags] for flags in ([], ["--json"])]
     runs += [["type", term, *flags] for term in TYPE_TERMS for flags in ([], ["--json"])]
+    runs += [
+        [command, *pair, *flags]
+        for pair in TYPE_PAIRS
+        for command in ("sub", "equiv", "oracle")
+        for flags in ([], ["--json"])
+    ]
     return runs + [CONFORM, CONFORM + ["--json"], CONFORM_DEEP, CONFORM_DEEP + ["--json"]]
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 import timeit
 from dataclasses import astuple
 from functools import partial
@@ -28,7 +30,6 @@ from cap.surface import (
     parse_term,
     parse_type,
     pretty,
-    pretty_type,
     validate_type,
 )
 from cap.syntax import Abs, App, Const, Var
@@ -38,6 +39,7 @@ from conftest import (
     LIST_A,
     TREE_A,
     reference_check_contractive,
+    reference_pretty_term,
     reference_pretty_type,
     reference_tokenize,
     reference_validate_type,
@@ -424,16 +426,16 @@ def test_pretty_examples():
 
 
 def test_pretty_type_agrees_with_the_reference_on_shared_types():
-    # every generated type at every precedence level, and as both sides of a
-    # binary constructor, which puts one node object at two levels
+    # every generated type, and as both sides of a binary constructor, which
+    # puts one node object at two levels: a union's sides sit at levels 1
+    # and 2, an arrow's at 1 and 0 and an application's at 2 and 3
     for seed in range(3000):
         t = gen_type(GenConfig(seed=seed))
-        for level in range(4):
-            assert pretty_type(t, level) == reference_pretty_type(t, level)
+        assert pretty(t) == reference_pretty_type(t)
         for shared in (Union(t, t), Arrow(t, t), AppT(t, t)):
-            assert pretty_type(shared) == reference_pretty_type(shared)
+            assert pretty(shared) == reference_pretty_type(shared)
     union = parse_type("A + B")
-    assert pretty_type(Union(union, union)) == "A + B + (A + B)"
+    assert pretty(Union(union, union)) == "A + B + (A + B)"
 
 
 def test_pretty_type_agrees_with_the_reference_on_the_chained_def_type():
@@ -441,7 +443,61 @@ def test_pretty_type_agrees_with_the_reference_on_the_chained_def_type():
     ty = TypeConst("A")
     for _ in range(14):
         ty = AppT(AppT(TypeConst("Cons"), ty), ty)
-    assert pretty_type(ty) == reference_pretty_type(ty)
+    assert pretty(ty) == reference_pretty_type(ty)
+
+
+def test_pretty_agrees_with_the_reference_on_generated_terms():
+    for seed in range(2000):
+        term, _ = gen_typed_term(GenConfig(seed=seed))
+        assert pretty(term) == reference_pretty_term(term)
+
+
+def _chained_value(n: int) -> tuple[App, str]:
+    """The value of `d_n` over `def d0 = A; def d_i = Cons d_(i-1) d_(i-1);`,
+    holding `d_(i-1)` twice as the same object, and its text."""
+    term, text = Const("A"), "A"
+    for _ in range(n):
+        term, text = App(App(Const("Cons"), term), term), f"Cons {text} {text}" if text == "A" else f"Cons ({text}) ({text})"
+    return term, text
+
+
+def test_pretty_of_a_shared_value_copies_each_shared_text():
+    # walking the 2.4 MB text of d18 as a tree takes about 0.87 s
+    term, text = _chained_value(18)
+    start = time.perf_counter()
+    got = pretty(term)
+    elapsed = time.perf_counter() - start
+    assert got == text and len(got) == 2_359_286
+    assert elapsed < 0.2
+
+
+def test_pretty_cuts_every_text_at_the_limit():
+    # a shared value, a branch list over bindings and a pattern, and a
+    # union, each cut at every length from 0 past its end
+    term, _ = _chained_value(4)
+    shown = [term, parse_term("[x: rec t. A + Cons@t@t, y: B] Pair x (Box y) => [z:C] z => Wrap x z"), parse_type(F_NAT)]
+    for x in shown:
+        full = pretty(x)
+        for limit in range(len(full) + 2):
+            assert pretty(x, limit) == (full if len(full) <= limit else full[:limit] + "...")
+
+
+def test_a_deep_term_and_type_print_without_recursion():
+    n = 10**5
+    assert sys.getrecursionlimit() < n
+    term = Const("Nil")
+    for _ in range(n):
+        term = App(App(Const("Cons"), Const("A")), term)
+    ty = TypeConst("A")
+    for _ in range(n):
+        ty = AppT(TypeConst("Cons"), ty)
+    text = "Cons A (" * (n - 1) + "Cons A Nil" + ")" * (n - 1)
+    assert pretty(term) == text
+    assert pretty(ty) == "Cons@(" * (n - 1) + "Cons@A" + ")" * (n - 1)
+    assert pretty(term, 20) == "Cons A (Cons A (Cons..."
+    # the list twice: its second place copies the text of its first, which
+    # is not built again node by node
+    assert pretty(App(App(Const("Pair"), term), term)) == f"Pair ({text}) ({text})"
 
 
 def test_roundtrip_example_six():
