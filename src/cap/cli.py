@@ -46,7 +46,8 @@ def _report_results(results: list[DeclResult], args, show_values: bool) -> int:
             if r.inferred is not None:
                 entry["type"] = pretty(r.inferred)
             if r.evaluated is not None:
-                entry["value"] = pretty(r.evaluated.term)
+                if r.evaluated.status == "normal":  # else the diagnostic shows the term, cut
+                    entry["value"] = pretty(r.evaluated.term)
                 entry["steps"] = r.evaluated.steps
                 if args.trace:
                     entry["trace"] = [

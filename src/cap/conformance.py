@@ -61,8 +61,11 @@ class SuiteReport:
 
 # -- single-term check --------------------------------------------------------------
 
+# The beta steps each suite term may take before it counts as out of fuel.
+SUITE_FUEL = 1000
 
-def check_term(term: Term, ty: MuType, fuel: int = 1000) -> tuple[str | None, str | None, Term | None]:
+
+def check_term(term: Term, ty: MuType, fuel: int = SUITE_FUEL) -> tuple[str | None, str | None, Term | None]:
     """Walk `term` through at most `fuel` `small_step`s, re-checking `ty` after each.
 
     Returns the first reduct that lost `ty` (subject reduction), the stuck
@@ -148,7 +151,7 @@ def random_order_normalize(rng: random.Random, term: Term, fuel: int) -> tuple[s
 # -- suites --------------------------------------------------------------------------
 
 
-def term_suites(cfg: GenConfig, cases: int, fuel: int = 1000) -> tuple[SuiteReport, SuiteReport, SuiteReport]:
+def term_suites(cfg: GenConfig, cases: int, fuel: int = SUITE_FUEL) -> tuple[SuiteReport, SuiteReport, SuiteReport]:
     """Subject reduction, progress and successful matching over one corpus of
     `cases` generated terms, each walked once by `check_term`. A value must
     keep its typability and match a pattern of its own type."""
@@ -180,7 +183,7 @@ def term_suites(cfg: GenConfig, cases: int, fuel: int = 1000) -> tuple[SuiteRepo
     return sr, progress, match
 
 
-def confluence_suite(cfg: GenConfig, cases: int, fuel: int = 2000) -> SuiteReport:
+def confluence_suite(cfg: GenConfig, cases: int, fuel: int = SUITE_FUEL) -> SuiteReport:
     """Randomized redex order must agree with the deterministic strategy."""
     report = SuiteReport("confluence", cases)
     compared = 0
@@ -293,8 +296,6 @@ class ConformanceSummary:
 
 
 FAILURE_DUMP = "cap_conform_failures.json"
-# The beta steps each suite term may take before it counts as out of fuel.
-SUITE_FUEL = 1000
 
 
 def run_conformance(
@@ -305,7 +306,7 @@ def run_conformance(
     dump_failures: bool = True,
 ) -> ConformanceSummary:
     """Run every suite; persist counterexamples so failures can be replayed."""
-    reports = [*term_suites(cfg, cases, SUITE_FUEL), confluence_suite(cfg, min(cases, 200), SUITE_FUEL)]
+    reports = [*term_suites(cfg, cases), confluence_suite(cfg, min(cases, 200))]
     differential = run_differential(cfg, pairs, kmax)
     summary = ConformanceSummary(cfg.seed, reports, differential)
     if dump_failures and not summary.ok:

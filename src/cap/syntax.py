@@ -3,7 +3,7 @@
 An application stores whether it is a value, set from its children when it is
 built and left out of `==`, hashing and `repr`. Free variables are not stored,
 since a spine over n distinct names would hold n²/2 of them; a substitution
-computes them once per node.
+computes them for the branch bodies it enters, and visits each node once.
 """
 
 from __future__ import annotations
@@ -154,35 +154,40 @@ def rename_matchable(p: Pattern, old: str, new: str) -> Pattern:
 def apply_substitution(sub: Substitution, t: Term) -> Term:
     """Simultaneous capture-avoiding replacement of free variables.
 
-    Free variables are computed once per node for the whole call, so the
-    cost is linear in the size of `t`, however deeply its abstractions nest.
-    A subterm that comes out unchanged is kept as it is, so closed subterms
-    are shared rather than copied.
+    Each node, shared or not, is substituted once, and free variables are
+    computed once per node, so the cost is linear in the DAG size of `t`,
+    however deeply its abstractions nest. A subterm that comes out unchanged
+    is kept as it is, so closed subterms are shared rather than copied.
     """
-    return _substitute(sub, t, {})
+    return _substitute(sub, t, {}, {}) if sub else t
 
 
-def _substitute(sub: Substitution, t: Term, fv: dict) -> Term:
-    if not sub:
-        return t
+def _substitute(sub: Substitution, t: Term, fv: dict, memo: dict[int, tuple[Term, Term]]) -> Term:
+    """`memo` holds each node `sub` has substituted, keyed on its id, beside the node."""
+    got = memo.get(id(t))
+    if got is not None:
+        return got[1]
     match t:
         case Var(name):
             return sub.get(name, t)
         case Const():
             return t
         case App(f, a):
-            fun, arg = _substitute(sub, f, fv), _substitute(sub, a, fv)
-            return t if fun is f and arg is a else App(fun, arg)
+            fun, arg = _substitute(sub, f, fv, memo), _substitute(sub, a, fv, memo)
+            out = t if fun is f and arg is a else App(fun, arg)
         case Abs(branches):
             new = tuple(_subst_branch(sub, b, fv) for b in branches)
-            return t if all(n is b for n, b in zip(new, branches)) else Abs(new)
-    raise TypeError(f"not a term: {t!r}")
+            out = t if all(n is b for n, b in zip(new, branches)) else Abs(new)
+        case _:
+            raise TypeError(f"not a term: {t!r}")
+    memo[id(t)] = (t, out)
+    return out
 
 
 def _subst_branch(sub: Substitution, b: Branch, fv: dict) -> Branch:
     binders = free_matchables(b.pattern)
     body_vars = _free_vars(b.body, fv)
-    live = {x: u for x, u in sub.items() if x not in binders and x in body_vars}
+    live = {x: sub[x] for x in body_vars if x in sub and x not in binders}
     if not live:
         return b
     range_vars: set[str] = set()
@@ -197,8 +202,8 @@ def _subst_branch(sub: Substitution, b: Branch, fv: dict) -> Branch:
             avoid.add(new)
             pattern = rename_matchable(pattern, old, new)
             bindings = tuple((new if n == old else n, ty) for n, ty in bindings)
-            body = _substitute({old: Var(new)}, body, fv)
-    return Branch(pattern, bindings, _substitute(live, body, fv))
+            body = _substitute({old: Var(new)}, body, fv, {})
+    return Branch(pattern, bindings, _substitute(live, body, fv, {}))
 
 
 # --- Classification ---------------------------------------------------------

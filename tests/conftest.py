@@ -16,6 +16,7 @@ from cap.mu_types import (
     TypeConst,
     TypeVar,
     Union,
+    _fresh_name,
     canonical,
     is_datatype,
     unfold_once,
@@ -26,14 +27,19 @@ from cap.surface import KEYWORDS, parse_term, parse_type
 from cap.syntax import (
     Abs,
     App,
+    Branch,
     Const,
     Matchable,
     Pattern,
     PatternCompound,
     PatternConst,
     Position,
+    Substitution,
     Term,
     Var,
+    free_matchables,
+    free_vars,
+    rename_matchable,
 )
 from cap.typecheck import TypeEnv, abs_type, branch_bindings, type_pattern
 
@@ -251,6 +257,44 @@ def reference_pretty_term(x: Term | Pattern, atom: bool = False) -> str:
         case _:
             raise TypeError(f"cannot pretty-print {x!r}")
     return f"({text})" if atom else text
+
+
+def reference_apply_substitution(sub: Substitution, t: Term) -> Term:
+    """Reference: the substitution walks the term as a tree, with no memo. A
+    branch takes its live names from the whole of `sub`, and renames each
+    captured binder in a walk of its own before it substitutes them."""
+    if not sub:
+        return t
+    match t:
+        case Var(name):
+            return sub.get(name, t)
+        case Const():
+            return t
+        case App(f, a):
+            return App(reference_apply_substitution(sub, f), reference_apply_substitution(sub, a))
+        case Abs(branches):
+            return Abs(tuple(_reference_subst_branch(sub, b) for b in branches))
+    raise TypeError(f"not a term: {t!r}")
+
+
+def _reference_subst_branch(sub: Substitution, b: Branch) -> Branch:
+    binders = free_matchables(b.pattern)
+    body_vars = free_vars(b.body)
+    live = {x: u for x, u in sub.items() if x not in binders and x in body_vars}
+    if not live:
+        return b
+    range_vars: set[str] = set()
+    for u in live.values():
+        range_vars |= free_vars(u)
+    pattern, bindings, body = b.pattern, b.bindings, b.body
+    avoid = range_vars | body_vars | binders | set(live)
+    for old in sorted(binders & range_vars):
+        new = _fresh_name(old, avoid)
+        avoid.add(new)
+        pattern = rename_matchable(pattern, old, new)
+        bindings = tuple((new if n == old else n, ty) for n, ty in bindings)
+        body = reference_apply_substitution({old: Var(new)}, body)
+    return Branch(pattern, bindings, reference_apply_substitution(live, body))
 
 
 def reference_validate_type(t: MuType) -> MuType:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,23 @@ def test_runtime_exit_code(tmp_path, capsys):
     loop.write_text("eval ([x:rec o. o -> B] x => x x) ([x:rec o. o -> B] x => x x);\n", encoding="utf-8")
     code, _, _ = run(capsys, "eval", str(loop), "--max-steps", "30")
     assert code == 3
+
+
+def test_a_failed_eval_writes_its_term_once_in_json(tmp_path, capsys):
+    # d40 is a DAG whose tree has 2^40 leaves; the `runtime` diagnostic shows it
+    # cut at the bound, and no `value` writes it out whole
+    wrap = "([x: rec t. A + Cons@t@t] x => x)"
+    chains = "".join(f"def d{i} = {wrap} (Cons d{i - 1} d{i - 1});\n" for i in range(1, 41))
+    path = tmp_path / "shared.cap"
+    path.write_text(f"def d0 = A;\n{chains}eval {wrap} d40;\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "eval", str(path), "--json", "--max-steps", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and len(out) < 20_000
+    *defined, failed = json.loads(out)["results"]
+    assert all(r["ok"] for r in defined) and all("value" not in r for r in defined)
+    assert "value" not in failed and failed["steps"] == 1
+    assert failed["diagnostic"]["code"] == "runtime" and failed["diagnostic"]["actual"].endswith("...")
 
 
 def test_json_diagnostics_schema(tmp_path, capsys):
@@ -331,26 +349,31 @@ def test_deep_input_is_a_resource_diagnostic(tmp_path, capsys):
 @pytest.mark.parametrize("as_json", [False, True])
 @pytest.mark.parametrize("assumed", ["", " assume id : Nat -> Nat;"])
 def test_a_deep_declaration_is_a_resource_diagnostic_at_its_span(tmp_path, capsys, assumed, as_json):
-    # it parses, and its checking recurses too deeply; the other declarations get their verdicts
+    # it parses, and its typing recurses too deeply; the other declarations get
+    # their verdicts. Without `id` assumed, typing meets the unbound head first.
     deep = tmp_path / "deep.cap"
     depth = 10**5
     chain = "id (" * depth + "n" + ")" * depth
     deep.write_text(f"assume n : Nat;{assumed}\n  eval {chain};\neval n;\n", encoding="utf-8")
     code, out, err = run(capsys, "check", str(deep), *(["--json"] if as_json else []))
-    assert code == 5
+    if assumed:
+        exit_code, code_name, message = 5, "resource", "input is nested too deeply to process"
+    else:
+        exit_code, code_name, message = 1, "type", "unbound variable 'id'"
+    assert code == exit_code
     before = ["assume n: Nat"] + (["assume id: Nat -> Nat"] if assumed else [])
     if as_json:
         results = json.loads(out)["results"]
         assert [r["ok"] for r in results] == [True] * len(before) + [False, True]
         assert results[len(before)]["diagnostic"] == {
             "decl": "eval",
-            "code": "resource",
+            "code": code_name,
             "span": {"line": 2, "col": 3},
-            "message": "input is nested too deeply to process",
+            "message": message,
         }
     else:
         assert out == "".join(line + "\n" for line in before) + "eval: n  [0 steps]\n"
-        assert err == "2:3: error[resource] in eval: input is nested too deeply to process\n"
+        assert err == f"2:3: error[{code_name}] in eval: {message}\n"
 
 
 def test_a_deep_pattern_is_a_resource_diagnostic_at_its_span(tmp_path, capsys):

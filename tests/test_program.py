@@ -3,13 +3,15 @@ import timeit
 from functools import partial
 from pathlib import Path
 
-from cap import compatibility, conformance, program, reduction, relations, surface, typecheck
+from cap import compatibility, conformance, program, reduction, relations, surface, syntax, typecheck
 from cap.conformance import term_suites
 from cap.generators import GenConfig
 from cap.program import SessionState, check_program, process_decl
 from cap.relations import is_equivalent
 from cap.surface import parse_program, parse_term, parse_type, pretty
 from cap.syntax import Var
+
+from conftest import counting
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -129,6 +131,16 @@ def test_a_runtime_diagnostic_shows_a_shared_value_up_to_the_bound():
         assert elapsed < 1.0
 
 
+def test_beta_substitutes_a_shared_definition_once_per_node():
+    # the body `Cons d_n x` holds d_n, whose tree has 2^n leaves
+    n = 40
+    chains = "".join(f"def d{i} = Cons d{i - 1} d{i - 1};" for i in range(1, n + 1))
+    program = parse_program(f"def d0 = A;{chains}def f = [x : A] x => Cons d{n} x;eval f A;")
+    with counting(syntax, "_substitute", 12 * n):
+        *defined, result = check_program(program)
+    assert all(r.ok for r in defined) and result.ok and result.evaluated.steps == 1
+
+
 def test_session_state_accumulates():
     state = SessionState()
     program = parse_program("assume n : Nat; def v = Vl n;")
@@ -200,6 +212,9 @@ class _DefinitionsThatMustNotBeScanned(dict):
     def __getitem__(self, name):
         self.reads += 1
         return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        return self[name] if name in self else default
 
     def _scan(self, *args):
         raise AssertionError("resolve scanned every definition")

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import tracemalloc
 
 import pytest
@@ -25,7 +26,14 @@ from cap.syntax import (
 from cap.mu_types import REPR_LIMIT, TypeConst, same_structure
 from cap.surface import parse_term, pretty
 
-from conftest import InvalidPositionError, positions, reference_is_value, subterm_at
+from conftest import (
+    InvalidPositionError,
+    counting,
+    positions,
+    reference_apply_substitution,
+    reference_is_value,
+    subterm_at,
+)
 
 
 def abs1(pattern, bindings, body):
@@ -200,6 +208,67 @@ def test_substitution_is_linear_in_the_nesting_depth(monkeypatch):
         counts.append(len(visits))
         assert pretty(out) == pretty(_nested_abstractions(n, Const("C")))
     assert counts[1] <= 2.2 * counts[0]
+
+
+def _term_nodes(t):
+    """Every term node of `t`, branch bodies included, walked as a tree."""
+    out, stack = [], [t]
+    while stack:
+        x = stack.pop()
+        out.append(x)
+        match x:
+            case App(f, a):
+                stack += (f, a)
+            case Abs(branches):
+                stack += (b.body for b in branches)
+    return out
+
+
+def _binders(t):
+    return {n for x in _term_nodes(t) if isinstance(x, Abs) for b in x.branches for n in free_matchables(b.pattern)}
+
+
+def test_substitution_agrees_with_the_reference_on_generated_terms():
+    # every subterm, under a substitution of its free names and one name it
+    # lacks, by values that mention the binders below it, so that binders
+    # are captured and renamed
+    rng = random.Random(0)
+    renamed = 0
+    for seed in range(300):
+        term, _ = gen_typed_term(GenConfig(seed=seed))
+        for node in _term_nodes(term):
+            names = sorted(_binders(node)) or ["y"]
+            values = [Var(rng.choice(names)), App(Const("C"), Var(rng.choice(names))), Const("K"), term]
+            sub = {x: rng.choice(values) for x in [*sorted(free_vars(node)), "unused"]}
+            out = apply_substitution(sub, node)
+            assert same_structure(out, reference_apply_substitution(sub, node)), (seed, pretty(node))
+            renamed += _binders(out) != _binders(node)
+    assert renamed > 100
+
+
+def test_substitution_renames_captured_binders_one_substitution_at_a_time():
+    # renaming `b_1` in the same walk as substituting `w` would make the inner
+    # binder avoid the old name `b_1` as well, and pick `b_2`
+    a = TypeConst("A")
+    inner = abs1(Matchable("b"), (("b", a),), App(Var("b_1"), Var("w")))
+    outer = abs1(Matchable("b_1"), (("b_1", a),), App(inner, Var("v")))
+    sub = {"w": Var("b"), "v": Var("b_1")}
+    out = apply_substitution(sub, outer)
+    assert pretty(out) == "[b_1_1:A] b_1_1 => ([b_1:A] b_1 => b_1_1 b) b_1"
+    assert same_structure(out, reference_apply_substitution(sub, outer))
+
+
+def test_substitution_meets_a_shared_subterm_once():
+    # as a tree, this term has 2^40 occurrences of x
+    t = Var("x")
+    for _ in range(40):
+        t = App(App(Const("Cons"), t), t)
+    with counting(syntax, "_substitute", 4 * 40 + 1):
+        out = apply_substitution({"x": Const("A")}, t)
+    for _ in range(40):
+        assert out.fun.arg is out.arg
+        out = out.arg
+    assert out == Const("A")
 
 
 def test_same_term_compares_deep_terms_without_recursion():
