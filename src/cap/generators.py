@@ -355,8 +355,9 @@ def _mutate_subtree(rng: random.Random, t: MuType) -> MuType:
             return AppT(l, _mutate_subtree(rng, r)) if rng.random() < 0.7 else AppT(_mutate_subtree(rng, l), r)
         case Arrow(l, r) if rng.random() < 0.75:
             return Arrow(_mutate_subtree(rng, l), r) if rng.random() < 0.5 else Arrow(l, _mutate_subtree(rng, r))
-        case Union(l, r) if rng.random() < 0.6:
-            return Union(_mutate_subtree(rng, l), r) if rng.random() < 0.5 else Union(l, _mutate_subtree(rng, r))
+        case Union(parts) if rng.random() < 0.6:  # its sides as `(A + B) + C` reads: all parts but the last, and the last
+            init, last = union_of(parts[:-1]), parts[-1]
+            return Union(_mutate_subtree(rng, init), last) if rng.random() < 0.5 else Union(init, _mutate_subtree(rng, last))
         case Rec(var, body) if rng.random() < 0.75:
             return Rec(var, _mutate_subtree(rng, body))
     return _mutate_head(rng, t)
@@ -376,8 +377,8 @@ def _rename_one_const(rng: random.Random, t: MuType) -> MuType:
                 return AppT(go(l), go(r))
             case Arrow(l, r):
                 return Arrow(go(l), go(r))
-            case Union(l, r):
-                return Union(go(l), go(r))
+            case Union(parts):
+                return Union(*map(go, parts))
             case Rec(var, body):
                 return Rec(var, go(body))
         raise TypeError(f"not a type: {t!r}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,12 +77,20 @@ class Arrow(MuType):
     cod: MuType
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@dataclass(frozen=True, slots=True, repr=False, init=False)
 class Union(MuType):
-    """Binary union A + B."""
+    """Union of two or more parts, A + B + ...: a union given as the first part
+    has its parts taken in, as `A + B + C` reads `(A + B) + C`, and one given as
+    a later part stays one part, so `A + (B + C)` has two."""
 
-    left: MuType
-    right: MuType
+    parts: tuple[MuType, ...]
+
+    def __init__(self, *parts: MuType):
+        if len(parts) < 2:
+            raise TypeError(f"a union has at least two parts, not {len(parts)}")
+        if type(parts[0]) is Union:
+            parts = parts[0].parts + parts[1:]
+        object.__setattr__(self, "parts", parts)
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -93,37 +102,21 @@ class Rec(MuType):
 
 
 def union_of(components: list[MuType]) -> MuType:
-    """Left-associated union of a nonempty component list."""
+    """The union of a nonempty component list, or its one component."""
     if not components:
         raise ValueError("empty union")
-    out = components[0]
-    for c in components[1:]:
-        out = Union(out, c)
-    return out
-
-
-def union_spine(t: Union) -> list[MuType]:
-    """The operands of the left-nested unions from `t` down, left to right,
-    so `union_spine(union_of(cs)) == cs` when no component is a union. It
-    walks the spine in a loop, so a flat union of any width adds no recursion."""
-    operands = []
-    while isinstance(t, Union):
-        operands.append(t.right)
-        t = t.left
-    operands.append(t)
-    operands.reverse()
-    return operands
+    return Union(*components) if len(components) > 1 else components[0]
 
 
 def free_type_vars(t: MuType) -> frozenset[str]:
-    """The free names of `t`; a union's spine is walked in a loop."""
+    """The free names of `t`."""
     match t:
         case TypeConst():
             return frozenset()
         case TypeVar(name):
             return frozenset((name,))
-        case Union():
-            return frozenset().union(*map(free_type_vars, union_spine(t)))
+        case Union(parts):
+            return frozenset().union(*map(free_type_vars, parts))
         case AppT(l, r) | Arrow(l, r):
             return free_type_vars(l) | free_type_vars(r)
         case Rec(var, body):
@@ -143,23 +136,15 @@ def _fresh_name(base: str, avoid: frozenset[str]) -> str:
 def subst_type(t: MuType, name: str, replacement: MuType) -> MuType:
     """Capture-avoiding substitution of a recursion variable by a type. A
     subterm without `name` free comes back as the same object, and so does
-    `replacement` at every place it is put: they are shared, not copied. A
-    union's spine is walked in a loop, keeping each unchanged prefix union."""
+    `replacement` at every place it is put: they are shared, not copied."""
     match t:
         case TypeConst():
             return t
         case TypeVar(n):
             return replacement if n == name else t
-        case Union():
-            unions = []
-            while isinstance(t, Union):
-                unions.append(t)
-                t = t.left
-            out = subst_type(t, name, replacement)
-            for u in reversed(unions):
-                right = subst_type(u.right, name, replacement)
-                out = u if out is u.left and right is u.right else Union(out, right)
-            return out
+        case Union(parts):
+            new = [subst_type(p, name, replacement) for p in parts]
+            return t if all(map(operator.is_, new, parts)) else Union(*new)
         case AppT(l, r) | Arrow(l, r):
             left, right = subst_type(l, name, replacement), subst_type(r, name, replacement)
             return t if left is l and right is r else type(t)(left, right)
@@ -209,7 +194,7 @@ def union_components(t: MuType) -> list[MuType]:
         if isinstance(t, Rec):
             t = head_unfold(t)
         if isinstance(t, Union):
-            stack += (t.right, t.left)
+            stack += reversed(t.parts)
         else:
             out.append(t)
     return out
@@ -270,8 +255,10 @@ def _canonical(t: MuType, depth: int, env: dict[str, str]) -> MuType:
             return t
         case TypeVar(n):
             return TypeVar(env.get(n, n))
-        case AppT(l, r) | Arrow(l, r) | Union(l, r):
+        case AppT(l, r) | Arrow(l, r):
             return type(t)(_canonical(l, depth, env), _canonical(r, depth, env))
+        case Union(parts):
+            return Union(*[_canonical(p, depth, env) for p in parts])
         case Rec(var, body):
             new = f"#{depth}"
             return Rec(new, _canonical(body, depth + 1, {**env, var: new}))
@@ -282,7 +269,7 @@ def is_datatype(t: MuType, data_vars: frozenset[str] = frozenset()) -> bool:
     """The sort rule: whether `t` is a datatype, given the datatype variables.
 
     Constants and applications are datatypes, arrows are not, a union is one
-    when both sides are, and a variable when it is in `data_vars`. A `rec`
+    when all its parts are, and a variable when it is in `data_vars`. A `rec`
     binder is datatype-sorted when its body is a datatype under that
     assumption, so sorts are computed from structure and never stored.
     """
@@ -293,8 +280,8 @@ def is_datatype(t: MuType, data_vars: frozenset[str] = frozenset()) -> bool:
             return False
         case TypeVar(name):
             return name in data_vars
-        case Union():
-            return all(is_datatype(part, data_vars) for part in union_spine(t))
+        case Union(parts):
+            return all(is_datatype(part, data_vars) for part in parts)
         case Rec(var, body):
             return is_datatype(body, data_vars | {var})
     raise TypeError(f"not a type: {t!r}")
@@ -303,12 +290,12 @@ def is_datatype(t: MuType, data_vars: frozenset[str] = frozenset()) -> bool:
 def admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:
     """Head symbols the type exhibits at a pattern position.
 
-    Unions contribute every operand, along their spine in a loop, recursive
-    types are unfolded, and a branch that bottoms out in an atom before the
-    position is consumed contributes nothing. The type must be validated, as
-    `parse_*` and the generators produce it: contractiveness puts an `@` or
-    `->` between every binder and its recurrences, and each of those ends the
-    walk or consumes a step of the position, so the recursion terminates.
+    Unions contribute every part, recursive types are unfolded, and a branch
+    that bottoms out in an atom before the position is consumed contributes
+    nothing. The type must be validated, as `parse_*` and the generators
+    produce it: contractiveness puts an `@` or `->` between every binder and
+    its recurrences, and each of those ends the walk or consumes a step of the
+    position, so the recursion terminates.
     """
     match t:
         case TypeConst(name) | TypeVar(name):
@@ -321,8 +308,8 @@ def admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:
             if pos == ():
                 return frozenset((SYM_ARROW,))
             return admitted_symbols((l, r)[pos[0] - 1], pos[1:])
-        case Union():
-            return frozenset().union(*(admitted_symbols(part, pos) for part in union_spine(t)))
+        case Union(parts):
+            return frozenset().union(*(admitted_symbols(part, pos) for part in parts))
         case Rec():
             return admitted_symbols(unfold_once(t), pos)
     raise TypeError(f"not a type: {t!r}")
@@ -365,11 +352,11 @@ def truncations(t: MuType, table: dict | None = None) -> Callable[[int], MuType]
                 out = table.get(leaf) or table.setdefault(leaf, t)
             case AppT(l, r) | Arrow(l, r):
                 out = node(type(t), go(l, k - 1), go(r, k - 1))
-            case Union():
-                operands = union_spine(t)
-                out = go(operands[0], k)
-                for operand in operands[1:]:
-                    out = node(Union, out, go(operand, k))
+            case Union(parts):
+                # keyed on the parts it holds: a first part may truncate to a union, which it takes in
+                out = Union(*[go(p, k) for p in parts])
+                held = (Union, *map(id, out.parts))
+                out = table.get(held) or table.setdefault(held, out)
             case Rec():
                 body = unfolded.get(id(t)) or unfolded.setdefault(id(t), unfold_once(t))
                 out = go(body, k)

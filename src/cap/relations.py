@@ -58,7 +58,6 @@ from .mu_types import (
     same_structure,
     truncations,
     union_components,
-    union_spine,
 )
 
 MODE_SUB = "sub"
@@ -189,7 +188,7 @@ def tree_relation(mode: str) -> Callable[[MuType, MuType], bool]:
         got = comps.get(id(t))
         if got is None:
             if isinstance(t, Union):
-                got = [c for op in union_spine(t) for c in components(op)]
+                got = [c for part in t.parts for c in components(part)]
             else:
                 got = [t]
             comps[id(t)] = got

@@ -46,7 +46,6 @@ from .mu_types import (
     TypeVar,
     Union,
     is_datatype,
-    union_spine,
 )
 from .syntax import (
     Abs,
@@ -370,8 +369,7 @@ def validate_type(t: MuType) -> MuType:
 def _validate(t: MuType, data_vars: frozenset[str], unguarded: frozenset[str]) -> str | None:
     """One walk for both rules: raise the first sort error of `t`, left to
     right, and return the first recursion variable that occurs in `t` outside
-    any @ or ->, counting the binders in `unguarded`, or None. A left-nested
-    union is walked as one spine, so its width adds no recursion."""
+    any @ or ->, counting the binders in `unguarded`, or None."""
     match t:
         case TypeConst(name):
             if name == BULLET_NAME:
@@ -386,8 +384,8 @@ def _validate(t: MuType, data_vars: frozenset[str], unguarded: frozenset[str]) -
             found.append(_validate(right, data_vars, frozenset()))
         case Arrow(dom, cod):
             found = [_validate(dom, data_vars, frozenset()), _validate(cod, data_vars, frozenset())]
-        case Union():
-            found = [_validate(part, data_vars, unguarded) for part in union_spine(t)]
+        case Union(parts):
+            found = [_validate(part, data_vars, unguarded) for part in parts]
         case Rec(var, body):
             inner = data_vars | {var} if is_datatype(t, data_vars) else data_vars - {var}
             return _validate(body, inner, unguarded | {var})
@@ -406,7 +404,7 @@ _ATOMS = frozenset((TypeConst, TypeVar, Var, Const, Matchable, PatternConst))  #
 
 def _union(t: Union) -> list:
     pieces: list = []
-    for part in union_spine(t):  # no part is a union, so each sits at level 2
+    for part in t.parts:  # each at level 2, so a union as a later part is written in parentheses
         pieces += (" + ", (part, 2))
     del pieces[0]
     return pieces

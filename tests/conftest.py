@@ -206,8 +206,8 @@ def reference_truncate(t: MuType, depth: int) -> MuType:
                 out = AppT(go(l, k - 1), go(r, k - 1))
             case Arrow(l, r):
                 out = Arrow(go(l, k - 1), go(r, k - 1))
-            case Union(l, r):
-                out = Union(go(l, k), go(r, k))
+            case Union(parts):
+                out = Union(*[go(part, k) for part in parts])
             case Rec():
                 out = go(unfold_once(t), k)
         memo[key] = out
@@ -227,8 +227,8 @@ def reference_pretty_type(t: MuType, level: int = 0) -> str:
         case Arrow(dom, cod):
             text = f"{reference_pretty_type(dom, 1)} -> {reference_pretty_type(cod, 0)}"
             return f"({text})" if level > 0 else text
-        case Union(left, right):
-            text = f"{reference_pretty_type(left, 1)} + {reference_pretty_type(right, 2)}"
+        case Union(parts):
+            text = " + ".join([reference_pretty_type(parts[0], 1), *(reference_pretty_type(p, 2) for p in parts[1:])])
             return f"({text})" if level > 1 else text
         case AppT(left, right):
             text = f"{reference_pretty_type(left, 2)}@{reference_pretty_type(right, 3)}"
@@ -317,9 +317,12 @@ def reference_check_sorts(t: MuType, data_vars: frozenset[str]) -> None:
             if not is_datatype(left, data_vars):
                 raise CapError("sort", "left argument of @ must be a datatype", actual=reference_pretty_type(left))
             reference_check_sorts(right, data_vars)
-        case Arrow(l, r) | Union(l, r):
+        case Arrow(l, r):
             reference_check_sorts(l, data_vars)
             reference_check_sorts(r, data_vars)
+        case Union(parts):
+            for part in parts:
+                reference_check_sorts(part, data_vars)
         case Rec(var, body):
             inner = data_vars | {var} if is_datatype(t, data_vars) else data_vars - {var}
             reference_check_sorts(body, inner)
@@ -337,9 +340,9 @@ def reference_check_contractive(t: MuType, unguarded: frozenset[str]) -> None:
         case AppT(l, r) | Arrow(l, r):
             reference_check_contractive(l, frozenset())
             reference_check_contractive(r, frozenset())
-        case Union(l, r):
-            reference_check_contractive(l, unguarded)
-            reference_check_contractive(r, unguarded)
+        case Union(parts):
+            for part in parts:
+                reference_check_contractive(part, unguarded)
         case Rec(var, body):
             reference_check_contractive(body, unguarded | {var})
 
@@ -426,8 +429,8 @@ def reference_admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str
                 if pos == ():
                     return frozenset((SYM_ARROW,))
                 return go((l, r)[pos[0] - 1], pos[1:])
-            case Union(l, r):
-                return go(l, pos) | go(r, pos)
+            case Union(parts):
+                return frozenset().union(*(go(part, pos) for part in parts))
             case Rec():
                 key = (canonical(t), pos)
                 if key in active:

@@ -405,7 +405,7 @@ def flat_union(width):
 @pytest.mark.parametrize("command, mode", [("sub", "sub"), ("equiv", "eq")])
 @pytest.mark.parametrize("width", [3000, 10_000])
 def test_a_flat_union_is_related_to_itself(capsys, width, command, mode, wrap, as_json):
-    # validation, the sort rule and the printer walk a union's spine in a loop
+    # validation, the sort rule and the printer walk a union's parts in a loop
     t = wrap.format(flat_union(width))
     code, out, err = run(capsys, command, t, t, *(["--json"] if as_json else []))
     assert (code, err) == (0, "")
@@ -413,6 +413,13 @@ def test_a_flat_union_is_related_to_itself(capsys, width, command, mode, wrap, a
         assert json.loads(out) == {"left": t, "right": t, "mode": mode, "verdict": True}
     else:
         assert out == "true\n"
+
+
+def test_two_different_wide_unions_under_a_rec_are_related(capsys):
+    # 1100 parts: `canonical` and the unfolding of the `rec` walk them in a loop
+    consts = flat_union(1100)
+    narrow, wide = f"rec t. {consts} + Cons@t", f"rec t. {consts} + D + Cons@t"
+    assert run(capsys, "sub", narrow, wide) == (0, "true\n", "")
 
 
 def arrow_chain(levels, innermost, left_nested):
@@ -432,7 +439,7 @@ def test_a_deep_arrow_chain_is_related(capsys, left_nested, verdicts):
 
 
 def test_the_oracle_relates_two_wide_flat_unions(capsys):
-    # truncation and the oracle's union components walk a union's spine in a loop
+    # truncation and the oracle's union components walk a union's parts in a loop
     left = flat_union(1200)
     code, out, err = run(capsys, "oracle", left, left + " + D", "--kmax", "2", "--json")
     assert (code, err) == (0, "")
@@ -451,7 +458,7 @@ def test_the_oracle_relates_two_wide_flat_unions(capsys):
 
 def test_a_wide_union_annotation_checks_beside_another_branch(tmp_path, capsys):
     # the compatibility check asks for the admitted symbols of the wide
-    # annotation, which walk a union's spine in a loop
+    # annotation, which walk a union's parts in a loop
     wide = flat_union(3000)
     arrow = f"D + ({wide}) -> D + ({wide})"
     src = tmp_path / "wide.cap"

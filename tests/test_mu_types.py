@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 import random
 
 import pytest
@@ -41,8 +42,10 @@ def _copying_subst_type(t: MuType, name: str, replacement: MuType) -> MuType:
             return t
         case TypeVar(n):
             return replacement if n == name else t
-        case AppT(l, r) | Arrow(l, r) | Union(l, r):
+        case AppT(l, r) | Arrow(l, r):
             return type(t)(_copying_subst_type(l, name, replacement), _copying_subst_type(r, name, replacement))
+        case Union(parts):
+            return Union(*[_copying_subst_type(part, name, replacement) for part in parts])
         case Rec(var, body):
             if var == name:
                 return t
@@ -68,18 +71,19 @@ def test_unfolding_renames_a_binder_that_would_capture():
 def test_unfolding_shares_what_does_not_mention_the_binder():
     t = parse_type("rec t. (A -> B@(rec u. Nil + Cons@u)) + Cons@t")
     unfolded = unfold_once(t)
-    assert unfolded.left is t.body.left
-    assert unfolded.right.left is t.body.right.left and unfolded.right.right is t
+    (arrow, app), (body_arrow, body_app) = unfolded.parts, t.body.parts
+    assert arrow is body_arrow
+    assert app.left is body_app.left and app.right is t
     inner = parse_type("rec u. Nil + Cons@u")
     assert mu_types.subst_type(inner, "t", t) is inner
 
 
 def test_unfolding_walks_a_wide_union_in_a_loop():
-    # 1500 union levels are past the recursion limit: the spine is a loop,
-    # and its unchanged prefix unions come back as the same objects
+    # 1500 parts are past the recursion limit for a walk that recursed once
+    # per part; the unchanged parts come back as the same objects
     t = parse_type("rec t. " + " + ".join(f"C{i}" for i in range(1500)) + " + Cons@t")
     unfolded = unfold_once(t)
-    assert unfolded.left is t.body.left and unfolded.right.right is t
+    assert all(map(operator.is_, unfolded.parts[:-1], t.body.parts[:-1])) and unfolded.parts[-1].right is t
     assert mu_types.free_type_vars(t.body) == {"t"} and mu_types.free_type_vars(t) == frozenset()
     assert mu_types.subst_type(t.body, "u", t) is t.body
 
@@ -92,8 +96,27 @@ def test_unfolding_equals_the_copying_substitution():
                 case Rec(var, body) as t:
                     assert unfold_once(t) == _copying_subst_type(body, var, t), pretty(t)
                     stack.append(body)
-                case AppT(l, r) | Arrow(l, r) | Union(l, r):
+                case AppT(l, r) | Arrow(l, r):
                     stack += (l, r)
+                case Union(parts):
+                    stack += parts
+
+
+def test_union_takes_in_a_first_part_that_is_a_union():
+    a, b, c = TypeConst("A"), TypeConst("B"), TypeConst("C")
+    for parts in ((), (a,)):
+        with pytest.raises(TypeError):
+            Union(*parts)
+    assert Union(Union(a, b), c) == Union(a, b, c) and Union(Union(a, b), c).parts == (a, b, c)
+    later = Union(a, Union(b, c))
+    assert later.parts == (a, Union(b, c)) and pretty(later) == "A + (B + C)"
+    assert union_of([a]) is a and union_of([a, b, c]).parts == (a, b, c)
+
+
+def test_canonical_of_a_wide_union_under_a_rec():
+    # 1100 parts are past the recursion limit for a walk that recursed once per part
+    t = parse_type("rec t. " + " + ".join(f"C{i}" for i in range(1100)) + " + Cons@t")
+    assert canonical(t) == Rec("#0", Union(*t.body.parts[:-1], AppT(TypeConst("Cons"), TypeVar("#0"))))
 
 
 def test_head_unfold_one_step():
@@ -172,8 +195,8 @@ def cut_tree(t: MuType, depth: int) -> MuType:
     match t:
         case TypeConst() | TypeVar():
             return t
-        case Union(l, r):
-            return Union(cut_tree(l, depth), cut_tree(r, depth))
+        case Union(parts):
+            return Union(*[cut_tree(part, depth) for part in parts])
         case AppT(l, r) | Arrow(l, r):
             return type(t)(cut_tree(l, depth - 1), cut_tree(r, depth - 1))
     raise TypeError(f"not a truncation: {t!r}")
@@ -201,7 +224,7 @@ def test_truncations_share_subtrees_across_depths():
     t = parse_type("rec a. Vl@Nat + a@a")
     at = truncations(t)
     for k in range(2, 13):
-        app = at(k).right
+        app = at(k).parts[1]
         assert isinstance(app, AppT)
         assert app.left is app.right is at(k - 1)
     # fresh truncators build equal trees, but not the same objects
@@ -212,7 +235,8 @@ def test_truncations_share_subtrees_across_depths():
 @given(st.integers(min_value=0, max_value=50_000))
 def test_truncations_give_one_object_per_subterm_and_depth(seed):
     t = gen_type(GenConfig(seed=seed))
-    at = truncations(t)
+    table: dict = {}
+    at = truncations(t, table)
     seen: dict[tuple[MuType, int], MuType] = {}
 
     def walk(t: MuType, k: int, tree: MuType) -> None:
@@ -227,9 +251,16 @@ def test_truncations_give_one_object_per_subterm_and_depth(seed):
             case (AppT(l, r), AppT(tl, tr)) | (Arrow(l, r), Arrow(tl, tr)):
                 walk(l, k - 1, tl)
                 walk(r, k - 1, tr)
-            case (Union(l, r), Union(tl, tr)):
-                walk(l, k, tl)
-                walk(r, k, tr)
+            case (Union(parts), Union(held)):
+                # a first part that truncates to a union has its parts taken in;
+                # through the same table, that union is one object holding them
+                taken = len(held) - len(parts) + 1
+                if taken > 1:
+                    first = truncations(parts[0], table)(k)
+                    assert all(map(operator.is_, first.parts, held[:taken]))
+                    held = (first, *held[taken:])
+                for part, part_tree in zip(parts, held):
+                    walk(part, k, part_tree)
             case (Rec(), _):
                 walk(unfold_once(t), k, tree)
             case (TypeConst() | TypeVar(), _):
@@ -239,6 +270,16 @@ def test_truncations_give_one_object_per_subterm_and_depth(seed):
 
     for k in (8, 3, 12, 0, 5, 11):
         walk(t, k, at(k))
+
+
+def test_truncations_hash_cons_a_union_on_the_parts_it_holds():
+    # `rec u. A + B` truncates to a union, which the union around it takes in,
+    # so through one table `(rec u. A + B) + C` truncates to the object `A + B + C` does
+    table: dict = {}
+    nested = truncations(parse_type("(rec u. A + B) + C"), table)
+    flat = truncations(parse_type("A + B + C"), table)
+    for k in (1, 2, 3):
+        assert nested(k) is flat(k)
 
 
 def _rec_under_two_parents() -> MuType:

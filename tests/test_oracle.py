@@ -106,8 +106,10 @@ def structure_numbering():
         got = number.get(id(t))
         if got is None:
             match t:
-                case AppT(left, right) | Arrow(left, right) | Union(left, right):
+                case AppT(left, right) | Arrow(left, right):
                     shape = (type(t), go(left), go(right))
+                case Union(parts):
+                    shape = (Union, *map(go, parts))
                 case TypeConst(name) | TypeVar(name):
                     shape = (type(t), name)
                 case _:
@@ -272,8 +274,8 @@ def cut(t, depth: int):
             match t:
                 case AppT(left, right) | Arrow(left, right):
                     memo[key] = type(t)(go(left, k - 1), go(right, k - 1))
-                case Union(left, right):
-                    memo[key] = Union(go(left, k), go(right, k))
+                case Union(parts):
+                    memo[key] = Union(*[go(part, k) for part in parts])
                 case _:
                     memo[key] = t
         return memo[key]

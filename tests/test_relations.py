@@ -42,12 +42,20 @@ def test_subtype_examples():
 
 
 def test_two_different_flat_unions_are_related_without_recursion():
-    # union_components walks the spine on a stack; it used to recurse once per component
+    # union_components walks the parts on a stack; it used to recurse once per component
     consts = [TypeConst(f"C{i}") for i in range(1200)]
     left, right = union_of(consts), union_of([*consts, TypeConst("D")])
     assert is_subtype(left, right) and not is_subtype(right, left)
     assert not is_equivalent(left, right)
     assert union_components(right) == [*consts, TypeConst("D")]
+
+
+def test_two_different_wide_unions_under_a_rec_are_related():
+    # 1100 parts are past the recursion limit for a walk that recursed once
+    # per part, as `canonical` and the unfolding of the `rec` did
+    consts = " + ".join(f"C{i}" for i in range(1100))
+    a, b = parse_type(f"rec t. {consts} + Cons@t"), parse_type(f"rec t. {consts} + D + Cons@t")
+    assert is_subtype(a, b) and not is_equivalent(a, b)
 
 
 def test_equivalence_examples():

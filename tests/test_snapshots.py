@@ -3,10 +3,11 @@
 The battery is `check` and `eval` on every corpus file, plain, `--json`,
 `--trace` and `--json --trace`; `eval` out of fuel, which gives a `runtime`
 diagnostic; `type` on inline terms, and `sub`, `equiv` and `oracle` on inline
-type pairs, each plain and `--json`; and two small `conform` runs as text and
-as JSON. The second, at `--kmax 1`,
-reaches the oracle's deep paths: pairs refuted beyond kmax, the 4·kmax
-re-check and an inconclusive pair. Run this file as a script to record the
+type pairs, each plain and `--json`; `type`, `sub` and `equiv --json` on
+each shape of union that `Union` tells apart; and two small `conform` runs
+as text and as JSON. The second, at `--kmax 1`, reaches the oracle's deep
+paths: pairs refuted beyond kmax, the 4·kmax re-check and an inconclusive
+pair. Run this file as a script to record the
 outputs again after a change that alters them on purpose.
 """
 
@@ -43,6 +44,21 @@ TYPE_PAIRS = [
     ("rec t. Nil + Cons@A@t", "Nil + Cons@A@(rec u. Nil + Cons@A@u)"),
     ("rec t. A + Box@t", "rec u. A + B + Box@u"),
 ]
+# Each shape of union the constructor tells apart: a union as a later part,
+# which keeps its parentheses, a union as the first part, which is taken in,
+# both under `@` and `->`, and a `rec` first part, whose unfolding is a union.
+# `type` prints each back as the annotation of a matchable.
+UNION_TERMS = [
+    "[x: A + (B + C)] Box x => x",
+    "[x: (A + B) + C] x => x",
+    "[f: Cons@(A + B) -> (A + B) + C] Box f => f",
+    "[x: (rec u. A + B) + C, y: A + B + C] Pair x y => y",
+]
+UNION_PAIRS = [
+    ("A + (B + C)", "(A + B) + C"),
+    ("Cons@(A + B) -> (A + B) + C", "Cons@(B + A) -> C + B + A"),
+    ("(rec u. A + B) + C", "A + B + C"),
+]
 
 
 def battery() -> list[list[str]]:
@@ -56,6 +72,8 @@ def battery() -> list[list[str]]:
         for command in ("sub", "equiv", "oracle")
         for flags in ([], ["--json"])
     ]
+    runs += [["type", term, "--json"] for term in UNION_TERMS]
+    runs += [[command, *pair, "--json"] for pair in UNION_PAIRS for command in ("sub", "equiv")]
     return runs + [CONFORM, CONFORM + ["--json"], CONFORM_DEEP, CONFORM_DEEP + ["--json"]]
 
 

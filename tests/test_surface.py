@@ -49,7 +49,7 @@ from conftest import (
 def test_union_binds_tighter_than_arrow_and_app_tightest():
     t = parse_type("Vl@Nat + Cons@a")
     assert isinstance(t, Union)
-    assert isinstance(t.left, AppT) and isinstance(t.right, AppT)
+    assert len(t.parts) == 2 and all(isinstance(part, AppT) for part in t.parts)
     t = parse_type("D@A -> B + C")
     assert isinstance(t, Arrow)
     assert isinstance(t.dom, AppT)
@@ -91,7 +91,7 @@ def test_rec_binders_get_sorts():
     t = parse_type("rec a. Vl@Nat + a@a + Nil")
     assert isinstance(t, Rec)
     assert is_datatype(t)
-    assert t.body.left.right == AppT(TypeVar("a"), TypeVar("a"))
+    assert t.body.parts[1] == AppT(TypeVar("a"), TypeVar("a"))
     assert not is_datatype(parse_type("rec x. Nat -> x"))
     assert is_datatype(TypeVar("a"), frozenset({"a"})) and not is_datatype(TypeVar("a"))
 
@@ -166,8 +166,8 @@ def reference_sort(t, env, binder_sorts):
             reference_sort(dom, env, binder_sorts)
             reference_sort(cod, env, binder_sorts)
             return "type"
-        case Union(left, right):
-            sorts = {reference_sort(left, env, binder_sorts), reference_sort(right, env, binder_sorts)}
+        case Union(parts):
+            sorts = {reference_sort(part, env, binder_sorts) for part in parts}
             return "data" if sorts == {"data"} else "type"
         case Rec(var, body):
             try:
@@ -207,9 +207,12 @@ def random_raw_type(rng, budget):
 def binder_data_vars(t, data_vars, binder_sorts):
     """Each binder of `t` with the datatype variables in scope at it."""
     match t:
-        case AppT(l, r) | Arrow(l, r) | Union(l, r):
+        case AppT(l, r) | Arrow(l, r):
             yield from binder_data_vars(l, data_vars, binder_sorts)
             yield from binder_data_vars(r, data_vars, binder_sorts)
+        case Union(parts):
+            for part in parts:
+                yield from binder_data_vars(part, data_vars, binder_sorts)
         case Rec(var, body):
             yield t, data_vars
             inner = data_vars | {var} if binder_sorts[id(t)] == "data" else data_vars - {var}
