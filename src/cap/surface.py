@@ -20,8 +20,10 @@ strings, with parallel lists of their kinds and line numbers; a column is
 computed only for a span. The parser reads a type by operator precedence
 (Pratt, "Top down operator precedence", POPL 1973) and a term or pattern as
 an application spine, each in one loop over an explicit stack, so no nesting
-depth makes it recurse. A type text met again in a program is the object read
-first, so each distinct type text of a program is validated once.
+depth makes it recurse. Each type node of a program is hash-consed as it is
+read, so equal types, whole or nested, are one object however they are spaced
+or parenthesized; a type text met again is looked up before it is parsed, and
+each distinct whole type of a program is validated once.
 
 `pretty`, the one printer of types, terms and patterns, lays out each node
 class as text pieces (Wadler, "A prettier printer", 1998) and writes them in
@@ -75,7 +77,9 @@ _LEXEME = re.compile(r"--.*|[-=]>|[()\[\],;:=|+@.]|[^\W\d_]\w*|[^ \t\r]")
 # Type operators by precedence. "@" and "+" are left-associative, so each
 # reduces the operators of its own level; "->" reduces only tighter ones.
 _PREC = {"@": 3, "+": 2, "->": 1}
-_BUILD = {"@": AppT, "+": Union, "->": Arrow}
+_BUILD = {"@": AppT, "->": Arrow}
+# the kinds of the tokens a type is written with
+_TYPE_KINDS = frozenset(("upper", "lower", "rec", ".", "(", ")", *_PREC))
 
 
 class _Parser:
@@ -85,6 +89,8 @@ class _Parser:
         self.lines: list[int] = []
         self.cols: dict[int, list[int]] = {}
         self.types: dict[tuple[str, ...], MuType] = {}  # each valid type by its tokens
+        self.nodes: dict = {}  # each type node by its class and its parts' names or ids
+        self.valid: set[int] = set()  # the ids of the whole types validated
         self.i = 0
         for line, src in enumerate(self.src, 1):
             found = _LEXEME.findall(src)
@@ -130,26 +136,41 @@ class _Parser:
         self.i += 1
 
     def valid_type(self) -> MuType:
-        """A whole type, validated with its nested types; a text read before gives the same object."""
-        start, t = self.i, self.raw_type()
-        key = tuple(self.texts[start : self.i])
+        """A whole type, validated with its nested types. The run of type tokens
+        is looked up first, and a text read before gives its object unparsed; a
+        text that parses to an object validated before is not validated again."""
+        kinds, start = self.kinds, self.i
+        end = start
+        while kinds[end] in _TYPE_KINDS:
+            end += 1
+        key = tuple(self.texts[start:end])
         got = self.types.get(key)
         if got is not None:
+            self.i = end
             return got
-        try:
-            self.types[key] = validate_type(t)
-        except (CapError, RecursionError) as err:  # the walk recurses once per nesting level
-            err = as_diagnostic(err)
-            err.span = self.span(start)
-            raise err
+        t = self.raw_type()
+        if id(t) not in self.valid:
+            try:
+                validate_type(t)
+            except (CapError, RecursionError) as err:  # the walk recurses once per nesting level
+                err = as_diagnostic(err)
+                err.span = self.span(start)
+                raise err
+            self.valid.add(id(t))
+        self.types[key[: self.i - start]] = t  # the tokens read, if the type stops before an error
         return t
 
     def raw_type(self) -> MuType:
         """Operator precedence over `ops`, the operators, open parentheses and `rec`
-        binders not yet reduced; only a ")" or the end of the type reduces a binder."""
-        texts, kinds, i = self.texts, self.kinds, self.i
+        binders not yet reduced; only a ")" or the end of the type reduces a binder.
+        Each node is hash-consed through `nodes` (Filliâtre and Conchon, "Type-safe
+        modular hash-consing", 2006): a name is keyed on itself, a compound on its
+        class and its parts' ids or a binder's name, and a union on the parts it
+        holds once it is whole, so within one parser equal types are one object,
+        however they are spaced or parenthesized."""
+        texts, kinds, nodes, i = self.texts, self.kinds, self.nodes, self.i
         ops: list[str] = []  # "@", "+", "->", "(" or a binder's name
-        out: list[MuType] = []
+        out: list[MuType | list[MuType]] = []  # operands, and the parts of each open union
         depth = 0
         while True:
             kind = kinds[i]
@@ -165,17 +186,26 @@ class _Parser:
                 continue
             if kind != "upper" and kind != "lower":
                 raise self.unexpected(i, "a type")
-            out.append(TypeConst(texts[i]) if kind == "upper" else TypeVar(texts[i]))
+            leaf = TypeConst if kind == "upper" else TypeVar
+            out.append(nodes.get(texts[i]) or nodes.setdefault(texts[i], leaf(texts[i])))
             i += 1
             while True:  # reduce what `kind` ends: all down to the innermost "(" unless it is an operator
                 kind = kinds[i]
                 floor = _PREC[kind] + (kind == "->") if kind in _PREC else 0
                 while ops and ops[-1] != "(" and _PREC.get(ops[-1], 0) >= floor:
-                    op = ops.pop()
+                    op, right = ops.pop(), self.closed(out.pop())
+                    if op == "+":  # a union stays a list of its parts until an operand is taken from it
+                        if type(out[-1]) is list:
+                            out[-1].append(right)
+                        else:
+                            out[-1] = [out[-1], right]
+                        continue
                     if op in _BUILD:
-                        out[-2:] = [_BUILD[op](*out[-2:])]
+                        cls, left = _BUILD[op], self.closed(out.pop())
+                        parts, key = (left, right), (cls, id(left), id(right))
                     else:
-                        out[-1] = Rec(op, out[-1])
+                        cls, parts, key = Rec, (op, right), (Rec, op, id(right))
+                    out.append(nodes.get(key) or nodes.setdefault(key, cls(*parts)))
                 if kind != ")" or not depth:
                     break
                 ops.pop()
@@ -187,7 +217,14 @@ class _Parser:
                 raise self.unexpected(i, "')'")
             else:
                 self.i = i
-                return out[0]
+                return self.closed(out[0])
+
+    def closed(self, t: MuType | list[MuType]) -> MuType:
+        """`t`, or the union of the parts in it if it is a list, keyed on them."""
+        if type(t) is not list:
+            return t
+        key = (Union, *map(id, t))
+        return self.nodes.get(key) or self.nodes.setdefault(key, Union(*t))
 
     def spine(self, var, const, node, what: str) -> tuple:
         """A term (Var, Const, App) or a pattern (Matchable, PatternConst,

@@ -71,6 +71,20 @@ def counting(owner, name: str, bound: int):
         pytest.fail(f"{owner.__name__}.{name} was never called, so its bound shows nothing", pytrace=False)
 
 
+def unshared(t: MuType) -> MuType:
+    """`t` rebuilt as a tree: a new object at every node, so no two places of it are one object."""
+    match t:
+        case TypeConst(name) | TypeVar(name):
+            return type(t)(name)
+        case AppT(l, r) | Arrow(l, r):
+            return type(t)(unshared(l), unshared(r))
+        case Union(parts):
+            return Union(*map(unshared, parts))
+        case Rec(var, body):
+            return Rec(var, unshared(body))
+    raise TypeError(f"not a type: {t!r}")
+
+
 @pytest.fixture
 def ty():
     return parse_type

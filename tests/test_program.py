@@ -1,17 +1,21 @@
+import random
 import time
 import timeit
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-from cap import compatibility, conformance, program, reduction, relations, surface, syntax, typecheck
+import pytest
+
+from cap import compatibility, conformance, mu_types, program, reduction, relations, surface, syntax, typecheck
 from cap.conformance import term_suites
 from cap.generators import GenConfig
 from cap.program import SessionState, check_program, process_decl
 from cap.relations import is_equivalent
 from cap.surface import parse_program, parse_term, parse_type, pretty
-from cap.syntax import Var
+from cap.syntax import Abs, App, Branch, Var
 
-from conftest import counting
+from conftest import counting, unshared
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -28,6 +32,14 @@ def test_empty_program():
 def test_assume_then_check_upd():
     results = run_file("upd.cap")
     assert [r.ok for r in results] == [True, True]
+
+
+def test_a_shared_signature_is_related_without_canonical_keys():
+    # the parser makes every `rec a. ...` of the file one object, so the
+    # relation engine meets the repeats as the same object; a parser that
+    # builds each occurrence anew makes 106 calls
+    with counting(mu_types, "_canonical", 60):
+        assert all(r.ok for r in run_file("upd.cap"))
 
 
 def test_upd2_checks():
@@ -232,3 +244,92 @@ def test_resolve_reads_only_the_definitions_a_term_names():
     assert state.definitions.reads == 2
     assert state.resolve(parse_term("free")) == Var("free")
     assert state.definitions.reads == 2
+
+
+# -- sharing changes no result ------------------------------------------------
+
+
+def unshared_term(t):
+    """`t` with every branch annotation rebuilt by `unshared`."""
+    match t:
+        case Abs(branches):
+            return Abs(
+                tuple(
+                    Branch(b.pattern, tuple((x, unshared(ty)) for x, ty in b.bindings), unshared_term(b.body))
+                    for b in branches
+                )
+            )
+        case App(fun, arg):
+            return App(unshared_term(fun), unshared_term(arg))
+    return t
+
+
+def unshared_program(p):
+    """`p` with every type of it rebuilt as a tree, so no two places share a type object."""
+    decls = []
+    for d in p.decls:
+        if hasattr(d, "type"):
+            d = replace(d, type=unshared(d.type))
+        if hasattr(d, "term"):
+            d = replace(d, term=unshared_term(d.term))
+        decls.append(d)
+    return replace(p, decls=tuple(decls))
+
+
+def upd_program(rng, width):
+    """A path-polymorphic map, as corpus/upd.cap, over a union with `width` leaves, and one check that fails."""
+    leaves = rng.sample([f"K{i}" for i in range(12)], width)
+    f = f"rec a. {' + '.join(['Vl@Nat', 'a@a', *leaves])}"
+    sig = f"(Nat -> Nat) -> (({f}) -> ({f}))"
+
+    def check(leaf_type):
+        return (
+            f"check [f:Nat -> Nat] f => ( [z:Nat] Vl z => Vl (f z)"
+            f" | [x:{f}, y:{f}] x y => (upd f x) (upd f y) | [w:{leaf_type}] w => w ) : {sig};"
+        )
+
+    return f"assume upd : {sig};\n{check(' + '.join(leaves))}\n{check(' + '.join([*leaves, 'Stray']))}"
+
+
+def branch_program(rng, count):
+    """Two-branch checks over unions of constants: disjoint heads, an overlap and a subsumed branch."""
+    lines = []
+    for i in range(count):
+        t_names = rng.sample([f"C{k}" for k in range(8)], 2 + i % 4)
+        s_names = rng.sample(t_names, len(t_names) - i % 2) + ["Extra"] * (i % 5 == 0)
+        t, s = " + ".join(t_names), " + ".join(s_names)
+        lines += [
+            f"check ([x:{t}] K x => x | [y:{s}] L y => y) : K@({t}) + L@({s}) -> {t} + {s};",
+            f"check ([z:{t}] K z => z | [x:K, y:{s}] x y => y) : K@({t}) -> {t};",
+            f"check ([x:{t}] x => x | [y:{s}] y => y) : {t} -> {t};",
+        ]
+    return "\n".join(lines)
+
+
+def chain_program(n):
+    """`def d_i = K d_{i-1} d_{i-1}`, checked at a tree type and at one with another leaf, then evaluated."""
+    lines = ["def d0 = C;"] + [f"def d{i} = K d{i - 1} d{i - 1};" for i in range(1, n + 1)]
+    return "\n".join([*lines, f"check d{n} : rec t. C + K@t@t;", f"check d{n} : rec t. D + K@t@t;", f"eval d{n};"])
+
+
+def outcome(r):
+    d, e = r.diagnostic, r.evaluated
+    return r.ok, d and (d.code, d.message), r.inferred and pretty(r.inferred), e and (e.status, e.term, e.steps)
+
+
+def sharing_texts():
+    """The corpus and generated programs, by name."""
+    rng = random.Random(2024)
+    texts = {path.stem: path.read_text(encoding="utf-8") for path in sorted(CORPUS.glob("*.cap"))}
+    texts |= {f"upd-w{w}": upd_program(rng, w) for w in (2, 3, 5)}
+    texts |= {"branches": branch_program(rng, 12), "chain-n6": chain_program(6)}
+    return texts
+
+
+@pytest.mark.parametrize("text", sharing_texts().values(), ids=sharing_texts())
+def test_sharing_parsed_types_changes_no_result(text):
+    parsed = parse_program(text)
+    copy = unshared_program(parsed)
+    assert copy == parsed
+    assert all(c.type is not d.type for c, d in zip(copy.decls, parsed.decls) if hasattr(d, "type"))
+    assert [outcome(r) for r in check_program(copy)] == [outcome(r) for r in check_program(parsed)]

@@ -103,11 +103,13 @@ def test_validate_type_returns_its_argument():
 
 
 MAP_TREE = "rec a. Vl@Nat + a@a + Leaf"
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_a_repeated_type_text_is_one_object_validated_once(monkeypatch):
-    calls = []
+    calls, parses, raw_type = [], [], surface._Parser.raw_type
     monkeypatch.setattr(surface, "validate_type", lambda t: calls.append(t) or validate_type(t))
+    monkeypatch.setattr(surface._Parser, "raw_type", lambda parser: parses.append(parser.i) or raw_type(parser))
     text = f"""assume f : Nat -> Nat;
     def g = [x : Nat] x => f x;
     check g : Nat->Nat;
@@ -115,13 +117,32 @@ def test_a_repeated_type_text_is_one_object_validated_once(monkeypatch):
     assume m : {MAP_TREE};
     assume n : ({MAP_TREE});"""
     f, g, check, l, m, n = parse_program(text).decls
-    # the texts are `Nat -> Nat` (its tokens, however spaced), `Nat`, the tree and the tree in parentheses
-    assert len(calls) == 4
-    assert check.type is f.type and l.type is m.type
-    assert n.type == l.type and n.type is not l.type
-    assert g.term.branches[0].bindings[0][1] == TypeConst("Nat")
+    # the texts are `Nat -> Nat` (its tokens, however spaced), `Nat` and the
+    # tree; the tree in parentheses is read to the tree's object, validated before
+    assert len(calls) == 3
+    assert len(parses) == 4  # a text read before is looked up, not parsed again
+    assert check.type is f.type and l.type is m.type and n.type is l.type
+    assert g.term.branches[0].bindings[0][1] is f.type.dom
     # each program reads its own types
     assert parse_program(f"assume l : {MAP_TREE};").decls[0].type is not l.type
+
+
+def test_equal_nested_types_are_one_object():
+    t = parse_type("(A + B)@(A + B)")
+    assert t.left is t.right
+    # only equal types are one: order and binder names count
+    for t in map(parse_type, ("(A + B)@(B + A)", "(B + A)@(A + B)")):
+        assert t.left.parts == t.right.parts[::-1]
+    t = parse_type("(rec a. Vl@Nat)@(rec b. Vl@Nat)")
+    assert (t.left.var, t.right.var) == ("a", "b")
+    # a union is keyed on the parts it holds, so `(A + B) + C` is `A + B + C`
+    u = parse_type("(A + B + C) -> ((A + B) + C) -> A + (B + C)")
+    assert u.dom is u.cod.dom and u.cod.cod != u.dom
+    upd = parse_program((CORPUS / "upd.cap").read_text(encoding="utf-8"))
+    sig, check = upd.decls[0].type, upd.decls[1]
+    f, (_, x), (_, y) = sig.cod.dom, *check.term.branches[0].body.branches[1].bindings
+    assert sig.cod.cod is f and x is f and y is f
+    assert check.type is sig and check.term.branches[0].bindings[0][1] is sig.dom
 
 
 @pytest.mark.parametrize(
@@ -131,6 +152,8 @@ def test_a_repeated_type_text_is_one_object_validated_once(monkeypatch):
         ("assume f : B -> C;\nassume g : (B -> C)@D;", "sort", "left argument of @ must be a datatype", (2, 12)),
         ("assume f : Vl@Nat;\nassume g : Vl@Nat@;", "parse", "expected a type, found ';'", (2, 19)),
         ("assume f : A;\ncheck f : A B;", "parse", "expected ';', found 'B'", (2, 13)),
+        # a type that stops early is the object of the equal type read before
+        ("assume f : A -> A;\nassume g : (A -> A) B;", "parse", "expected ';', found 'B'", (2, 21)),
         # a type that fails is never kept, so it fails where it first occurs
         ("assume f : rec x. x;\nassume g : rec x. x;", "contractiveness", None, (1, 12)),
     ],
