@@ -8,7 +8,7 @@ import os
 import sys
 from pathlib import Path
 
-from .conformance import GenConfig, run_conformance
+from .conformance import FAILURE_DUMP, GenConfig, run_conformance
 from .diagnostics import EXIT_CODES, CapError, as_diagnostic
 from .program import DeclResult, SessionState, check_program, process_decl
 from .reduction import DEFAULT_FUEL
@@ -136,6 +136,8 @@ def cmd_conform(args) -> int:
             unit = "cases" if "cases" in suite else "pairs"
             print(f"{label:>20} [{suite[unit]} {unit}]: {status}")
         print("conformance:", "ok" if summary.ok else "FAILED")
+    if not summary.ok:  # `run_conformance` dumps the counterexamples of a failed run
+        print(f"conformance: counterexamples written to {FAILURE_DUMP}", file=sys.stderr)
     return EXIT_OK if summary.ok else EXIT_CONFORMANCE
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 # Constructor symbols as they appear in admitted-symbol sets.
@@ -99,6 +99,10 @@ class Rec(MuType):
 
     var: str
     body: MuType
+    unfolded: MuType = field(init=False, compare=False, repr=False)  # set by the first `unfold_once`
+
+    def __reduce__(self):  # a copy or a pickle builds its own unfolding, when it needs one
+        return Rec, (self.var, self.body)
 
 
 def union_of(components: list[MuType]) -> MuType:
@@ -163,7 +167,10 @@ def subst_type(t: MuType, name: str, replacement: MuType) -> MuType:
 
 
 def unfold_once(t: Rec) -> MuType:
-    return subst_type(t.body, t.var, t)
+    """`t.body` with `t` itself for `t.var`, built on the first call and the same object after."""
+    if not hasattr(t, "unfolded"):
+        object.__setattr__(t, "unfolded", subst_type(t.body, t.var, t))
+    return t.unfolded
 
 
 HEAD_UNFOLD_LIMIT = 10_000  # stops the loop on a non-contractive type built by hand
@@ -326,14 +333,13 @@ def truncations(t: MuType, table: dict | None = None) -> Callable[[int], MuType]
     The returned function cuts the infinite-tree reading of `t` at
     constructor depth `depth`, giving a finite type whose frontier is
     `BULLET`; unions do not consume depth. Its memo is keyed on (id of
-    subterm, depth) and shared by every depth; each `rec` is unfolded once
-    and its body kept, so those ids stay valid. Truncations are hash-consed
+    subterm, depth) and shared by every depth; a `rec` keeps its one
+    unfolding, so those ids stay valid. Truncations are hash-consed
     through `table` (fresh by default): equal truncations built through one
     table, by one truncator or several, are one object.
     """
     table = {} if table is None else table
     memo: dict[tuple[int, int], MuType] = {}
-    unfolded: dict[int, MuType] = {}
 
     def node(cls: type, left: MuType, right: MuType) -> MuType:
         key = (cls, id(left), id(right))
@@ -358,8 +364,7 @@ def truncations(t: MuType, table: dict | None = None) -> Callable[[int], MuType]
                 held = (Union, *map(id, out.parts))
                 out = table.get(held) or table.setdefault(held, out)
             case Rec():
-                body = unfolded.get(id(t)) or unfolded.setdefault(id(t), unfold_once(t))
-                out = go(body, k)
+                out = go(unfold_once(t), k)
             case _:
                 raise TypeError(f"not a type: {t!r}")
         memo[key] = out

@@ -34,9 +34,9 @@ Three questions are answered before that search, and each answer is exact:
   no pair holding an atom is ever among the assumptions while another check
   runs, because `_structural` answers it without descending.
 
-A query splits each type, on either side, into its union components once per
-object (`components`), so each `rec` is unfolded once, and an unfolding keeps
-the `rec` object where its variable was. Two components with one constructor
+A `rec` object is unfolded once, on the object (`unfold_once`), and the
+unfolding keeps the `rec` where its variable was, so a type splits into the
+same union components at every call. Two components with one constructor
 (`@` or `->`) over the same objects or equal atoms have equal canonical forms,
 so the search relates them by identity, before it builds those forms.
 """
@@ -50,7 +50,6 @@ from .mu_types import (
     AppT,
     Arrow,
     MuType,
-    Rec,
     TypeConst,
     TypeVar,
     Union,
@@ -68,7 +67,7 @@ _CONSTRUCTED = (TypeConst, TypeVar, AppT, Arrow)
 
 
 class _Engine:
-    """One relation query; owns its assumption set and the memos of `query`."""
+    """One relation query; owns its assumption set and the memo of `query`."""
 
     def __init__(self, mode: str):
         if mode not in (MODE_SUB, MODE_EQ):
@@ -76,20 +75,10 @@ class _Engine:
         self.mode = mode
         self.assumed: set[tuple[MuType, MuType]] = set()
         self.fitted: dict[tuple[int, int], tuple[MuType, MuType, bool | None]] = {}
-        self.split: dict[int, tuple[MuType, list[MuType]]] = {}
-
-    def components(self, t: MuType) -> list[MuType]:
-        """`union_components(t)`, once per union or `rec` object; the memo keeps `t` alive."""
-        if not isinstance(t, (Union, Rec)):
-            return [t]
-        got = self.split.get(id(t))
-        if got is None:
-            got = self.split[id(t)] = (t, union_components(t))
-        return got[1]
 
     def query(self, a: MuType, b: MuType) -> bool:
         """The verdict on `a` and `b`: by the clauses (see the module docstring)
-        when `a` is constructed, else by the search. Its memos keep their keys alive."""
+        when `a` is constructed, else by the search. Its memo keeps its keys alive."""
         if not isinstance(a, _CONSTRUCTED):
             return self.rel(a, b)
         got = self.fitted.get((id(a), id(b)))
@@ -99,7 +88,7 @@ class _Engine:
         self.fitted[id(a), id(b)] = (a, b, None)
         # `sub` stops at the first component that fits, `eq` at the first miss; unlike `any`, a loop adds no frame
         verdict = self.mode == MODE_EQ
-        for c in self.components(b):
+        for c in (b,) if isinstance(b, _CONSTRUCTED) else union_components(b):
             if isinstance(a, AppT):
                 fits = isinstance(c, AppT) and self.query(a.left, c.left) and self.query(a.right, c.right)
             elif isinstance(a, Arrow):
@@ -116,8 +105,8 @@ class _Engine:
         return verdict
 
     def rel(self, a: MuType, b: MuType) -> bool:
-        lefts = self.components(a)
-        rights = self.components(b)
+        lefts = (a,) if isinstance(a, _CONSTRUCTED) else union_components(a)
+        rights = (b,) if isinstance(b, _CONSTRUCTED) else union_components(b)
         if len(lefts) == 1 and len(rights) == 1:
             return self.component(lefts[0], rights[0])
         # an atom is related only to itself: look it up (see the module docstring)

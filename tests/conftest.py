@@ -2,6 +2,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from cap import mu_types
 from cap.compatibility import PatternJudgement, subsumes
 from cap.diagnostics import CapError, Span
 from cap.mu_types import (
@@ -69,6 +70,22 @@ def counting(owner, name: str, bound: int):
         setattr(owner, name, real)
     if bound and not calls:
         pytest.fail(f"{owner.__name__}.{name} was never called, so its bound shows nothing", pytrace=False)
+
+
+def unfolding_substitutions(monkeypatch) -> list[Rec]:
+    """Patch `mu_types.subst_type` to record each `rec` it unfolds: each call
+    that puts a `rec` in for its variable in its own body. `unfold_once` looks
+    the name up in the module, so it records one entry per unfolding built."""
+    real = mu_types.subst_type
+    unfolded: list[Rec] = []
+
+    def counted(t, name, replacement):
+        if isinstance(replacement, Rec) and t is replacement.body:
+            unfolded.append(replacement)
+        return real(t, name, replacement)
+
+    monkeypatch.setattr(mu_types, "subst_type", counted)
+    return unfolded
 
 
 def unshared(t: MuType) -> MuType:

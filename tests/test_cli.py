@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from cap.cli import main
+from cap import conformance
+from cap.cli import EXIT_CONFORMANCE, main
+from cap.conformance import FAILURE_DUMP, Counterexample, GenConfig, SuiteReport, run_conformance
 from cap.diagnostics import EXIT_CODES
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -202,6 +204,27 @@ def test_conform_text_labels_the_differential_in_pairs(capsys):
         "        differential [7 pairs]: ok\n"
         "conformance: ok\n"
     )
+
+
+def test_conform_names_its_failure_dump_on_stderr(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("conform", "--seed", "0", "--cases", "5", "--pairs", "7")
+    code, passed, err = run(capsys, *argv)
+    assert code == 0 and err == "" and not list(tmp_path.iterdir())
+    failure = Counterexample("confluence", 3, "A", "A", "normal forms differ")
+    monkeypatch.setattr(conformance, "confluence_suite", lambda cfg, cases: SuiteReport("confluence", cases, [failure]))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFORMANCE
+    assert out == passed.replace("[5 cases]: ok\n        differential", "[5 cases]: FAILED\n        differential").replace(
+        "conformance: ok", "conformance: FAILED"
+    )
+    assert err == f"conformance: counterexamples written to {FAILURE_DUMP}\n"
+    assert json.loads((tmp_path / FAILURE_DUMP).read_text(encoding="utf-8")) == [failure.to_dict()]
+    # the JSON document on stdout is the summary alone
+    code, out, err = run(capsys, *argv, "--json")
+    summary = run_conformance(GenConfig(seed=0), cases=5, pairs=7, dump_failures=False)
+    assert code == EXIT_CONFORMANCE and out == json.dumps(summary.to_dict(), indent=2) + "\n"
+    assert err == f"conformance: counterexamples written to {FAILURE_DUMP}\n"
 
 
 def test_color_disabled_by_env(tmp_path, capsys, monkeypatch):

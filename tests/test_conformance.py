@@ -1,8 +1,12 @@
+import json
 import random
 import sys
 
 from cap import conformance
 from cap.conformance import (
+    FAILURE_DUMP,
+    Counterexample,
+    SuiteReport,
     check_term,
     confluence_suite,
     pattern_of_type,
@@ -140,6 +144,19 @@ def test_run_conformance_summary(tmp_path, monkeypatch):
         "differential",
     }
     # no failure dump when everything passes
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_failed_run_dumps_its_counterexamples(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    failure = Counterexample("confluence", 3, "A", "A", "normal forms differ")
+    monkeypatch.setattr(conformance, "confluence_suite", lambda cfg, cases: SuiteReport("confluence", cases, [failure]))
+    summary = run_conformance(GenConfig(seed=11), cases=4, kmax=4, pairs=4)
+    assert not summary.ok and summary.failures() == [failure]
+    dump = tmp_path / FAILURE_DUMP
+    assert json.loads(dump.read_text(encoding="utf-8")) == [failure.to_dict()]
+    dump.unlink()
+    assert not run_conformance(GenConfig(seed=11), cases=4, kmax=4, pairs=4, dump_failures=False).ok
     assert not list(tmp_path.iterdir())
 
 

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import operator
+import pickle
 import random
 
 import pytest
@@ -32,7 +34,14 @@ from cap.mu_types import (
 from cap.relations import MODE_EQ, MODE_SUB, is_equivalent, oracle_compare
 from cap.surface import parse_type, pretty
 
-from conftest import F_NAT, LIST_A, positions, reference_admitted_symbols, reference_truncate
+from conftest import (
+    F_NAT,
+    LIST_A,
+    positions,
+    reference_admitted_symbols,
+    reference_truncate,
+    unfolding_substitutions,
+)
 
 
 def _copying_subst_type(t: MuType, name: str, replacement: MuType) -> MuType:
@@ -126,6 +135,75 @@ def test_head_unfold_one_step():
     t2 = parse_type("rec a. Cons@a + Nil")
     unfolded = head_unfold(t2)
     assert unfolded == Union(AppT(parse_type("Cons"), t2), parse_type("Nil"))
+
+
+def test_the_kept_unfolding_cannot_be_seen():
+    r = parse_type("rec a. Nil + Cons@A@a")
+    fresh = Rec(r.var, r.body)
+    unfolded = unfold_once(r)
+    assert unfold_once(r) is unfolded
+    assert r == fresh and fresh == r and hash(r) == hash(fresh)
+    assert repr(r) == repr(fresh) and pretty(r) == pretty(fresh)
+    assert same_structure(r, fresh) and same_structure(fresh, r)
+    assert Rec.__match_args__ == ("var", "body")
+    # a copy, of a `rec` unfolded or not, builds its own unfolding
+    for t in (r, fresh):
+        for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert copied == t and unfold_once(copied) == unfolded
+
+
+@pytest.mark.parametrize(
+    "t, cycle",
+    [(Rec("t", TypeVar("t")), 1), (Rec("t", Rec("s", TypeVar("t"))), 2)],
+    ids=["variable-body", "binder-body"],
+)
+def test_head_unfold_stops_on_a_non_contractive_type(t, cycle):
+    # built by hand, since the parser rejects both; the unfoldings each keeps
+    # lead back to `t`, so head unfolding would loop on a cycle of objects
+    with pytest.raises(RuntimeError, match="non-contractive"):
+        head_unfold(t)
+    u = t
+    for _ in range(cycle):
+        u = unfold_once(u)
+    assert u is t
+
+
+def _reachable(t: MuType, split: bool, limit: int = 20_000) -> int | None:
+    """The number of objects reachable from `t` through the children of `@`
+    and `->` and, for a union or `rec`, through `union_components` when
+    `split`, else through its fields; None past `limit`: the set does not close."""
+    seen: dict[int, MuType] = {}  # keeps each object alive, so no id is reused
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        if len(seen) == limit:
+            return None
+        seen[id(x)] = x
+        match x:
+            case AppT(l, r) | Arrow(l, r):
+                stack += (l, r)
+            case Union() | Rec() if split:
+                stack += union_components(x)
+            case Union(parts):
+                stack += parts
+            case Rec(_, body):
+                stack.append(body)
+    return len(seen)
+
+
+def test_the_objects_met_by_splitting_a_type_are_finitely_many():
+    # each `rec` keeps its one unfolding, so splitting a type and descending
+    # through its constructors meets finitely many objects: the reachable
+    # component graph of Kozen, Palsberg and Schwartzbach ("Efficient
+    # recursive subtyping", 1995), on which identity keys can stand
+    assert _reachable(parse_type("rec t1. Nil@(t1 + C + Cons + t1)"), split=True) == 6
+    for seed in range(2000):
+        t = gen_type(GenConfig(seed=seed, rec_probability=0.6, max_type_nodes=20))
+        closure = _reachable(t, split=True)
+        assert closure is not None and closure <= _reachable(t, split=False), pretty(t)
+        assert all(map(operator.is_, union_components(t), union_components(t))), pretty(t)
 
 
 def test_union_components_examples():
@@ -316,24 +394,16 @@ def test_truncations_match_the_reference_in_any_depth_order(make):
 
 
 def test_truncation_nodes_grow_linearly_with_the_depth(monkeypatch):
-    calls = {"unfold_once": 0}
-    original = mu_types.unfold_once
-
-    def counted(t):
-        calls["unfold_once"] += 1
-        return original(t)
-
-    # `truncations` looks the name up in the module when it calls it
-    monkeypatch.setattr(mu_types, "unfold_once", counted)
+    substituted = unfolding_substitutions(monkeypatch)
     counts = {}
     for depth in (32, 64):
-        calls["unfold_once"] = 0
+        substituted.clear()
         table: dict = {}
         at = truncations(parse_type(F_NAT), table)
         for k in range(depth + 1):
             at(k)
         counts[depth] = len(table)  # one hash-cons entry per distinct truncated subterm
-        assert calls["unfold_once"] == 1  # the one binder, unfolded once for every depth
+        assert len(substituted) == 1  # the one binder, unfolded by one substitution for every depth
     assert counts[32] >= 32
     assert counts[64] <= 2 * counts[32], counts
 

@@ -32,7 +32,7 @@ from cap.reduction import StuckMatch, small_step
 from cap.surface import parse_program, parse_type, pretty
 from cap.typecheck import infer_type
 
-from conftest import F_NAT, counting, reference_is_equivalent, reference_is_subtype
+from conftest import F_NAT, counting, reference_is_equivalent, reference_is_subtype, unfolding_substitutions
 
 
 def test_subtype_examples():
@@ -288,16 +288,21 @@ def test_one_constructor_over_the_same_parts_is_related_without_canonical(build)
             assert relations._Engine(mode).rel(build(TypeConst("K"), right), build(TypeConst("K"), right))
 
 
-def test_each_object_is_split_once_per_query(monkeypatch):
-    split = []
-    monkeypatch.setattr(relations, "union_components", lambda t: split.append(t) or union_components(t))
+def test_each_rec_object_is_unfolded_once_across_queries(monkeypatch):
+    # a `rec` keeps its unfolding, so every split of a type, in any query,
+    # meets the same objects
+    substituted = unfolding_substitutions(monkeypatch)
+    unfold, returned = mu_types.unfold_once, []
+    monkeypatch.setattr(mu_types, "unfold_once", lambda r: returned.append((r, unfold(r))) or returned[-1][1])
     t = parse_type("rec a. Vl@Nat + a@a + Leaf + Nil")
     queries = [(t, head_unfold(t)), (head_unfold(t), t), (t, parse_type("rec b. Vl@Nat + b@b + Nil + Leaf"))]
     for a, b in queries:
         for mode in (MODE_SUB, MODE_EQ):
-            split.clear()
             relations._Engine(mode).query(a, b)
-            assert split and len({id(x) for x in split}) == len(split)
+    recs = {id(r): r for r, _ in returned}
+    assert len(returned) > len(recs) >= 2  # both binders, each met more than once
+    assert sorted(map(id, substituted)) == sorted(recs)  # one substitution for each `rec` object
+    assert len({(id(r), id(out)) for r, out in returned}) == len(recs)  # the same unfolding at every call
 
 
 def _shared_pairs(seeds):

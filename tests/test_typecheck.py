@@ -465,9 +465,9 @@ def test_chained_defs_type_and_check_in_linear_time():
     state = SessionState()
     for i, decl in enumerate(decls):
         # a definition relates no type; the check infers `d_n` once and
-        # relates its type by the clauses, which split each right side once:
-        # the `rec`, `Cons@rec` and `Cons`
-        visits, splits = (2 * i, 0) if i <= n else (2 * n, 3)
+        # relates its type by the clauses, which split the `rec` on the right
+        # once for each of the n + 1 levels of the DAG of `d_n`'s type
+        visits, splits = (2 * i, 0) if i <= n else (2 * n, n + 1)
         with counting(typecheck, "_infer_app", visits), counting(relations, "union_components", splits):
             assert process_decl(state, decl).ok
 
