@@ -1,4 +1,9 @@
-"""Recursive union types: representation, unfolding, decomposition, truncation."""
+"""Recursive union types: representation, unfolding, decomposition, truncation.
+
+What is derived from a type node is derived once and kept on the node: a
+`rec` keeps its one unfolding (`unfold_once`) and a union its maximal
+components (`split`). Neither slot is compared, hashed or printed, so a type
+that holds them equals one that does not."""
 
 from __future__ import annotations
 
@@ -84,6 +89,7 @@ class Union(MuType):
     a later part stays one part, so `A + (B + C)` has two."""
 
     parts: tuple[MuType, ...]
+    split: tuple[MuType, ...] = field(init=False, compare=False, repr=False)  # set by the first `split`
 
     def __init__(self, *parts: MuType):
         if len(parts) < 2:
@@ -91,6 +97,9 @@ class Union(MuType):
         if type(parts[0]) is Union:
             parts = parts[0].parts + parts[1:]
         object.__setattr__(self, "parts", parts)
+
+    def __reduce__(self):  # a copy or a pickle splits itself, when it needs to
+        return Union, self.parts
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -187,24 +196,33 @@ def head_unfold(t: MuType) -> MuType:
     return t
 
 
-def union_components(t: MuType) -> list[MuType]:
-    """Split a type into its maximal union components, in order, duplicates kept.
+def split(t: MuType) -> tuple[MuType, ...]:
+    """The maximal union components of a type, in order, duplicates kept.
 
-    Every component has a non-union, non-recursive head. The unions are
-    walked on a stack, so their width and depth add no recursion."""
+    Every component has a non-union, non-recursive head. A union, or the
+    union a `rec` unfolds to, is walked on its first split, on a stack, so
+    its width and depth add no recursion; it keeps the components, and every
+    later split returns that same tuple."""
     t = head_unfold(t)
     if not isinstance(t, Union):
-        return [t]
-    out, stack = [], [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Rec):
-            t = head_unfold(t)
-        if isinstance(t, Union):
-            stack += reversed(t.parts)
-        else:
-            out.append(t)
-    return out
+        return (t,)
+    if not hasattr(t, "split"):
+        out, stack = [], [t]
+        while stack:
+            u = stack.pop()
+            if isinstance(u, Rec):
+                u = head_unfold(u)
+            if isinstance(u, Union):
+                stack += reversed(u.parts)
+            else:
+                out.append(u)
+        object.__setattr__(t, "split", tuple(out))
+    return t.split
+
+
+def union_components(t: MuType) -> list[MuType]:
+    """`split(t)` as a new list, which the caller may change."""
+    return list(split(t))
 
 
 def same_structure(a: object, b: object) -> bool:

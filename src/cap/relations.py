@@ -35,10 +35,12 @@ Three questions are answered before that search, and each answer is exact:
   runs, because `_structural` answers it without descending.
 
 A `rec` object is unfolded once, on the object (`unfold_once`), and the
-unfolding keeps the `rec` where its variable was, so a type splits into the
-same union components at every call. Two components with one constructor
-(`@` or `->`) over the same objects or equal atoms have equal canonical forms,
-so the search relates them by identity, before it builds those forms.
+unfolding keeps the `rec` where its variable was. A union is split once, on
+the object (`split`), and keeps its components, so only its first split walks
+it and a type splits into the same component objects at every call. Two
+components with one constructor (`@` or `->`) over the same objects or equal
+atoms have equal canonical forms, so the search relates them by identity,
+before it builds those forms.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .mu_types import (
     Union,
     canonical,
     same_structure,
+    split,
     truncations,
-    union_components,
 )
 
 MODE_SUB = "sub"
@@ -88,7 +90,7 @@ class _Engine:
         self.fitted[id(a), id(b)] = (a, b, None)
         # `sub` stops at the first component that fits, `eq` at the first miss; unlike `any`, a loop adds no frame
         verdict = self.mode == MODE_EQ
-        for c in (b,) if isinstance(b, _CONSTRUCTED) else union_components(b):
+        for c in (b,) if isinstance(b, _CONSTRUCTED) else split(b):
             if isinstance(a, AppT):
                 fits = isinstance(c, AppT) and self.query(a.left, c.left) and self.query(a.right, c.right)
             elif isinstance(a, Arrow):
@@ -105,8 +107,8 @@ class _Engine:
         return verdict
 
     def rel(self, a: MuType, b: MuType) -> bool:
-        lefts = (a,) if isinstance(a, _CONSTRUCTED) else union_components(a)
-        rights = (b,) if isinstance(b, _CONSTRUCTED) else union_components(b)
+        lefts = (a,) if isinstance(a, _CONSTRUCTED) else split(a)
+        rights = (b,) if isinstance(b, _CONSTRUCTED) else split(b)
         if len(lefts) == 1 and len(rights) == 1:
             return self.component(lefts[0], rights[0])
         # an atom is related only to itself: look it up (see the module docstring)

@@ -23,7 +23,7 @@ from .mu_types import (
     MuType,
     TypeConst,
     is_datatype,
-    union_components,
+    split,
     union_of,
 )
 from .relations import is_equivalent, is_subtype
@@ -108,7 +108,7 @@ def _infer_app(env: TypeEnv, local: TypeEnv, fun: Term, arg: Term, memo: dict) -
     fun_ty = _infer(env, local, fun, memo)
     if is_datatype(fun_ty):
         return AppT(fun_ty, _infer(env, local, arg, memo))
-    components = union_components(fun_ty)
+    components = split(fun_ty)
     if len(components) == 1 and isinstance(components[0], Arrow):
         return apply_arrow(components[0], _infer(env, local, arg, memo))
     raise CapError(

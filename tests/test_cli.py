@@ -184,7 +184,8 @@ def test_oracle_command(capsys):
     assert all(r["engine"] and r["agree"] for r in payload["reports"])
 
 
-def test_conform_command_small(capsys):
+def test_conform_command_small(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a failed run writes its dump to the working directory
     code, out, _ = run(capsys, "conform", "--seed", "7", "--cases", "25", "--pairs", "40", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -193,7 +194,8 @@ def test_conform_command_small(capsys):
     assert names == {"subject-reduction", "progress", "successful-match", "confluence", "differential"}
 
 
-def test_conform_text_labels_the_differential_in_pairs(capsys):
+def test_conform_text_labels_the_differential_in_pairs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "conform", "--seed", "0", "--cases", "5", "--pairs", "7")
     assert code == 0
     assert out == (

@@ -25,6 +25,7 @@ from cap.mu_types import (
     canonical,
     head_unfold,
     same_structure,
+    split,
     truncate,
     truncations,
     unfold_once,
@@ -150,6 +151,31 @@ def test_the_kept_unfolding_cannot_be_seen():
     for t in (r, fresh):
         for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert copied == t and unfold_once(copied) == unfolded
+
+
+def test_the_kept_split_cannot_be_seen():
+    u = parse_type("Nil + Cons@A@(rec a. Nil + Cons@A@a) + B")
+    fresh = Union(*u.parts)
+    kept = split(u)
+    assert split(u) is kept and kept == tuple(union_components(u))
+    assert u == fresh and fresh == u and hash(u) == hash(fresh)
+    assert repr(u) == repr(fresh) and pretty(u) == pretty(fresh)
+    assert same_structure(u, fresh) and same_structure(fresh, u)
+    assert Union.__match_args__ == ("parts",)
+    # a copy, of a union split or not, splits itself
+    for t in (u, fresh):
+        for copied in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert copied == t and split(copied) == kept
+
+
+def test_a_caller_cannot_change_the_kept_split():
+    r = parse_type("rec a. Nil + Cons@A@a")
+    comps = union_components(r)
+    comps.append(TypeConst("B"))
+    comps[0] = TypeConst("C")
+    assert union_components(r) == [parse_type("Nil"), parse_type("Cons@A@(rec a. Nil + Cons@A@a)")]
+    # the split of a `rec` is kept on the union it unfolds to
+    assert split(r) is split(head_unfold(r)) is head_unfold(r).split
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -303,6 +304,34 @@ def test_each_rec_object_is_unfolded_once_across_queries(monkeypatch):
     assert len(returned) > len(recs) >= 2  # both binders, each met more than once
     assert sorted(map(id, substituted)) == sorted(recs)  # one substitution for each `rec` object
     assert len({(id(r), id(out)) for r, out in returned}) == len(recs)  # the same unfolding at every call
+
+
+def test_each_union_object_is_split_once_across_queries(monkeypatch):
+    # a union keeps its split, so however often the queries split it, only the
+    # first split reads its parts; the unions split here are the unfoldings,
+    # whose parts nothing else reads (`canonical` walks the `rec` bodies)
+    t, other = parse_type("rec a. Vl@Nat + a@a + Leaf + Nil"), parse_type("rec b. Vl@Nat + b@b + Nil + Leaf")
+    unions = [head_unfold(t), head_unfold(other)]
+    queries = [(t, unions[0]), (unions[0], t), (t, other)]
+    reads, met = collections.Counter(), collections.Counter()
+    parts, unfold = Union.__dict__["parts"], mu_types.head_unfold
+
+    def read(u):
+        reads[id(u)] += 1
+        return parts.__get__(u)
+
+    def head_unfold_counted(x):  # every split starts with a head unfolding
+        out = unfold(x)
+        met[id(out)] += 1
+        return out
+
+    monkeypatch.setattr(Union, "parts", property(read, parts.__set__))
+    monkeypatch.setattr(mu_types, "head_unfold", head_unfold_counted)
+    for a, b in queries:
+        for mode in (MODE_SUB, MODE_EQ):
+            relations._Engine(mode).query(a, b)
+    assert all(met[id(u)] > 1 for u in unions)  # each union is split more than once
+    assert [reads[id(u)] for u in unions] == [1, 1]  # and walked once
 
 
 def _shared_pairs(seeds):

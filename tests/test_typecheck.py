@@ -468,7 +468,7 @@ def test_chained_defs_type_and_check_in_linear_time():
         # relates its type by the clauses, which split the `rec` on the right
         # once for each of the n + 1 levels of the DAG of `d_n`'s type
         visits, splits = (2 * i, 0) if i <= n else (2 * n, n + 1)
-        with counting(typecheck, "_infer_app", visits), counting(relations, "union_components", splits):
+        with counting(typecheck, "_infer_app", visits), counting(relations, "split", splits):
             assert process_decl(state, decl).ok
 
 
@@ -552,7 +552,7 @@ def test_checking_a_left_nested_term_against_two_components_is_linear():
     term = Const("Nil")
     for _ in range(n):
         term = App(App(Const("Cons"), term), Const("B"))
-    with counting(relations, "union_components", 8 * n):
+    with counting(relations, "split", 8 * n):
         check_type({}, term, parse_type("rec t. Nil + Cons@t@A + Cons@t@B"))
 
 
