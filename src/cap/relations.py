@@ -8,8 +8,10 @@ memoized: an assumption is discarded when its check returns, so sibling goals
 prove the same pairs again, and nested unions take time exponential in their
 depth.
 
-Three questions are answered before that search, and each answer is exact:
+Four questions are answered before that search, and each answer is exact:
 
+- Two sides that are one object are related at once, at every step: both
+  relations are reflexive, since the greatest fixpoint contains the identity.
 - `is_subtype` and `is_equivalent` hold at once when the two types are equal
   as structures (`same_structure`, linear in their shared size): equal types
   have equal canonical forms, which the engine relates at its first step.
@@ -28,19 +30,20 @@ Three questions are answered before that search, and each answer is exact:
   `((rec q. (q -> A) -> A) -> A) -> A`); the search answers it there. A query
   memoizes the clauses on identity, so the pairs it meets are finitely many
   and each runs its clause once.
-- In the union clause, an atomic component (a constant or a rigid variable)
-  is related exactly when it is among the other side's components. The
-  engine relates an atom only to the same atom, by its reflexive step, and
-  no pair holding an atom is ever among the assumptions while another check
-  runs, because `_structural` answers it without descending.
+- In the union clause, a component is related when it is one of the other
+  side's component objects (a pass collects their ids once, at its first
+  component that is not an atom), or an atom (a constant or a rigid
+  variable) equal to one; only the others go to the search. The engine
+  relates an atom only to the same atom, and never assumes a pair holding
+  one while another check runs, because `_structural` does not descend.
 
 A `rec` object is unfolded once, on the object (`unfold_once`), and the
 unfolding keeps the `rec` where its variable was. A union is split once, on
 the object (`split`), and keeps its components, so only its first split walks
-it and a type splits into the same component objects at every call. Two
-components with one constructor (`@` or `->`) over the same objects or equal
-atoms have equal canonical forms, so the search relates them by identity,
-before it builds those forms.
+it and a type splits into the same component objects at every call, which
+its head unfolding shares. Two components with one constructor (`@` or `->`)
+over the same objects or equal atoms have equal canonical forms, so the
+search relates them by identity, before it builds those forms.
 """
 
 from __future__ import annotations
@@ -81,6 +84,8 @@ class _Engine:
     def query(self, a: MuType, b: MuType) -> bool:
         """The verdict on `a` and `b`: by the clauses (see the module docstring)
         when `a` is constructed, else by the search. Its memo keeps its keys alive."""
+        if a is b:
+            return True
         if not isinstance(a, _CONSTRUCTED):
             return self.rel(a, b)
         got = self.fitted.get((id(a), id(b)))
@@ -107,21 +112,31 @@ class _Engine:
         return verdict
 
     def rel(self, a: MuType, b: MuType) -> bool:
+        if a is b:
+            return True
         lefts = (a,) if isinstance(a, _CONSTRUCTED) else split(a)
         rights = (b,) if isinstance(b, _CONSTRUCTED) else split(b)
         if len(lefts) == 1 and len(rights) == 1:
             return self.component(lefts[0], rights[0])
-        # an atom is related only to itself: look it up (see the module docstring)
+        # one of the other side's component objects, or an atom equal to one, is related (see the module docstring)
+        ids = None
         forward = all(
-            l in rights if isinstance(l, _ATOMS) else any(self.component(l, r) for r in rights) for l in lefts
+            l in rights if isinstance(l, _ATOMS)
+            else id(l) in (ids := ids or {id(r) for r in rights}) or any(self.component(l, r) for r in rights)
+            for l in lefts
         )
         if self.mode == MODE_SUB or not forward:
             return forward
+        ids = None
         return all(
-            r in lefts if isinstance(r, _ATOMS) else any(self.component(l, r) for l in lefts) for r in rights
+            r in lefts if isinstance(r, _ATOMS)
+            else id(r) in (ids := ids or {id(l) for l in lefts}) or any(self.component(l, r) for l in lefts)
+            for r in rights
         )
 
     def component(self, a: MuType, b: MuType) -> bool:
+        if a is b:
+            return True
         match a, b:
             case (AppT(l1, r1), AppT(l2, r2)) | (Arrow(l1, r1), Arrow(l2, r2)):
                 if _same(l1, l2) and _same(r1, r2):
