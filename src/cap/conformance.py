@@ -151,7 +151,7 @@ def random_order_normalize(rng: random.Random, term: Term, fuel: int) -> tuple[s
 # -- suites --------------------------------------------------------------------------
 
 
-def term_suites(cfg: GenConfig, cases: int, fuel: int = SUITE_FUEL) -> tuple[SuiteReport, SuiteReport, SuiteReport]:
+def term_suites(cfg: GenConfig, cases: int) -> tuple[SuiteReport, SuiteReport, SuiteReport]:
     """Subject reduction, progress and successful matching over one corpus of
     `cases` generated terms, each walked once by `check_term`. A value must
     keep its typability and match a pattern of its own type."""
@@ -159,7 +159,7 @@ def term_suites(cfg: GenConfig, cases: int, fuel: int = SUITE_FUEL) -> tuple[Sui
     checked = 0
     for seed in range(cfg.seed, cfg.seed + cases):
         term, ty = gen_typed_term(cfg.with_seed(seed))
-        lost, stuck, value = check_term(term, ty, fuel)
+        lost, stuck, value = check_term(term, ty)
         if lost is not None:
             sr.failures.append(Counterexample("subject-reduction", seed, pretty(term), pretty(ty), lost))
         if stuck is not None:
@@ -183,15 +183,15 @@ def term_suites(cfg: GenConfig, cases: int, fuel: int = SUITE_FUEL) -> tuple[Sui
     return sr, progress, match
 
 
-def confluence_suite(cfg: GenConfig, cases: int, fuel: int = SUITE_FUEL) -> SuiteReport:
+def confluence_suite(cfg: GenConfig, cases: int) -> SuiteReport:
     """Randomized redex order must agree with the deterministic strategy."""
     report = SuiteReport("confluence", cases)
     compared = 0
     small = replace(cfg, max_term_nodes=min(cfg.max_term_nodes, 12))
     for seed in range(cfg.seed, cfg.seed + cases):
         term, ty = gen_typed_term(small.with_seed(seed))
-        cbv = evaluate(term, fuel=fuel)
-        status, random_nf = random_order_normalize(random.Random(seed * 7 + 1), term, fuel)
+        cbv = evaluate(term, fuel=SUITE_FUEL)
+        status, random_nf = random_order_normalize(random.Random(seed * 7 + 1), term, SUITE_FUEL)
         if cbv.status != "normal" or status == "out-of-fuel":
             continue
         compared += 1

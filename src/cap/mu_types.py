@@ -202,18 +202,29 @@ def split(t: MuType) -> tuple[MuType, ...]:
     Every component has a non-union, non-recursive head. A union, or the
     union a `rec` unfolds to, is walked on its first split, on a stack, so
     its width and depth add no recursion; it keeps the components, and every
-    later split returns that same tuple."""
+    later split returns that same tuple. Each `rec` keeps its one unfolding,
+    so the walk meets finitely many unions; a union met again through a `rec`
+    while its parts are still on the stack contains itself with no `@` or `->`
+    between, as only a hand-built non-contractive type does: that raises
+    `RuntimeError`, so the walk ends."""
     t = head_unfold(t)
     if not isinstance(t, Union):
         return (t,)
     if not hasattr(t, "split"):
-        out, stack = [], [t]
+        out, stack, opened = [], [*reversed(t.parts)], [id(t)]  # `t` and the unions a `rec` led to, parts on the stack
         while stack:
             u = stack.pop()
             if isinstance(u, Rec):
                 u = head_unfold(u)
+                if isinstance(u, Union):
+                    if id(u) in opened:
+                        raise RuntimeError("non-contractive type: a union contains itself")
+                    opened.append(id(u))
+                    stack.append(None)  # under its parts: when it is popped, they are all taken
             if isinstance(u, Union):
                 stack += reversed(u.parts)
+            elif u is None:
+                opened.pop()
             else:
                 out.append(u)
         object.__setattr__(t, "split", tuple(out))
@@ -315,29 +326,26 @@ def is_datatype(t: MuType, data_vars: frozenset[str] = frozenset()) -> bool:
 def admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:
     """Head symbols the type exhibits at a pattern position.
 
-    Unions contribute every part, recursive types are unfolded, and a branch
-    that bottoms out in an atom before the position is consumed contributes
-    nothing. The type must be validated, as `parse_*` and the generators
-    produce it: contractiveness puts an `@` or `->` between every binder and
-    its recurrences, and each of those ends the walk or consumes a step of the
-    position, so the recursion terminates.
+    At the root, the heads of the components `split` gives; below it, what
+    each `@` or `->` component admits at the rest of the position, in the part
+    its first step selects, and nothing for an atom. Each call takes one step
+    of the position, and `split` ends, raising `RuntimeError` only on a union
+    that contains itself with no `@` or `->` between, which validation rejects.
     """
-    match t:
-        case TypeConst(name) | TypeVar(name):
-            return frozenset((name,)) if pos == () else frozenset()
-        case AppT(l, r):
-            if pos == ():
-                return frozenset((SYM_APP,))
-            return admitted_symbols((l, r)[pos[0] - 1], pos[1:])
-        case Arrow(l, r):
-            if pos == ():
-                return frozenset((SYM_ARROW,))
-            return admitted_symbols((l, r)[pos[0] - 1], pos[1:])
-        case Union(parts):
-            return frozenset().union(*(admitted_symbols(part, pos) for part in parts))
-        case Rec():
-            return admitted_symbols(unfold_once(t), pos)
-    raise TypeError(f"not a type: {t!r}")
+    out: set[str] = set()
+    for comp in split(t):
+        match comp:
+            case TypeConst(name) | TypeVar(name):
+                if pos == ():
+                    out.add(name)
+            case AppT(l, r) | Arrow(l, r):
+                if pos == ():
+                    out.add(SYM_APP if type(comp) is AppT else SYM_ARROW)
+                else:
+                    out |= admitted_symbols((l, r)[pos[0] - 1], pos[1:])
+            case _:
+                raise TypeError(f"not a type: {comp!r}")
+    return frozenset(out)
 
 
 # --- Truncations ------------------------------------------------------------

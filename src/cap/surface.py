@@ -22,8 +22,7 @@ computed only for a span. The parser reads a type by operator precedence
 an application spine, each in one loop over an explicit stack, so no nesting
 depth makes it recurse. Each type node of a program is hash-consed as it is
 read, so equal types, whole or nested, are one object however they are spaced
-or parenthesized; a type text met again is looked up before it is parsed, and
-each distinct whole type of a program is validated once.
+or parenthesized, and each distinct whole type of a program is validated once.
 
 `pretty`, the one printer of types, terms and patterns, lays out each node
 class as text pieces (Wadler, "A prettier printer", 1998) and writes them in
@@ -78,8 +77,6 @@ _LEXEME = re.compile(r"--.*|[-=]>|[()\[\],;:=|+@.]|[^\W\d_]\w*|[^ \t\r]")
 # reduces the operators of its own level; "->" reduces only tighter ones.
 _PREC = {"@": 3, "+": 2, "->": 1}
 _BUILD = {"@": AppT, "->": Arrow}
-# the kinds of the tokens a type is written with
-_TYPE_KINDS = frozenset(("upper", "lower", "rec", ".", "(", ")", *_PREC))
 
 
 class _Parser:
@@ -88,7 +85,6 @@ class _Parser:
         self.texts: list[str] = []
         self.lines: list[int] = []
         self.cols: dict[int, list[int]] = {}
-        self.types: dict[tuple[str, ...], MuType] = {}  # each valid type by its tokens
         self.nodes: dict = {}  # each type node by its class and its parts' names or ids
         self.valid: set[int] = set()  # the ids of the whole types validated
         self.i = 0
@@ -136,18 +132,10 @@ class _Parser:
         self.i += 1
 
     def valid_type(self) -> MuType:
-        """A whole type, validated with its nested types. The run of type tokens
-        is looked up first, and a text read before gives its object unparsed; a
-        text that parses to an object validated before is not validated again."""
-        kinds, start = self.kinds, self.i
-        end = start
-        while kinds[end] in _TYPE_KINDS:
-            end += 1
-        key = tuple(self.texts[start:end])
-        got = self.types.get(key)
-        if got is not None:
-            self.i = end
-            return got
+        """A whole type, validated with its nested types. Equal types of one program
+        are one object, so a text that parses to an object validated before, as a
+        text read before does, is not validated again."""
+        start = self.i
         t = self.raw_type()
         if id(t) not in self.valid:
             try:
@@ -157,7 +145,6 @@ class _Parser:
                 err.span = self.span(start)
                 raise err
             self.valid.add(id(t))
-        self.types[key[: self.i - start]] = t  # the tokens read, if the type stops before an error
         return t
 
     def raw_type(self) -> MuType:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import operator
 import pickle
 import random
@@ -32,7 +33,7 @@ from cap.mu_types import (
     union_components,
     union_of,
 )
-from cap.relations import MODE_EQ, MODE_SUB, is_equivalent, oracle_compare
+from cap.relations import MODE_EQ, MODE_SUB, is_equivalent, is_subtype, oracle_compare
 from cap.surface import parse_type, pretty
 
 from conftest import (
@@ -180,18 +181,29 @@ def test_a_caller_cannot_change_the_kept_split():
 
 @pytest.mark.parametrize(
     "t, cycle",
-    [(Rec("t", TypeVar("t")), 1), (Rec("t", Rec("s", TypeVar("t"))), 2)],
-    ids=["variable-body", "binder-body"],
+    [
+        (Rec("t", TypeVar("t")), 1),
+        (Rec("t", Rec("s", TypeVar("t"))), 2),
+        (Rec("t", Union(TypeConst("A"), TypeVar("t"))), None),
+    ],
+    ids=["variable-body", "binder-body", "union-body"],
 )
 def test_head_unfold_stops_on_a_non_contractive_type(t, cycle):
-    # built by hand, since the parser rejects both; the unfoldings each keeps
-    # lead back to `t`, so head unfolding would loop on a cycle of objects
-    with pytest.raises(RuntimeError, match="non-contractive"):
-        head_unfold(t)
-    u = t
-    for _ in range(cycle):
-        u = unfold_once(u)
-    assert u is t
+    # built by hand, since the parser rejects them all; the unfoldings each keeps
+    # lead back to `t`, so head unfolding would loop on a cycle of objects, and
+    # splitting `rec t. A + t` would take in the parts of its own union forever
+    if cycle is None:
+        assert head_unfold(t).parts[1] is t
+    else:
+        with pytest.raises(RuntimeError, match="non-contractive"):
+            head_unfold(t)
+        u = t
+        for _ in range(cycle):
+            u = unfold_once(u)
+        assert u is t
+    for walk in (split, lambda t: is_subtype(t, TypeConst("B")), lambda t: admitted_symbols(t, ())):
+        with pytest.raises(RuntimeError, match="non-contractive"):
+            walk(t)
 
 
 def _reachable(t: MuType, split: bool, limit: int = 20_000) -> int | None:
@@ -239,8 +251,10 @@ def test_union_components_examples():
     fa = parse_type("rec a. Vl@Nat + a@a + Nil")
     comps = union_components(fa)
     assert comps == [parse_type("Vl@Nat"), AppT(fa, fa), parse_type("Nil")]
-    # duplicates are kept
+    # duplicates are kept, also of a union met again once its parts are taken
     assert len(union_components(parse_type("A + A"))) == 2
+    r = parse_type("rec r. A + Cons@r")
+    assert split(Union(r, r)) == 2 * split(r) and len(split(r)) == 2
 
 
 def test_canonical_alpha_equivalence():
@@ -271,13 +285,16 @@ def test_admitted_symbols_invariant_under_unfold():
 
 def test_admitted_symbols_matches_the_guarded_reference():
     types = [gen_type(GenConfig(seed=seed)) for seed in range(2000)]
+    # larger types with more binders, so that unions inside `rec`s under `@` are split below the root
+    types += [gen_type(GenConfig(seed=seed, rec_probability=0.6, max_type_nodes=20)) for seed in range(1000)]
     types += [
         parse_type("rec a. rec b. Cons@a@b + Node@(rec a. Vl@a + b) + Nil"),
         parse_type("rec a. (rec b. Vl@a@b + Nil) -> rec c. c@a + Cons"),
     ]
+    positions = [()] + [pos for n in (1, 2, 3) for pos in itertools.product((1, 2), repeat=n)]
     for t in types:
-        for pos in [(), (1,), (2,), (1, 1), (2, 1), (1, 2), (2, 2)]:
-            assert admitted_symbols(t, pos) == reference_admitted_symbols(t, pos)
+        for pos in positions:
+            assert admitted_symbols(t, pos) == reference_admitted_symbols(t, pos), (pretty(t), pos)
 
 
 def test_truncate_examples():

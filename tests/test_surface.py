@@ -107,9 +107,8 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_a_repeated_type_text_is_one_object_validated_once(monkeypatch):
-    calls, parses, raw_type = [], [], surface._Parser.raw_type
+    calls = []
     monkeypatch.setattr(surface, "validate_type", lambda t: calls.append(t) or validate_type(t))
-    monkeypatch.setattr(surface._Parser, "raw_type", lambda parser: parses.append(parser.i) or raw_type(parser))
     text = f"""assume f : Nat -> Nat;
     def g = [x : Nat] x => f x;
     check g : Nat->Nat;
@@ -120,7 +119,6 @@ def test_a_repeated_type_text_is_one_object_validated_once(monkeypatch):
     # the texts are `Nat -> Nat` (its tokens, however spaced), `Nat` and the
     # tree; the tree in parentheses is read to the tree's object, validated before
     assert len(calls) == 3
-    assert len(parses) == 4  # a text read before is looked up, not parsed again
     assert check.type is f.type and l.type is m.type and n.type is l.type
     assert g.term.branches[0].bindings[0][1] is f.type.dom
     # each program reads its own types
