@@ -31,19 +31,22 @@ Four questions are answered before that search, and each answer is exact:
   memoizes the clauses on identity, so the pairs it meets are finitely many
   and each runs its clause once.
 - In the union clause, a component is related when it is one of the other
-  side's component objects (a pass collects their ids once, at its first
-  component that is not an atom), or an atom (a constant or a rigid
-  variable) equal to one; only the others go to the search. The engine
-  relates an atom only to the same atom, and never assumes a pair holding
-  one while another check runs, because `_structural` does not descend.
+  side's component objects, an atom (a constant or a rigid variable) equal
+  to one, or has the hash-cons key of one: its class and its two parts, an
+  atom part by class and name and any other by identity. Components with
+  equal keys are equal as structures, and both relations are reflexive. A
+  pass collects the other side's ids, then their keys, at its first
+  component that needs them; only the rest go to the search, which relates
+  a pair with equal keys the same way, before it builds canonical forms.
+  The engine relates an atom only to the same atom, and never assumes a
+  pair holding one while another check runs, because `_structural` does not
+  descend.
 
 A `rec` object is unfolded once, on the object (`unfold_once`), and the
 unfolding keeps the `rec` where its variable was. A union is split once, on
 the object (`split`), and keeps its components, so only its first split walks
 it and a type splits into the same component objects at every call, which
-its head unfolding shares. Two components with one constructor (`@` or `->`)
-over the same objects or equal atoms have equal canonical forms, so the
-search relates them by identity, before it builds those forms.
+its head unfolding shares.
 """
 
 from __future__ import annotations
@@ -118,29 +121,30 @@ class _Engine:
         rights = (b,) if isinstance(b, _CONSTRUCTED) else split(b)
         if len(lefts) == 1 and len(rights) == 1:
             return self.component(lefts[0], rights[0])
-        # one of the other side's component objects, or an atom equal to one, is related (see the module docstring)
-        ids = None
+        # one of the other side's component objects, an atom equal to one, or a
+        # component with the key of one is related (see the module docstring)
+        ids = keys = None
         forward = all(
             l in rights if isinstance(l, _ATOMS)
-            else id(l) in (ids := ids or {id(r) for r in rights}) or any(self.component(l, r) for r in rights)
+            else id(l) in (ids := ids or {id(r) for r in rights})
+            or _key(l) in (keys := keys or {_key(r) for r in rights})
+            or any(self.component(l, r) for r in rights)
             for l in lefts
         )
         if self.mode == MODE_SUB or not forward:
             return forward
-        ids = None
+        ids = keys = None
         return all(
             r in lefts if isinstance(r, _ATOMS)
-            else id(r) in (ids := ids or {id(l) for l in lefts}) or any(self.component(l, r) for l in lefts)
+            else id(r) in (ids := ids or {id(l) for l in lefts})
+            or _key(r) in (keys := keys or {_key(l) for l in lefts})
+            or any(self.component(l, r) for l in lefts)
             for r in rights
         )
 
     def component(self, a: MuType, b: MuType) -> bool:
-        if a is b:
+        if a is b or _key(a) == _key(b):
             return True
-        match a, b:
-            case (AppT(l1, r1), AppT(l2, r2)) | (Arrow(l1, r1), Arrow(l2, r2)):
-                if _same(l1, l2) and _same(r1, r2):
-                    return True
         key = (canonical(a), canonical(b))
         if key[0] == key[1]:
             return True
@@ -165,8 +169,18 @@ class _Engine:
         return False
 
 
-def _same(a: MuType, b: MuType) -> bool:
-    return a is b or (isinstance(a, _ATOMS) and a == b)
+def _key(t: MuType) -> tuple:
+    """The hash-cons key of a union component: its class and name for an atom,
+    else its class and its two parts, an atom part by class and name and any
+    other by its `id`. Equal keys mean equal structures while the parts live."""
+    if isinstance(t, _ATOMS):
+        return type(t), t.name
+    left, right = (t.left, t.right) if type(t) is AppT else (t.dom, t.cod)
+    return (
+        type(t),
+        (type(left), left.name) if isinstance(left, _ATOMS) else id(left),
+        (type(right), right.name) if isinstance(right, _ATOMS) else id(right),
+    )
 
 
 def is_subtype(a: MuType, b: MuType) -> bool:

@@ -382,6 +382,37 @@ def test_a_shared_component_is_related_without_canonical(family):
             assert (is_subtype(a, b), is_subtype(b, a), is_equivalent(a, b)) == verdicts, (pretty(a), pretty(b))
 
 
+def _rebuilt_twin(a):
+    """The union of `a`'s components in reverse order, each a new node: one
+    constructor over the same part objects, or an atom with the same name.
+    The reverse order keeps `same_structure` from answering first."""
+    def fresh(c):
+        if isinstance(c, (AppT, Arrow)):
+            return type(c)(*(getattr(c, name) for name in c.__match_args__))
+        return type(c)(c.name)
+
+    return union_of([fresh(c) for c in reversed(mu_types.split(a))])
+
+
+def test_a_rebuilt_twin_is_related_by_its_key():
+    # each component of the twin is a new object, so identity does not find
+    # it; without the key, 150 of these seeds reach the search, and the
+    # `upd` type alone builds canonical forms 876 times
+    types = [gen_type(GenConfig(seed=seed, rec_probability=0.5)) for seed in range(500)] + [parse_type(UPD_W9)]
+    with counting(mu_types, "_canonical", 0):
+        for a in types:
+            b = _rebuilt_twin(a)
+            assert is_subtype(a, b) and is_subtype(b, a) and is_equivalent(a, b), pretty(a)
+
+
+def test_the_key_tells_atom_classes_apart():
+    # a constant and a rigid variable of one name are different parts
+    A, C = TypeConst("A"), TypeConst("C")
+    left, right = Union(Arrow(TypeConst("X"), A), C), Union(C, Arrow(TypeVar("X"), A))
+    assert not is_subtype(left, right) and not is_subtype(right, left)
+    assert not is_equivalent(left, right)
+
+
 def _shared_pairs(seeds):
     """Generated types against mutations that reuse their parts and against
     the built family's second sides, which share their component objects."""
