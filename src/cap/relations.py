@@ -8,7 +8,7 @@ memoized: an assumption is discarded when its check returns, so sibling goals
 prove the same pairs again, and nested unions take time exponential in their
 depth.
 
-Four questions are answered before that search, and each answer is exact:
+Five questions are answered before that search, and each answer is exact:
 
 - Two sides that are one object are related at once, at every step: both
   relations are reflexive, since the greatest fixpoint contains the identity.
@@ -38,9 +38,11 @@ Four questions are answered before that search, and each answer is exact:
   pass collects the other side's ids, then their keys, at its first
   component that needs them; only the rest go to the search, which relates
   a pair with equal keys the same way, before it builds canonical forms.
-  The engine relates an atom only to the same atom, and never assumes a
-  pair holding one while another check runs, because `_structural` does not
-  descend.
+- Two components with different heads are unrelated, and `component` answers
+  them first: two classes, two atoms' names, or two `@` spines led by atoms
+  that differ so (a spine led by a union or a `rec` has no head). The search
+  relates two `@` or two `->` part by part and an atom only to an equal one,
+  so it fails such a pair at the leftmost parts, as the atom lookup above does.
 
 A `rec` object is unfolded once, on the object (`unfold_once`), and the
 unfolding keeps the `rec` where its variable was. A union is split once, on
@@ -143,7 +145,11 @@ class _Engine:
         )
 
     def component(self, a: MuType, b: MuType) -> bool:
-        if a is b or _key(a) == _key(b):
+        if a is b:
+            return True
+        if _heads_differ(a, b):
+            return False
+        if _key(a) == _key(b):
             return True
         key = (canonical(a), canonical(b))
         if key[0] == key[1]:
@@ -157,8 +163,6 @@ class _Engine:
             self.assumed.discard(key)
 
     def _structural(self, a: MuType, b: MuType) -> bool:
-        # Equal atoms, rigid variables included, are caught by `component`'s
-        # reflexive shortcut; distinct atoms are never related.
         match a, b:
             case (AppT(l1, r1), AppT(l2, r2)):
                 return self.rel(l1, l2) and self.rel(r1, r2)
@@ -166,7 +170,18 @@ class _Engine:
                 if self.mode == MODE_SUB:
                     return self.rel(d2, d1) and self.rel(c1, c2)
                 return self.rel(d1, d2) and self.rel(c1, c2)
-        return False
+        raise AssertionError(f"{type(a).__name__} against {type(b).__name__} passed the head rule")
+
+
+def _heads_differ(a: MuType, b: MuType) -> bool:
+    """Whether two union components have different heads (see the module docstring)."""
+    if type(a) is AppT is type(b):
+        while type(a) is AppT:
+            a = a.left
+        while type(b) is AppT:
+            b = b.left
+        return isinstance(a, _ATOMS) and isinstance(b, _ATOMS) and (type(a) is not type(b) or a.name != b.name)
+    return type(a) is not type(b) or isinstance(a, _ATOMS) and a.name != b.name
 
 
 def _key(t: MuType) -> tuple:
