@@ -32,9 +32,10 @@ Five questions are answered before that search, and each answer is exact:
   and each runs its clause once.
 - In the union clause, a component is related when it is one of the other
   side's component objects, an atom (a constant or a rigid variable) equal
-  to one, or has the hash-cons key of one: its class and its two parts, an
-  atom part by class and name and any other by identity. Components with
-  equal keys are equal as structures, and both relations are reflexive. A
+  to one, or has the key of one: its class and its two parts as they are
+  after `head_unfold`, an atom part by class and name and any other by
+  identity, so a `rec` part is keyed by its one unfolding. Components with
+  equal keys are equal types, and both relations are reflexive on types. A
   pass collects the other side's ids, then their keys, at its first
   component that needs them; only the rest go to the search, which relates
   a pair with equal keys the same way, before it builds canonical forms.
@@ -60,10 +61,12 @@ from .mu_types import (
     AppT,
     Arrow,
     MuType,
+    Rec,
     TypeConst,
     TypeVar,
     Union,
     canonical,
+    head_unfold,
     same_structure,
     split,
     truncations,
@@ -174,7 +177,8 @@ class _Engine:
 
 
 def _heads_differ(a: MuType, b: MuType) -> bool:
-    """Whether two union components have different heads (see the module docstring)."""
+    """Whether two union components have different heads (see the module docstring); a spine
+    led by a `rec` has none, as its unfolding can return to the same `rec` at the left."""
     if type(a) is AppT is type(b):
         while type(a) is AppT:
             a = a.left
@@ -186,16 +190,20 @@ def _heads_differ(a: MuType, b: MuType) -> bool:
 
 def _key(t: MuType) -> tuple:
     """The hash-cons key of a union component: its class and name for an atom,
-    else its class and its two parts, an atom part by class and name and any
-    other by its `id`. Equal keys mean equal structures while the parts live."""
+    else its class and its two parts' keys (`_part_key`). Equal keys mean
+    equal types (not only equal structures) while the parts live."""
     if isinstance(t, _ATOMS):
         return type(t), t.name
     left, right = (t.left, t.right) if type(t) is AppT else (t.dom, t.cod)
-    return (
-        type(t),
-        (type(left), left.name) if isinstance(left, _ATOMS) else id(left),
-        (type(right), right.name) if isinstance(right, _ATOMS) else id(right),
-    )
+    return type(t), _part_key(left), _part_key(right)
+
+
+def _part_key(p: MuType) -> object:
+    """A part's key after `head_unfold`: an atom's class and name, else its `id`. So a
+    `rec` part is keyed by its one unfolding, the type it equals, and `rec t. A` like `A`."""
+    if type(p) is Rec:
+        p = head_unfold(p)
+    return (type(p), p.name) if isinstance(p, _ATOMS) else id(p)
 
 
 def is_subtype(a: MuType, b: MuType) -> bool:
@@ -230,6 +238,8 @@ def tree_relation(mode: str) -> Callable[[MuType, MuType], bool]:
         return got
 
     def rel(x: MuType, y: MuType) -> bool:
+        if x is y:  # truncations are hash-consed, so equal trees are one object, and the relation is reflexive
+            return True
         key = (id(x), id(y))
         got = memo.get(key)
         if got is None:

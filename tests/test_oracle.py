@@ -11,6 +11,7 @@ checked here too.
 
 import json
 import random
+import sys
 
 import pytest
 
@@ -18,7 +19,7 @@ from cap import relations
 from cap.cli import main
 from cap.conformance import run_differential
 from cap.generators import GenConfig, gen_type, mutate_type
-from cap.mu_types import BULLET, AppT, Arrow, TypeConst, TypeVar, Union
+from cap.mu_types import BULLET, AppT, Arrow, TypeConst, TypeVar, Union, head_unfold, truncations
 from cap.relations import (
     MODE_EQ,
     MODE_SUB,
@@ -260,6 +261,39 @@ def test_pair_oracle_compares_a_refuted_pair_up_to_its_refuting_depth(monkeypatc
     got = PairOracle(a, b).compare(kmax, MODE_EQ)
     assert got.to_dict() == expected and got.refuting_depth == refuted_at
     assert len(compared) == refuted_at
+
+
+def _computed(run) -> int:
+    """The calls to the tree relation's `compute` made by `run()`."""
+    (compute,) = [c for c in relations.tree_relation.__code__.co_consts if getattr(c, "co_name", None) == "compute"]
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is compute:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("text", [F_NAT, LIST_A, STREAM, "rec x. Nat -> x"])
+def test_a_truncation_related_to_itself_never_reaches_compute(text):
+    # the truncations of a type and of its unfolding, built through one table,
+    # are one object at every depth, which the relation answers at once
+    a = parse_type(text)
+    table = {}
+    left, right = truncations(a, table), truncations(head_unfold(a), table)
+    for mode in (MODE_SUB, MODE_EQ):
+        rel = relations.tree_relation(mode)
+        assert _computed(lambda: [rel(left(k), right(k)) for k in range(9)]) == 0
+        assert all(rel(left(k), right(k)) for k in range(9))
+        assert _computed(lambda: PairOracle(a, head_unfold(a)).compare(8, mode)) == 0
+    assert _computed(lambda: relations.tree_relation(MODE_SUB)(left(3), left(4))) > 0  # the count sees `compute`
 
 
 def cut(t, depth: int):

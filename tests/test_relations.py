@@ -193,6 +193,18 @@ def test_a_spine_without_a_head_goes_to_the_search(left, right, verdicts):
         assert PairOracle(first, second).compare(8, mode).agree, (first, second, mode)
 
 
+def test_left_recursive_spines_end():
+    # `rec t. t@A` unfolds to itself at the left of its spine for ever, so a
+    # spine led by a `rec` has no head; each pair must still end, and agree
+    # with the oracle
+    types = [parse_type(text) for text in ("rec t. t@A", "rec t. t@A + B", "(rec t. t@A)@A")]
+    types += [head_unfold(t) for t in types]
+    for x in types:
+        for y in types:
+            for mode in (MODE_SUB, MODE_EQ):
+                assert PairOracle(x, y).compare(8, mode).agree, (pretty(x), pretty(y), mode)
+
+
 def test_a_rigid_variable_is_looked_up_like_a_constant():
     assert is_subtype(parse_type("x + A"), parse_type("A + B + x"))
     assert not is_subtype(parse_type("x + A"), parse_type("A + B + X"))
@@ -604,3 +616,48 @@ def test_engines_agree_with_the_tree_relation_on_truncations(seed, k):
     for x, y in ((left, right), (right, left)):
         assert is_subtype(x, y) == finite_tree_rel(x, y, MODE_SUB)
         assert is_equivalent(x, y) == finite_tree_rel(x, y, MODE_EQ)
+
+
+def _unfold_args(t):
+    """`t`'s union with the parts of each `@` component unfolded at the head,
+    each component a new node."""
+    comps = union_components(t)
+    return union_of([AppT(head_unfold(c.left), head_unfold(c.right)) if isinstance(c, AppT) else c for c in comps])
+
+
+def _rec_unfold_pairs():
+    """`rec a. Vl@Nat + a@a + <shapes>` against its head unfolding with the
+    parts of each `@` component unfolded 0, 1 and 2 more times."""
+    shapes = ["Cons", "Node", "Nil", "Leaf", "Pair", "Tip", "Bin"]
+    for width in range(2, 7):
+        a = parse_type("rec a. " + " + ".join(["Vl@Nat", "a@a", *shapes[:width]]))
+        b = head_unfold(a)
+        for _ in range(3):
+            yield a, b
+            b = _unfold_args(b)
+
+
+def test_a_rec_part_is_keyed_by_its_unfolding():
+    # `a@a` and its unfolding `U@U` are keyed alike, so a type meets its own
+    # unfolding without canonical forms or a search
+    pairs = list(_rec_unfold_pairs())
+    with counting(mu_types, "_canonical", 0), counting(relations._Engine, "_structural", 0):
+        for x, y in pairs:
+            assert is_subtype(x, y) and is_subtype(y, x) and is_equivalent(x, y), (pretty(x), pretty(y))
+    for x, y in pairs:
+        for first, second, mode in ((x, y, MODE_SUB), (y, x, MODE_SUB), (x, y, MODE_EQ)):
+            assert PairOracle(first, second).compare(8, mode).agree
+
+
+def test_recs_with_different_unfoldings_keep_different_keys():
+    # `rec t. A` is keyed like `A`; two `rec`s whose unfoldings differ are not
+    # keyed alike, and the search relates them as the oracle does
+    A, K = TypeConst("A"), TypeConst("K")
+    assert relations._key(AppT(K, Rec("t", A))) == relations._key(AppT(K, A))
+    assert relations._key(AppT(K, Rec("t", A))) != relations._key(AppT(K, TypeConst("B")))
+    short, long = parse_type("rec a. Vl@Nat + a@a + Nil"), parse_type("rec a. Vl@Nat + a@a + Nil + Leaf")
+    x, y = Union(AppT(K, short), A), Union(AppT(K, long), A)
+    assert relations._key(AppT(K, short)) != relations._key(AppT(K, long))
+    assert (is_subtype(x, y), is_subtype(y, x), is_equivalent(x, y)) == (True, False, False)
+    for first, second, mode in ((x, y, MODE_SUB), (y, x, MODE_SUB), (x, y, MODE_EQ)):
+        assert PairOracle(first, second).compare(8, mode).agree
