@@ -27,7 +27,7 @@ from .mu_types import (
     Union,
     head_unfold,
     is_datatype,
-    union_components,
+    split,
     union_of,
 )
 from .surface import validate_type
@@ -112,16 +112,16 @@ class _TypeGen:
         if pick == "var":
             return TypeVar(rng.choice(usable))
         if pick == "app":
-            split = max(1, (budget - 1) // 2)
+            half = max(1, (budget - 1) // 2)
             return AppT(
-                self.gen(split, SORT_DATA, guarded_scope),
-                self.gen(budget - 1 - split, SORT_TYPE, guarded_scope),
+                self.gen(half, SORT_DATA, guarded_scope),
+                self.gen(budget - 1 - half, SORT_TYPE, guarded_scope),
             )
         if pick == "arrow":
-            split = max(1, (budget - 1) // 2)
+            half = max(1, (budget - 1) // 2)
             return Arrow(
-                self.gen(split, SORT_TYPE, guarded_scope),
-                self.gen(budget - 1 - split, SORT_TYPE, guarded_scope),
+                self.gen(half, SORT_TYPE, guarded_scope),
+                self.gen(budget - 1 - half, SORT_TYPE, guarded_scope),
             )
         if pick == "union":
             width = rng.randint(2, self.cfg.max_union_width)
@@ -327,7 +327,7 @@ def _mutate_head(rng: random.Random, t: MuType) -> MuType:
     kind = rng.choice(
         ["shuffle", "duplicate", "unfold", "widen", "narrow", "rename", "wrap", "fresh"]
     )
-    components = union_components(t)
+    components = list(split(t))
     if kind == "shuffle" and len(components) > 1:
         shuffled = components[:]
         rng.shuffle(shuffled)

@@ -176,23 +176,32 @@ def subst_type(t: MuType, name: str, replacement: MuType) -> MuType:
 
 
 def unfold_once(t: Rec) -> MuType:
-    """`t.body` with `t` itself for `t.var`, built on the first call and the same object after."""
+    """`t.body` with `t` itself for `t.var`, built on the first call and the same object after.
+
+    The first call raises `RuntimeError` unless `t.var` occurs in `t.body` only
+    under an `@` or `->`, looking through union parts and the bodies of `rec`s
+    that do not rebind it: the one guard against a hand-built non-contractive
+    type (the parser rejects them) for every walk that unfolds a `rec`."""
     if not hasattr(t, "unfolded"):
+        stack = [t.body]
+        while stack:
+            match stack.pop():
+                case TypeVar(name) if name == t.var:
+                    raise RuntimeError(f"non-contractive type: `{t.var}` occurs with no `@` or `->` above it")
+                case Union(parts):
+                    stack += parts
+                case Rec(var, body) if var != t.var:
+                    stack.append(body)
         object.__setattr__(t, "unfolded", subst_type(t.body, t.var, t))
     return t.unfolded
 
 
-HEAD_UNFOLD_LIMIT = 10_000  # stops the loop on a non-contractive type built by hand
-
-
 def head_unfold(t: MuType) -> MuType:
-    """Unfold recursion binders at the head until a structural constructor shows."""
-    steps = 0
+    """Unfold recursion binders at the head until a structural constructor shows.
+    Each unfolding takes one binder off the head, since `unfold_once` lets no
+    `rec` through whose variable, and so the `rec` put back, could show there."""
     while isinstance(t, Rec):
         t = unfold_once(t)
-        steps += 1
-        if steps > HEAD_UNFOLD_LIMIT:
-            raise RuntimeError("non-contractive type: head unfolding does not terminate")
     return t
 
 
@@ -203,28 +212,21 @@ def split(t: MuType) -> tuple[MuType, ...]:
     union a `rec` unfolds to, is walked on its first split, on a stack, so
     its width and depth add no recursion; it keeps the components, and every
     later split returns that same tuple. Each `rec` keeps its one unfolding,
-    so the walk meets finitely many unions; a union met again through a `rec`
-    while its parts are still on the stack contains itself with no `@` or `->`
-    between, as only a hand-built non-contractive type does: that raises
-    `RuntimeError`, so the walk ends."""
+    so the walk meets finitely many unions, and none again below itself: the
+    way back through union parts and head unfoldings alone passes a `rec`
+    whose variable has no `@` or `->` above it, where `unfold_once` raises
+    `RuntimeError`. So the walk ends."""
     t = head_unfold(t)
     if not isinstance(t, Union):
         return (t,)
     if not hasattr(t, "split"):
-        out, stack, opened = [], [*reversed(t.parts)], [id(t)]  # `t` and the unions a `rec` led to, parts on the stack
+        out, stack = [], [*reversed(t.parts)]
         while stack:
             u = stack.pop()
             if isinstance(u, Rec):
                 u = head_unfold(u)
-                if isinstance(u, Union):
-                    if id(u) in opened:
-                        raise RuntimeError("non-contractive type: a union contains itself")
-                    opened.append(id(u))
-                    stack.append(None)  # under its parts: when it is popped, they are all taken
             if isinstance(u, Union):
                 stack += reversed(u.parts)
-            elif u is None:
-                opened.pop()
             else:
                 out.append(u)
         object.__setattr__(t, "split", tuple(out))
@@ -329,8 +331,8 @@ def admitted_symbols(t: MuType, pos: tuple[int, ...]) -> frozenset[str]:
     At the root, the heads of the components `split` gives; below it, what
     each `@` or `->` component admits at the rest of the position, in the part
     its first step selects, and nothing for an atom. Each call takes one step
-    of the position, and `split` ends, raising `RuntimeError` only on a union
-    that contains itself with no `@` or `->` between, which validation rejects.
+    of the position, and `split` ends; a non-contractive `rec` that it or a
+    deeper call meets raises `RuntimeError` in `unfold_once`.
     """
     out: set[str] = set()
     for comp in split(t):

@@ -13,8 +13,8 @@ Five questions are answered before that search, and each answer is exact:
 - Two sides that are one object are related at once, at every step: both
   relations are reflexive, since the greatest fixpoint contains the identity.
 - `is_subtype` and `is_equivalent` hold at once when the two types are equal
-  as structures (`same_structure`, linear in their shared size): equal types
-  have equal canonical forms, which the engine relates at its first step.
+  as structures (`same_structure`, linear in their shared size): both
+  relations are reflexive.
 - A constructed left side (a constant, a rigid variable, an `@` or a `->`) is
   related by clauses the greatest fixpoint satisfies as equations: it fits
   some union component of the right side (`sub`) or every one (`eq`), where an
@@ -35,10 +35,12 @@ Five questions are answered before that search, and each answer is exact:
   to one, or has the key of one: its class and its two parts as they are
   after `head_unfold`, an atom part by class and name and any other by
   identity, so a `rec` part is keyed by its one unfolding. Components with
-  equal keys are equal types, and both relations are reflexive on types. A
-  pass collects the other side's ids, then their keys, at its first
-  component that needs them; only the rest go to the search, which relates
-  a pair with equal keys the same way, before it builds canonical forms.
+  equal keys are equal types, and both relations are reflexive on types. The
+  pass is stated once (`covers`); `eq` runs it again with the sides swapped,
+  since it is symmetric. A pass collects the other side's ids, then their
+  keys, at its first component that needs them; only the rest go to the
+  search, which relates a pair with equal keys the same way, before it
+  builds canonical forms.
 - Two components with different heads are unrelated, and `component` answers
   them first: two classes, two atoms' names, or two `@` spines led by atoms
   that differ so (a spine led by a union or a `rec` has no head). The search
@@ -126,37 +128,26 @@ class _Engine:
         rights = (b,) if isinstance(b, _CONSTRUCTED) else split(b)
         if len(lefts) == 1 and len(rights) == 1:
             return self.component(lefts[0], rights[0])
-        # one of the other side's component objects, an atom equal to one, or a
-        # component with the key of one is related (see the module docstring)
-        ids = keys = None
-        forward = all(
-            l in rights if isinstance(l, _ATOMS)
-            else id(l) in (ids := ids or {id(r) for r in rights})
-            or _key(l) in (keys := keys or {_key(r) for r in rights})
-            or any(self.component(l, r) for r in rights)
-            for l in lefts
-        )
-        if self.mode == MODE_SUB or not forward:
-            return forward
+        # equivalence is symmetric, so its backward pass is `covers` with the sides swapped
+        return self.covers(lefts, rights) and (self.mode == MODE_SUB or self.covers(rights, lefts))
+
+    def covers(self, xs: tuple[MuType, ...], ys: tuple[MuType, ...]) -> bool:
+        """Each of `xs` is related to one of `ys`: one pass of the union clause (see the module docstring)."""
         ids = keys = None
         return all(
-            r in lefts if isinstance(r, _ATOMS)
-            else id(r) in (ids := ids or {id(l) for l in lefts})
-            or _key(r) in (keys := keys or {_key(l) for l in lefts})
-            or any(self.component(l, r) for l in lefts)
-            for r in rights
+            x in ys if isinstance(x, _ATOMS)
+            else id(x) in (ids := ids or {id(y) for y in ys})
+            or _key(x) in (keys := keys or {_key(y) for y in ys})
+            or any(self.component(x, y) for y in ys)
+            for x in xs
         )
 
     def component(self, a: MuType, b: MuType) -> bool:
-        if a is b:
-            return True
         if _heads_differ(a, b):
             return False
         if _key(a) == _key(b):
             return True
         key = (canonical(a), canonical(b))
-        if key[0] == key[1]:
-            return True
         if key in self.assumed:
             return True
         self.assumed.add(key)

@@ -33,7 +33,7 @@ from cap.mu_types import (
     union_components,
     union_of,
 )
-from cap.relations import MODE_EQ, MODE_SUB, is_equivalent, is_subtype, oracle_compare
+from cap.relations import MODE_EQ, MODE_SUB, PairOracle, is_equivalent, is_subtype, oracle_compare
 from cap.surface import parse_type, pretty
 
 from conftest import (
@@ -180,30 +180,65 @@ def test_a_caller_cannot_change_the_kept_split():
 
 
 @pytest.mark.parametrize(
-    "t, cycle",
+    "t",
     [
-        (Rec("t", TypeVar("t")), 1),
-        (Rec("t", Rec("s", TypeVar("t"))), 2),
-        (Rec("t", Union(TypeConst("A"), TypeVar("t"))), None),
+        Rec("t", TypeVar("t")),
+        Rec("t", Rec("s", TypeVar("t"))),
+        Rec("t", Union(TypeConst("A"), TypeVar("t"))),
     ],
     ids=["variable-body", "binder-body", "union-body"],
 )
-def test_head_unfold_stops_on_a_non_contractive_type(t, cycle):
-    # built by hand, since the parser rejects them all; the unfoldings each keeps
-    # lead back to `t`, so head unfolding would loop on a cycle of objects, and
-    # splitting `rec t. A + t` would take in the parts of its own union forever
-    if cycle is None:
-        assert head_unfold(t).parts[1] is t
-    else:
-        with pytest.raises(RuntimeError, match="non-contractive"):
-            head_unfold(t)
-        u = t
-        for _ in range(cycle):
-            u = unfold_once(u)
-        assert u is t
-    for walk in (split, lambda t: is_subtype(t, TypeConst("B")), lambda t: admitted_symbols(t, ())):
+def test_head_unfold_stops_on_a_non_contractive_type(t):
+    # built by hand, since the parser rejects them all
+    for walk in (unfold_once, head_unfold, split, lambda t: is_subtype(t, TypeConst("B")), lambda t: admitted_symbols(t, ())):
         with pytest.raises(RuntimeError, match="non-contractive"):
             walk(t)
+
+
+_A, _C = TypeConst("A"), TypeConst("C")
+NON_CONTRACTIVE = {  # built by hand, since the parser rejects them all
+    "rec t. t": Rec("t", TypeVar("t")),
+    "rec t. rec s. t": Rec("t", Rec("s", TypeVar("t"))),
+    "rec t. A + t": Rec("t", Union(_A, TypeVar("t"))),
+    "rec a. rec b. a + b@C": Rec("a", Rec("b", Union(TypeVar("a"), AppT(TypeVar("b"), _C)))),
+    "rec a. (rec b. b) + A@a": Rec("a", Union(Rec("b", TypeVar("b")), AppT(_A, TypeVar("a")))),
+    "A@(rec t. t)": AppT(_A, Rec("t", TypeVar("t"))),
+}
+NON_CONTRACTIVE_WALKS = {
+    "unfold_once": unfold_once,
+    "head_unfold": head_unfold,
+    "split": split,
+    "admitted_symbols-root": lambda t: admitted_symbols(t, ()),
+    "admitted_symbols-2": lambda t: admitted_symbols(t, (2,)),
+    "is_subtype": lambda t: is_subtype(t, parse_type("A@B")),
+    "is_equivalent": lambda t: is_equivalent(t, parse_type("A@B")),
+    "truncate": lambda t: truncate(t, 3),
+    "truncations": lambda t: truncations(t)(3),
+    "PairOracle": lambda t: PairOracle(t, t).compare(2, MODE_SUB),
+}
+# the walks that do not reach the bad `rec`, or do not apply
+NON_CONTRACTIVE_MISSED = {
+    ("rec a. (rec b. b) + A@a", "unfold_once"),  # the outer `rec` is guarded
+    ("rec a. (rec b. b) + A@a", "head_unfold"),  # stops at the union
+    ("A@(rec t. t)", "unfold_once"),  # not a `rec`
+    ("A@(rec t. t)", "head_unfold"),
+    ("A@(rec t. t)", "split"),
+    ("A@(rec t. t)", "admitted_symbols-root"),
+}
+
+
+@pytest.mark.parametrize("name", NON_CONTRACTIVE)
+def test_a_non_contractive_type_always_ends_in_runtime_error(name):
+    # one guard, in `unfold_once`, stops every walk that unfolds a `rec`: none
+    # recurses without end or loops
+    t = NON_CONTRACTIVE[name]
+    for walk, run in NON_CONTRACTIVE_WALKS.items():
+        if (name, walk) in NON_CONTRACTIVE_MISSED:
+            if walk != "unfold_once":
+                run(t)
+        else:
+            with pytest.raises(RuntimeError, match="non-contractive"):
+                run(t)
 
 
 def _reachable(t: MuType, split: bool, limit: int = 20_000) -> int | None:

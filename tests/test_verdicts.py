@@ -26,12 +26,18 @@ FULL_SEEDS = (0, 1000, 7777)
 BENCH_SEEDS = range(1000, 13_000, 1000)  # the `conform` workload's seeds, cases and pairs
 
 
-def verdicts(seed: int) -> str:
-    """`a <: b`, `b <: a` and `a ~ b` for each of the three partners `b` of seed's `a`."""
+def pairs(seed: int) -> list[tuple]:
+    """Seed's `a` with each of its three partners `b`."""
     cfg = GenConfig(rec_probability=0.5)
     a = gen_type(cfg.with_seed(seed))
     partners = (mutate_type(random.Random(seed), a), gen_type(cfg.with_seed(seed + 100_000)), head_unfold(a))
-    return "".join(str(int(v)) for b in partners for v in (is_subtype(a, b), is_subtype(b, a), is_equivalent(a, b)))
+    return [(a, b) for b in partners]
+
+
+def verdicts(seed: int) -> str:
+    """`a <: b`, `b <: a` and `a ~ b` for each of the three partners `b` of seed's `a`."""
+    triples = ((is_subtype(a, b), is_subtype(b, a), is_equivalent(a, b)) for a, b in pairs(seed))
+    return "".join(str(int(v)) for triple in triples for v in triple)
 
 
 def reports() -> dict[str, dict]:
@@ -49,6 +55,14 @@ def test_verdicts_match_their_snapshot():
     kept = recorded()["verdicts"]
     changed = [seed for seed in SEEDS if verdicts(seed) != kept[str(seed)]]
     assert changed == []
+
+
+def test_equivalence_is_symmetric():
+    # the recorded `a ~ b` digit, asked as `b ~ a`: the engine's `eq` runs its
+    # union pass backward as the forward pass with the sides swapped
+    kept = recorded()["verdicts"]
+    backward = {seed: "".join(str(int(is_equivalent(b, a))) for a, b in pairs(seed)) for seed in range(1000)}
+    assert [seed for seed, got in backward.items() if got != kept[str(seed)][2::3]] == []
 
 
 def test_conformance_reports_match_their_snapshot():
